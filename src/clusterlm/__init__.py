@@ -1,6 +1,8 @@
 """Class bigram language models: exchange clustering, backoff baselines,
 count interpolation, and perplexity evaluation."""
 
+from types import ModuleType as _ModuleType
+
 from .backoff import BackoffModel, fillup, train_backoff
 from .classmodel import (
     ClassModel,
@@ -61,54 +63,8 @@ from .exchange import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptiveObjective",
-    "BackoffModel",
-    "ClassCounts",
-    "ClassModel",
-    "ClusterLMError",
-    "ClusterMap",
-    "CombinedClassCounts",
-    "ConfigError",
-    "CountTable",
-    "Discount",
-    "EvalReport",
-    "ExchangeConfig",
-    "ExchangeResult",
-    "FormatError",
-    "InvalidMoveError",
-    "IterationStats",
-    "ModelIntegrityError",
-    "StandardObjective",
-    "SuiteConfig",
-    "SuiteResult",
-    "Vocabulary",
-    "VocabMismatchError",
-    "adaptive_score",
-    "aggregate_class_counts",
-    "build_vocabulary",
-    "combine_counts",
-    "combine_word_counts",
-    "count_events",
-    "discounted_distribution",
-    "estimate_class_model",
-    "estimate_discount",
-    "experiment_suite",
-    "fillup",
-    "format_report",
-    "init_clustering",
-    "load_clusters",
-    "loo_score",
-    "merge_counts",
-    "move_delta",
-    "optimize_lambda",
-    "perplexity",
-    "read_sentences",
-    "relative_improvement",
-    "run_exchange",
-    "save_clusters",
-    "sentence_ids",
-    "tokenize_line",
-    "train_backoff",
-    "write_records",
-]
+# The public names are exactly the ones imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -12,11 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import Artifact, finite, put, size, word_id
 from .corpus import CountTable
 from .discounting import Discount, discounted_distribution
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 
 BACKOFF_MAGIC = "clusterlm-backoff"
+# Section name -> fields per line.
+BACKOFF_SECTIONS = {
+    "\\bigrams:": 3, "\\contexts:": 2, "\\fill-contexts:": 2,
+    "\\unigrams:": 2, "\\fill-words:": 1, "\\unseen:": 1,
+}
 
 
 class BackoffModel:
@@ -60,10 +66,7 @@ class BackoffModel:
         self.unseen = frozenset(unseen)
         self.fill_words = frozenset(fill_words)
         self.uni_lp = uni_lp
-        self._set_unigram()
-
-    def _set_unigram(self) -> None:
-        self.p_uni = np.power(10.0, self.uni_lp)
+        self.p_uni = np.power(10.0, uni_lp)
         # Plain floats for ``prob``: indexing an array costs more per query.
         self._uni = self.p_uni.tolist()
         self.fill_mass = float(self.p_uni[sorted(self.fill_words)].sum())
@@ -132,73 +135,42 @@ class BackoffModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "BackoffModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if not header or header[0] != BACKOFF_MAGIC:
-                raise FormatError(f"{path}: not a backoff model file")
-            try:
-                fields = dict(kv.split("=", 1) for kv in header[1:])
-                vocab_size = int(fields["vocab_size"])
-                b = float(fields["b"])
-                cutoff = int(fields["cutoff"])
-                kind = fields.get("kind", "backoff")
-                vocab_md5 = fields.get("vocab_md5", "")
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"{path}: bad model header") from exc
-
-            uni_lp = np.zeros(vocab_size, dtype=np.float64)
-            model = cls(vocab_size, b, cutoff, uni_lp, kind=kind, vocab_md5=vocab_md5)
-            id_sets: dict[str, set[int]] = {"\\unseen:": set(), "\\fill-words:": set()}
-            section = None
-            seen_uni = 0
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if line.startswith("\\"):
-                    section = line
-                    continue
-                parts = line.split()
-                try:
-                    if section == "\\bigrams:" and len(parts) == 3:
-                        v, w = int(parts[0]), int(parts[1])
-                        model.explicit_lp.setdefault(v, {})[w] = float(parts[2])
-                    elif section == "\\contexts:" and len(parts) == 2:
-                        model.alpha[int(parts[0])] = float(parts[1])
-                    elif section == "\\fill-contexts:" and len(parts) == 2:
-                        v = _word_id(parts[0], vocab_size)
-                        mass = float(parts[1])
-                        if v in model.beta:
-                            raise ValueError(f"duplicate fill context {v}")
-                        if not 0.0 <= mass <= 1.0:
-                            raise ValueError("fill mass outside [0, 1]")
-                        model.beta[v] = mass
-                    elif section == "\\unigrams:" and len(parts) == 2:
-                        uni_lp[int(parts[0])] = float(parts[1])
-                        seen_uni += 1
-                    elif section in id_sets and len(parts) == 1:
-                        ids = id_sets[section]
-                        w = _word_id(parts[0], vocab_size)
-                        if w in ids:
-                            raise ValueError(f"duplicate word id {w}")
-                        ids.add(w)
-                    else:
-                        raise ValueError("unparseable model line")
-                except (ValueError, IndexError) as exc:
-                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if seen_uni != vocab_size:
-                raise FormatError(
-                    f"{path}: expected {vocab_size} unigram lines, got {seen_uni}"
-                )
-        model.unseen = frozenset(id_sets["\\unseen:"])
-        model.fill_words = frozenset(id_sets["\\fill-words:"])
-        model._set_unigram()
+        with Artifact(
+            path, BACKOFF_MAGIC, "backoff model", sections=BACKOFF_SECTIONS,
+            optional=("\\fill-contexts:", "\\fill-words:", "\\unseen:"),
+        ) as art:
+            n = art.field("vocab_size", size)
+            explicit_lp: dict[int, dict[int, float]] = {}
+            masses = {"\\contexts:": {}, "\\fill-contexts:": {}}
+            uni: dict[int, float] = {}
+            id_sets = {"\\unseen:": {}, "\\fill-words:": {}}
+            for section, parts in art:
+                if section == "\\bigrams:":
+                    row = explicit_lp.setdefault(word_id(parts[0], n), {})
+                    put(row, word_id(parts[1], n), finite(parts[2]))
+                elif section == "\\unigrams:":
+                    put(uni, word_id(parts[0], n), finite(parts[1]))
+                elif section in id_sets:
+                    put(id_sets[section], word_id(parts[0], n), None)
+                else:
+                    mass = finite(parts[1])
+                    if section == "\\fill-contexts:" and not 0.0 <= mass <= 1.0:
+                        raise ValueError("fill mass outside [0, 1]")
+                    put(masses[section], word_id(parts[0], n), mass)
+            if len(uni) != n:
+                raise ValueError(f"expected {n} unigram lines, got {len(uni)}")
+            model = cls(
+                n, art.field("b", finite), art.field("cutoff", size),
+                np.array([uni[w] for w in range(n)]),
+                kind=art.field("kind", default="backoff"),
+                vocab_md5=art.field("vocab_md5", default=""),
+                unseen=frozenset(id_sets["\\unseen:"]),
+                fill_words=frozenset(id_sets["\\fill-words:"]),
+            )
+        model.explicit_lp = explicit_lp
+        model.alpha = masses["\\contexts:"]
+        model.beta = masses["\\fill-contexts:"]
         return model
-
-
-def _word_id(text: str, vocab_size: int) -> int:
-    w = int(text)
-    if not 0 <= w < vocab_size:
-        raise ValueError(f"word id {w} out of range")
-    return w
 
 
 def _unigram_lp(counts: CountTable, discount: Discount) -> np.ndarray:

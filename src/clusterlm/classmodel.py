@@ -9,18 +9,23 @@ categories both partition the vocabulary.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .artifact import Artifact, finite, id_list, put, size, word_id
 from .corpus import CountTable, Vocabulary
-from .discounting import Discount, discounted_distribution, estimate_discount
+from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
 
 CLUSTERS_MAGIC = "clusterlm-clusters"
 CLASSMODEL_MAGIC = "clusterlm-classmodel"
+# Section name -> fields per line.
+CLASSMODEL_SECTIONS = {
+    "\\clusters:": 3, "\\state-bigrams:": 3, "\\state-alphas:": 2,
+    "\\category-unigrams:": 2, "\\word-unigrams:": 2,
+}
 
 
 class ClusterMap:
@@ -139,14 +144,7 @@ def save_clusters(
 ) -> None:
     """Write `word state_id category_id` lines under a provenance header."""
     with open(path, "w", encoding="utf-8") as fh:
-        head = (
-            f"{CLUSTERS_MAGIC} vocab_size={cm.vocab_size} "
-            f"n_states={cm.n_states} n_cats={cm.n_cats} "
-            f"k_states={cm.k_states} k_cats={cm.k_cats} "
-            f"frozen_states={_id_list(cm.frozen_states)} "
-            f"frozen_cats={_id_list(cm.frozen_cats)} "
-            f"vocab_md5={vocab.checksum()}"
-        )
+        head = f"{CLUSTERS_MAGIC} {_map_header(cm)} vocab_md5={vocab.checksum()}"
         if metadata:
             for key in sorted(metadata):
                 value = metadata[key]
@@ -167,55 +165,55 @@ def _id_list(ids: Iterable[int]) -> str:
     return ",".join(str(i) for i in ids) if ids else "-"
 
 
-def _parse_id_list(text: str) -> frozenset[int]:
-    if text == "-":
-        return frozenset()
-    return frozenset(int(p) for p in text.split(","))
+def _map_header(cm: ClusterMap) -> str:
+    """The header fields of a cluster map, as ``_read_map`` reads them."""
+    return (
+        f"vocab_size={cm.vocab_size} n_states={cm.n_states} n_cats={cm.n_cats} "
+        f"k_states={cm.k_states} k_cats={cm.k_cats} "
+        f"frozen_states={_id_list(cm.frozen_states)} "
+        f"frozen_cats={_id_list(cm.frozen_cats)}"
+    )
+
+
+def _read_map(art: Artifact, lines) -> ClusterMap:
+    """The map from the header of ``art`` and ``(word id, state, category)``
+    lines, which must cover every word exactly once."""
+    n, n_states, n_cats = (art.field(k, size) for k in ("vocab_size", "n_states", "n_cats"))
+    state_of = np.full(n, -1, dtype=np.int64)
+    category_of = np.full(n, -1, dtype=np.int64)
+    for w, s, g in lines:
+        if state_of[w] >= 0:
+            raise ValueError(f"word {w} listed twice")
+        state_of[w] = word_id(s, n_states)
+        category_of[w] = word_id(g, n_cats)
+    if (state_of < 0).any():
+        raise ValueError("clusters do not cover the vocabulary")
+    return ClusterMap(
+        state_of, category_of, n_states, n_cats,
+        art.field("k_states", size), art.field("k_cats", size),
+        art.field("frozen_states", id_list), art.field("frozen_cats", id_list),
+    )
 
 
 def load_clusters(
     path: str | Path, vocab: Vocabulary
 ) -> tuple[ClusterMap, dict[str, str]]:
     """Read a cluster file; returns the map and the header fields."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if not header or header[0] != CLUSTERS_MAGIC:
-            raise FormatError(f"{path}: not a cluster file")
-        fields = dict(kv.split("=", 1) for kv in header[1:])
-        try:
-            vocab_size = int(fields["vocab_size"])
-            n_states = int(fields["n_states"])
-            n_cats = int(fields["n_cats"])
-            k_states = int(fields["k_states"])
-            k_cats = int(fields["k_cats"])
-            frozen_states = _parse_id_list(fields["frozen_states"])
-            frozen_cats = _parse_id_list(fields["frozen_cats"])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: bad cluster file header") from exc
+
+    def wid(word: str) -> int:
+        if word not in vocab:
+            raise ValueError(f"unknown word {word!r}")
+        return vocab.ids[word]
+
+    with Artifact(path, CLUSTERS_MAGIC, "cluster", columns=3) as art:
+        vocab_size = art.field("vocab_size", size)
         if vocab_size != len(vocab):
             raise FormatError(
                 f"{path}: cluster file is for a {vocab_size}-word vocabulary, "
                 f"got {len(vocab)} words"
             )
-        state_of = np.full(vocab_size, -1, dtype=np.int64)
-        category_of = np.full(vocab_size, -1, dtype=np.int64)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'word state cat'")
-            word, s, g = parts
-            if word not in vocab:
-                raise FormatError(f"{path}:{lineno}: unknown word {word!r}")
-            wid = vocab.ids[word]
-            state_of[wid] = int(s)
-            category_of[wid] = int(g)
-    if (state_of < 0).any():
-        raise FormatError(f"{path}: cluster file does not cover the vocabulary")
-    cm = ClusterMap(
-        state_of, category_of, n_states, n_cats, k_states, k_cats,
-        frozen_states, frozen_cats,
-    )
-    return cm, fields
+        cm = _read_map(art, ((wid(w), s, g) for _, (w, s, g) in art))
+    return cm, art.fields
 
 
 class ClassModel:
@@ -273,12 +271,7 @@ class ClassModel:
         cm = self.cm
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(
-                f"{CLASSMODEL_MAGIC} label={self.label} "
-                f"vocab_size={cm.vocab_size} "
-                f"n_states={cm.n_states} n_cats={cm.n_cats} "
-                f"k_states={cm.k_states} k_cats={cm.k_cats} "
-                f"frozen_states={_id_list(cm.frozen_states)} "
-                f"frozen_cats={_id_list(cm.frozen_cats)} "
+                f"{CLASSMODEL_MAGIC} label={self.label} {_map_header(cm)} "
                 f"b_pairs={self.b_pairs!r} b_cats={self.b_cats!r} "
                 f"b_words={self.b_words!r} vocab_md5={self.vocab_md5}\n"
             )
@@ -302,70 +295,46 @@ class ClassModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if not header or header[0] != CLASSMODEL_MAGIC:
-                raise FormatError(f"{path}: not a class model file")
-            fields = dict(kv.split("=", 1) for kv in header[1:])
-            try:
-                vocab_size = int(fields["vocab_size"])
-                n_states = int(fields["n_states"])
-                n_cats = int(fields["n_cats"])
-                k_states = int(fields["k_states"])
-                k_cats = int(fields["k_cats"])
-                frozen_states = _parse_id_list(fields["frozen_states"])
-                frozen_cats = _parse_id_list(fields["frozen_cats"])
-                b_pairs = float(fields["b_pairs"])
-                b_cats = float(fields["b_cats"])
-                b_words = float(fields["b_words"])
-                label = fields.get("label", "class")
-                vocab_md5 = fields.get("vocab_md5", "")
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"{path}: bad class model header") from exc
-
-            state_of = np.full(vocab_size, -1, dtype=np.int64)
-            category_of = np.full(vocab_size, -1, dtype=np.int64)
+        with Artifact(
+            path, CLASSMODEL_MAGIC, "class model", sections=CLASSMODEL_SECTIONS
+        ) as art:
+            n, n_states, n_cats = (
+                art.field(k, size) for k in ("vocab_size", "n_states", "n_cats")
+            )
+            clusters = []
             state_disc_lp: dict[int, dict[int, float]] = {}
-            state_alpha = np.zeros(n_states)
+            alphas: dict[int, float] = {}
             cat_fallback_lp: dict[int, float] = {}
-            word_lp = np.zeros(vocab_size)
-            section = None
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if line.startswith("\\"):
-                    section = line
-                    continue
-                parts = line.split()
-                if section == "\\clusters:" and len(parts) == 3:
-                    w = int(parts[0])
-                    state_of[w] = int(parts[1])
-                    category_of[w] = int(parts[2])
-                elif section == "\\state-bigrams:" and len(parts) == 3:
-                    state_disc_lp.setdefault(int(parts[0]), {})[int(parts[1])] = (
-                        float(parts[2])
-                    )
-                elif section == "\\state-alphas:" and len(parts) == 2:
-                    state_alpha[int(parts[0])] = float(parts[1])
-                elif section == "\\category-unigrams:" and len(parts) == 2:
-                    cat_fallback_lp[int(parts[0])] = float(parts[1])
-                elif section == "\\word-unigrams:" and len(parts) == 2:
-                    word_lp[int(parts[0])] = float(parts[1])
+            word_lps: dict[int, float] = {}
+            keyed = {
+                "\\state-alphas:": (alphas, n_states),
+                "\\category-unigrams:": (cat_fallback_lp, n_cats),
+                "\\word-unigrams:": (word_lps, n),
+            }
+            for section, parts in art:
+                if section == "\\clusters:":
+                    clusters.append((word_id(parts[0], n), parts[1], parts[2]))
+                elif section == "\\state-bigrams:":
+                    row = state_disc_lp.setdefault(word_id(parts[0], n_states), {})
+                    put(row, word_id(parts[1], n_cats), finite(parts[2]))
                 else:
-                    raise FormatError(f"{path}:{lineno}: unparseable model line")
-        if (state_of < 0).any():
-            raise FormatError(f"{path}: cluster section does not cover vocabulary")
-        cm = ClusterMap(
-            state_of, category_of, n_states, n_cats, k_states, k_cats,
-            frozen_states, frozen_cats,
-        )
-        return cls(
-            cm, state_disc_lp, state_alpha, cat_fallback_lp, word_lp,
-            b_pairs, b_cats, b_words, vocab_md5=vocab_md5, label=label,
-        )
-
-
-def _positive_histogram(values: np.ndarray) -> Counter:
-    return Counter(int(v) for v in values.ravel() if v > 0)
+                    table, bound = keyed[section]
+                    put(table, word_id(parts[0], bound), finite(parts[1]))
+            if len(alphas) != n_states or len(word_lps) != n:
+                raise ValueError("state alphas or word unigrams incomplete")
+            cm = _read_map(art, clusters)
+            if set(cat_fallback_lp) != set(cm.category_of.tolist()):
+                raise ValueError("category unigrams do not match the nonempty categories")
+            return cls(
+                cm, state_disc_lp,
+                np.array([alphas[s] for s in range(n_states)]),
+                cat_fallback_lp,
+                np.array([word_lps[w] for w in range(n)]),
+                art.field("b_pairs", finite), art.field("b_cats", finite),
+                art.field("b_words", finite),
+                vocab_md5=art.field("vocab_md5", default=""),
+                label=art.field("label", default="class"),
+            )
 
 
 def estimate_class_model(
@@ -404,9 +373,9 @@ def estimate_class_model(
     if not nonempty:
         raise ConfigError("cannot estimate a model over an empty vocabulary")
 
-    b_pairs = discount or estimate_discount(_positive_histogram(pairs))
-    b_cats = discount or estimate_discount(_positive_histogram(cat_tot))
-    b_words = discount or estimate_discount(_positive_histogram(word_weight))
+    b_pairs = discount or estimate_discount(count_of_counts(pairs.ravel()))
+    b_cats = discount or estimate_discount(count_of_counts(cat_tot))
+    b_words = discount or estimate_discount(count_of_counts(word_weight))
 
     # Category fallback: discounted category unigram over nonempty categories.
     uniform_cats = np.zeros(n_cats)

@@ -7,36 +7,20 @@ import json
 import logging
 import sys
 
-from .backoff import BACKOFF_MAGIC, BackoffModel, fillup, train_backoff
-from .classmodel import (
-    CLASSMODEL_MAGIC,
-    ClassModel,
-    estimate_class_model,
-    init_clustering,
-    load_clusters,
-    save_clusters,
-)
-from .corpus import (
-    CountTable,
-    Vocabulary,
-    build_vocabulary,
-    count_events,
-    read_sentences,
-)
-from .criterion import combine_word_counts
-from .discounting import Discount, estimate_discount
+from .artifact import read_magic
+from .backoff import BACKOFF_MAGIC, BackoffModel
+from .classmodel import CLASSMODEL_MAGIC, ClassModel, load_clusters, save_clusters
+from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, read_sentences
+from .discounting import Discount
 from .errors import ClusterLMError, ConfigError, VocabMismatchError
-from .evaluate import EvalReport, perplexity
-from .exchange import ADAPTIVE, STANDARD, ExchangeConfig, run_exchange
-
-DEFAULTS = {
-    "vocab_size": 20000,
-    "clusters": 500,
-    "cutoff": 1,
-    "discount": "auto",
-    "max_iterations": 20,
-    "lambda_grid": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-}
+from .evaluate import (
+    SuiteConfig,
+    adapt_class_model,
+    fillup_model,
+    perplexity,
+    train_backoff_model,
+    train_class_model,
+)
 
 
 def read_config(path) -> dict[str, str]:
@@ -54,40 +38,44 @@ def read_config(path) -> dict[str, str]:
     return out
 
 
-class Settings:
-    """Flag values with config-file and hard-coded fallbacks."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self.args = args
-        self.config = config
-
-    def get(self, key: str, cast=str):
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self.config.get(key, DEFAULTS.get(key))
-        if value is None:
-            raise ConfigError(f"missing required setting {key!r}")
-        return cast(value)
-
-    def discount(self) -> float | None:
-        raw = str(self.get("discount"))
-        if raw == "auto":
-            return None
-        return float(raw)
-
-    def lambda_grid(self) -> tuple[float, ...]:
-        raw = str(self.get("lambda_grid"))
-        try:
-            grid = tuple(float(p) for p in raw.split(",") if p.strip() != "")
-        except ValueError as exc:
-            raise ConfigError(f"bad lambda grid {raw!r}") from exc
-        if not grid:
-            raise ConfigError("lambda grid is empty")
-        return grid
+def _discount(raw: str) -> float | None:
+    return None if raw == "auto" else Discount(float(raw)).b
 
 
-def _load_vocab(path) -> Vocabulary:
-    return Vocabulary.load(path)
+def _lambda_grid(raw: str) -> tuple[float, ...]:
+    grid = tuple(float(p) for p in raw.split(",") if p.strip() != "")
+    if not grid:
+        raise ValueError("lambda grid is empty")
+    return grid
+
+
+# Settings a flag or the config file may give, each with its parser.
+SETTINGS = {
+    "vocab_size": int,
+    "clusters": int,
+    "cutoff": int,
+    "discount": _discount,
+    "max_iterations": int,
+    "lambda_grid": _lambda_grid,
+}
+
+
+def suite_config(args: argparse.Namespace, config: dict[str, str]) -> SuiteConfig:
+    """Flags first, then the config file, then the ``SuiteConfig`` defaults."""
+    unknown = sorted(set(config) - set(SETTINGS))
+    if unknown:
+        raise ConfigError(f"unknown settings {unknown}")
+    values = {}
+    for key, parse in SETTINGS.items():
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = config.get(key)
+        if raw is not None:
+            try:
+                values[key] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad {key} {raw!r}: {exc}") from exc
+    return SuiteConfig(**values)
 
 
 def _load_counts(path, vocab: Vocabulary) -> CountTable:
@@ -101,36 +89,44 @@ def _load_counts(path, vocab: Vocabulary) -> CountTable:
     return table
 
 
-def _sniff_model(path):
-    with open(path, encoding="utf-8") as fh:
-        magic = fh.readline().split(" ", 1)[0]
+def _load_model(path, vocab: Vocabulary):
+    """The backoff or class model in ``path``, checked against ``vocab``."""
+    magic = read_magic(path)
     if magic == BACKOFF_MAGIC:
-        return BackoffModel.load(path)
-    if magic == CLASSMODEL_MAGIC:
-        return ClassModel.load(path)
-    raise ConfigError(f"{path}: unrecognized model file")
-
-
-def _check_model_vocab(model, vocab: Vocabulary, path) -> None:
+        model = BackoffModel.load(path)
+    elif magic == CLASSMODEL_MAGIC:
+        model = ClassModel.load(path)
+    else:
+        raise ConfigError(f"{path}: unrecognized model file")
     if model.vocab_md5 and model.vocab_md5 != vocab.checksum():
-        raise VocabMismatchError(
-            f"{path}: model was trained on a different vocabulary"
-        )
+        raise VocabMismatchError(f"{path}: model was trained on a different vocabulary")
+    if model.vocab_size != len(vocab):
+        raise VocabMismatchError(f"{path}: vocabulary size mismatch")
+    return model
 
 
-def cmd_vocab(args, settings: Settings) -> int:
+def _save_run(path, vocab: Vocabulary, result) -> None:
+    """The clusters an exchange run ended with, if ``path`` is given."""
+    if path:
+        meta = {"iteration": len(result.iterations), "score": result.score}
+        if result.lam is not None:
+            meta["lambda"] = result.lam
+        save_clusters(path, vocab, result.cluster_map, metadata=meta)
+
+
+def cmd_vocab(args, cfg: SuiteConfig) -> int:
     adapt = read_sentences(args.adaptation) if args.adaptation else []
     back = read_sentences(args.background) if args.background else []
     if not adapt and not back:
         raise ConfigError("need at least one of --adaptation/--background")
-    vocab = build_vocabulary(adapt, back, settings.get("vocab_size", int))
+    vocab = build_vocabulary(adapt, back, cfg.vocab_size)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} words to {args.out}")
     return 0
 
 
-def cmd_counts(args, settings: Settings) -> int:
-    vocab = _load_vocab(args.vocab)
+def cmd_counts(args, cfg: SuiteConfig) -> int:
+    vocab = Vocabulary.load(args.vocab)
     sentences = read_sentences(args.corpus)
     table = count_events(sentences, vocab)
     table.save(args.out, vocab_md5=vocab.checksum())
@@ -139,136 +135,57 @@ def cmd_counts(args, settings: Settings) -> int:
     return 0
 
 
-def _train_class(counts, vocab, settings, args, label):
-    k = settings.get("clusters", int)
-    init = init_clustering(counts, k, k, vocab)
-    cfg = ExchangeConfig(
-        k_states=k,
-        k_cats=k,
-        criterion=STANDARD,
-        max_iterations=settings.get("max_iterations", int),
-        discount=settings.discount(),
-    )
-    result = run_exchange(
-        counts, None, init, cfg, vocab=vocab, trace_path=args.trace
-    )
-    forced = settings.discount()
-    model = estimate_class_model(
-        counts, result.cluster_map,
-        discount=Discount(forced) if forced is not None else None,
-        vocab_md5=vocab.checksum(), label=label,
-    )
-    return model, result
-
-
-def cmd_train(args, settings: Settings) -> int:
-    vocab = _load_vocab(args.vocab)
+def cmd_train(args, cfg: SuiteConfig) -> int:
+    vocab = Vocabulary.load(args.vocab)
     counts = _load_counts(args.counts, vocab)
-    method = args.method
-    if method in ("back_bo", "adapt_bo"):
-        forced = settings.discount()
-        if forced is not None:
-            disc = Discount(forced)
-        else:
-            hist: dict[int, int] = {}
-            for row in counts.rows.values():
-                for c in row.values():
-                    hist[c] = hist.get(c, 0) + 1
-            disc = estimate_discount(hist)
-        model = train_backoff(
-            counts, disc,
-            cutoff=settings.get("cutoff", int),
-            vocab_md5=vocab.checksum(),
-        )
+    if args.method in ("back_bo", "adapt_bo"):
+        model = train_backoff_model(counts, vocab, cfg)
         model.save(args.out)
-        print(f"trained {method} model (b={disc.b:.4f}) -> {args.out}")
+        print(f"trained {args.method} model (b={model.b:.4f}) -> {args.out}")
         return 0
-    if method in ("back_cl", "adapt_cl"):
-        model, result = _train_class(counts, vocab, settings, args, method)
-        model.save(args.out)
-        if args.clusters_out:
-            save_clusters(
-                args.clusters_out, vocab, result.cluster_map,
-                metadata={"iteration": len(result.iterations), "score": result.score},
-            )
-        print(
-            f"trained {method} model in {len(result.iterations)} iterations "
-            f"(score {result.score:.4f}) -> {args.out}"
-        )
-        return 0
-    raise ConfigError(f"train does not handle method {method!r}")
+    model, result = train_class_model(
+        counts, vocab, cfg.clusters, cfg, args.method, trace_path=args.trace
+    )
+    model.save(args.out)
+    _save_run(args.clusters_out, vocab, result)
+    print(
+        f"trained {args.method} model in {len(result.iterations)} iterations "
+        f"(score {result.score:.4f}) -> {args.out}"
+    )
+    return 0
 
 
-def cmd_adapt(args, settings: Settings) -> int:
-    vocab = _load_vocab(args.vocab)
+def cmd_adapt(args, cfg: SuiteConfig) -> int:
+    vocab = Vocabulary.load(args.vocab)
     adapt_counts = _load_counts(args.counts, vocab)
     if args.method == "fillup":
         if not args.model:
             raise ConfigError("fillup needs --model (background model)")
-        background = _sniff_model(args.model)
+        background = _load_model(args.model, vocab)
         if not isinstance(background, BackoffModel):
             raise ConfigError("fillup adapts a backoff model")
-        _check_model_vocab(background, vocab, args.model)
-        forced = settings.discount()
-        if forced is not None:
-            disc = Discount(forced)
-        else:
-            hist: dict[int, int] = {}
-            for row in adapt_counts.rows.values():
-                for c in row.values():
-                    hist[c] = hist.get(c, 0) + 1
-            disc = estimate_discount(hist)
-        model = fillup(adapt_counts, background, disc)
-        model.save(args.out)
+        fillup_model(adapt_counts, background, cfg).save(args.out)
         print(f"fillup model -> {args.out}")
         return 0
-    if args.method == "clust_adapt":
-        if not args.back_counts or not args.init_clusters:
-            raise ConfigError("clust_adapt needs --back-counts and --init-clusters")
-        back_counts = _load_counts(args.back_counts, vocab)
-        init, _meta = load_clusters(args.init_clusters, vocab)
-        cfg = ExchangeConfig(
-            k_states=init.k_states,
-            k_cats=init.k_cats,
-            criterion=ADAPTIVE,
-            max_iterations=settings.get("max_iterations", int),
-            lambda_grid=settings.lambda_grid(),
-            discount=settings.discount(),
-        )
-        result = run_exchange(
-            adapt_counts, back_counts, init, cfg, vocab=vocab, trace_path=args.trace
-        )
-        combined = combine_word_counts(adapt_counts, back_counts, result.lam)
-        forced = settings.discount()
-        model = estimate_class_model(
-            combined, result.cluster_map,
-            discount=Discount(forced) if forced is not None else None,
-            vocab_md5=vocab.checksum(), label="clust_adapt",
-        )
-        model.save(args.out)
-        if args.clusters_out:
-            save_clusters(
-                args.clusters_out, vocab, result.cluster_map,
-                metadata={
-                    "iteration": len(result.iterations),
-                    "score": result.score,
-                    "lambda": result.lam,
-                },
-            )
-        print(
-            f"adapted model (lambda {result.lam:.2f}, "
-            f"{len(result.iterations)} iterations) -> {args.out}"
-        )
-        return 0
-    raise ConfigError(f"adapt does not handle method {args.method!r}")
+    if not args.back_counts or not args.init_clusters:
+        raise ConfigError("clust_adapt needs --back-counts and --init-clusters")
+    back_counts = _load_counts(args.back_counts, vocab)
+    init, _ = load_clusters(args.init_clusters, vocab)
+    model, result = adapt_class_model(
+        adapt_counts, back_counts, init, vocab, cfg, trace_path=args.trace
+    )
+    model.save(args.out)
+    _save_run(args.clusters_out, vocab, result)
+    print(
+        f"adapted model (lambda {result.lam:.2f}, "
+        f"{len(result.iterations)} iterations) -> {args.out}"
+    )
+    return 0
 
 
-def cmd_eval(args, settings: Settings) -> int:
-    vocab = _load_vocab(args.vocab)
-    model = _sniff_model(args.model)
-    _check_model_vocab(model, vocab, args.model)
-    if getattr(model, "vocab_size", len(vocab)) != len(vocab):
-        raise VocabMismatchError(f"{args.model}: vocabulary size mismatch")
+def cmd_eval(args, cfg: SuiteConfig) -> int:
+    vocab = Vocabulary.load(args.vocab)
+    model = _load_model(args.model, vocab)
     sentences = read_sentences(args.heldout)
     label = getattr(model, "label", None) or getattr(model, "kind", "model")
     report = perplexity(
@@ -289,7 +206,7 @@ def cmd_eval(args, settings: Settings) -> int:
     return 0
 
 
-def cmd_report(args, settings: Settings) -> int:
+def cmd_report(args, cfg: SuiteConfig) -> int:
     rows: list[dict] = []
     for path in args.records:
         with open(path, encoding="utf-8") as fh:
@@ -329,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vocab", help="build a vocabulary from corpora")
     p.add_argument("--adaptation", help="adaptation corpus (takes priority)")
     p.add_argument("--background", help="background corpus")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
+    p.add_argument("--vocab-size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vocab)
 
@@ -347,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--counts", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--cutoff", type=int)
+    p.add_argument("--clusters")
+    p.add_argument("--cutoff")
     p.add_argument("--discount")
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--clusters-out", dest="clusters_out")
+    p.add_argument("--max-iterations")
+    p.add_argument("--clusters-out")
     p.add_argument("--trace")
     p.set_defaults(func=cmd_train)
 
@@ -360,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--counts", required=True, help="adaptation counts")
     p.add_argument("--model", help="background backoff model (fillup)")
-    p.add_argument("--back-counts", dest="back_counts")
-    p.add_argument("--init-clusters", dest="init_clusters")
+    p.add_argument("--back-counts")
+    p.add_argument("--init-clusters")
     p.add_argument("--out", required=True)
     p.add_argument("--discount")
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--lambda-grid", dest="lambda_grid")
-    p.add_argument("--clusters-out", dest="clusters_out")
+    p.add_argument("--max-iterations")
+    p.add_argument("--lambda-grid")
+    p.add_argument("--clusters-out")
     p.add_argument("--trace")
     p.set_defaults(func=cmd_adapt)
 
@@ -374,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--heldout", required=True)
-    p.add_argument("--score-oov", dest="score_oov", action="store_true")
-    p.add_argument("--model-id", dest="model_id")
+    p.add_argument("--score-oov", action="store_true")
+    p.add_argument("--model-id")
     p.add_argument("--out", help="write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
@@ -388,15 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(message)s")
-    config = read_config(args.config) if args.config else {}
-    settings = Settings(args, config)
     try:
-        return args.func(args, settings)
-    except ClusterLMError as exc:
+        config = read_config(args.config) if args.config else {}
+        return args.func(args, suite_config(args, config))
+    except (ClusterLMError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

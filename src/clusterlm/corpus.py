@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .artifact import Artifact, put, size, word_id
 from .errors import ConfigError, FormatError
 
 UNK_TOKEN = "<unk>"
@@ -166,37 +167,18 @@ class CountTable:
         self.rows: dict[int, dict[int, int]] = {}
         self.unigram = np.zeros(vocab_size, dtype=np.int64)
         self.total_tokens = 0
-        self._cols: dict[int, dict[int, int]] | None = None
 
     def add_bigram(self, v: int, w: int, count: int = 1) -> None:
         row = self.rows.setdefault(v, {})
         row[w] = row.get(w, 0) + count
         self.unigram[w] += count
         self.total_tokens += count
-        self._cols = None
 
     def bigram(self, v: int, w: int) -> int:
         return self.rows.get(v, {}).get(w, 0)
 
     def context_total(self, v: int) -> int:
         return sum(self.rows.get(v, {}).values())
-
-    def context_totals(self) -> np.ndarray:
-        """Number of times each word occurred as a context (row sums)."""
-        totals = np.zeros(self.vocab_size, dtype=np.int64)
-        for v, row in self.rows.items():
-            totals[v] = sum(row.values())
-        return totals
-
-    def cols(self) -> dict[int, dict[int, int]]:
-        """Transposed bigram table (word -> context -> count), cached."""
-        if self._cols is None:
-            cols: dict[int, dict[int, int]] = {}
-            for v, row in self.rows.items():
-                for w, c in row.items():
-                    cols.setdefault(w, {})[v] = c
-            self._cols = cols
-        return self._cols
 
     def nonzero_bigrams(self) -> Iterator[tuple[int, int, int]]:
         for v in sorted(self.rows):
@@ -214,7 +196,6 @@ class CountTable:
                 mine[w] = mine.get(w, 0) + c
         self.unigram += other.unigram
         self.total_tokens += other.total_tokens
-        self._cols = None
 
     def save(self, path: str | Path, vocab_md5: str) -> None:
         """Header line, then ``v w count`` lines sorted by (v, w)."""
@@ -229,32 +210,26 @@ class CountTable:
     @classmethod
     def load(cls, path: str | Path) -> tuple["CountTable", str]:
         """Read a count file; returns the table and the embedded vocab checksum."""
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if not header or header[0] != COUNTS_MAGIC:
-                raise FormatError(f"{path}: not a count file")
-            fields = dict(kv.split("=", 1) for kv in header[1:])
-            try:
-                table = cls(int(fields["vocab_size"]))
-                declared_total = int(fields["total_tokens"])
-                vocab_md5 = fields["vocab_md5"]
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"{path}: bad count file header") from exc
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.split()
-                if len(parts) != 3:
-                    raise FormatError(f"{path}:{lineno}: expected 'v w count'")
-                v, w, c = (int(p) for p in parts)
-                if not (0 <= v < table.vocab_size and 0 <= w < table.vocab_size):
-                    raise FormatError(f"{path}:{lineno}: word id out of range")
+        with Artifact(path, COUNTS_MAGIC, "count", columns=3) as art:
+            n = art.field("vocab_size", size)
+            declared_total = art.field("total_tokens", size)
+            vocab_md5 = art.field("vocab_md5")
+            table = cls(n)
+            rows = table.rows
+            unigram: dict[int, int] = {}
+            for _, (v, w, c) in art:
+                w, c = word_id(w, n), int(c)
                 if c <= 0:
-                    raise FormatError(f"{path}:{lineno}: nonpositive count")
-                table.add_bigram(v, w, c)
-        if table.total_tokens != declared_total:
-            raise FormatError(
-                f"{path}: header total_tokens={declared_total} but counts sum "
-                f"to {table.total_tokens}"
-            )
+                    raise ValueError("nonpositive count")
+                put(rows.setdefault(word_id(v, n), {}), w, c)
+                unigram[w] = unigram.get(w, 0) + c
+            table.unigram[list(unigram)] = list(unigram.values())
+            table.total_tokens = sum(unigram.values())
+            if table.total_tokens != declared_total:
+                raise ValueError(
+                    f"header total_tokens={declared_total} but counts sum "
+                    f"to {table.total_tokens}"
+                )
         return table, vocab_md5
 
 

@@ -71,15 +71,6 @@ class ClassCounts:
         t.recount()
         return t
 
-    def copy(self) -> "ClassCounts":
-        t = ClassCounts(self.n_states, self.n_cats)
-        t.pairs = self.pairs.copy()
-        t.state_tot = self.state_tot.copy()
-        t.cat_tot = self.cat_tot.copy()
-        t.n_one = self.n_one
-        t.n_pos = self.n_pos
-        return t
-
 
 def aggregate_class_counts(counts: CountTable, cm: ClusterMap) -> ClassCounts:
     """Project word bigram counts onto (state, category) cells."""
@@ -359,10 +350,57 @@ def _class_profile(entry, assign: np.ndarray, n: int):
     return idx, prof[idx]
 
 
-class StandardObjective:
-    """Leave-one-out objective with O(profile x clusters) move evaluation."""
+class _MoveRules:
+    """Move validation and the best-move pick, shared by both objectives.
 
-    side_names = (CATEGORY_SIDE, STATE_SIDE)
+    Each objective supplies ``cm`` and ``candidate_deltas``.  Each still
+    defines its own ``__init__``, ``best_move`` and ``apply_move``:
+    ``perfbench/tracing.py`` wraps those per class, from the class's own
+    ``__dict__``.
+    """
+
+    def assignment(self, side: str):
+        """(assignment array, movable cluster count, frozen words) of a side."""
+        cm = self.cm
+        if side == CATEGORY_SIDE:
+            return cm.category_of, cm.k_cats, cm.frozen_cats
+        if side == STATE_SIDE:
+            return cm.state_of, cm.k_states, cm.frozen_states
+        raise ConfigError(f"unknown side {side!r}")
+
+    def frozen(self, word: int, side: str) -> bool:
+        return word in self.assignment(side)[2]
+
+    def _check_move(self, word: int, side: str, dst: int) -> None:
+        assign, k, frozen = self.assignment(side)
+        if word in frozen:
+            raise InvalidMoveError(f"word {word} is pinned on the {side} side")
+        if not 0 <= dst < k:
+            raise InvalidMoveError(f"target cluster {dst} outside 0..{k - 1}")
+        if dst == int(assign[word]):
+            raise InvalidMoveError("target equals current cluster")
+
+    def move_delta(self, word: int, side: str, dst: int) -> float:
+        self._check_move(word, side, dst)
+        res = self.candidate_deltas(word, side)
+        if res is None:
+            return 0.0
+        return float(res[1][dst])
+
+    def _best_move(self, word: int, side: str):
+        res = self.candidate_deltas(word, side)
+        if res is None:
+            return None
+        targets, deltas = res
+        j = int(np.argmax(deltas))
+        val = float(deltas[j])
+        if val > 0.0 and math.isfinite(val):
+            return int(targets[j]), val
+        return None
+
+
+class StandardObjective(_MoveRules):
+    """Leave-one-out objective with O(profile x clusters) move evaluation."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount):
         self.cm = cm
@@ -377,24 +415,17 @@ class StandardObjective:
 
     def _side(self, word: int, side: str):
         """Matrix view, marginal vector, move range and profile for one side."""
+        assign, k, _ = self.assignment(side)
         t, cm = self.t, self.cm
         if side == CATEGORY_SIDE:
-            assign = cm.category_of
             idx, vals = _class_profile(
                 self._preds.get(word, _EMPTY), cm.state_of, cm.n_states
             )
-            return t.pairs, t.cat_tot, cm.k_cats, assign, idx, vals
-        if side == STATE_SIDE:
-            assign = cm.state_of
-            idx, vals = _class_profile(
-                self._succs.get(word, _EMPTY), cm.category_of, cm.n_cats
-            )
-            return t.pairs.T, t.state_tot, cm.k_states, assign, idx, vals
-        raise ConfigError(f"unknown side {side!r}")
-
-    def frozen(self, word: int, side: str) -> bool:
-        fr = self.cm.frozen_cats if side == CATEGORY_SIDE else self.cm.frozen_states
-        return word in fr
+            return t.pairs, t.cat_tot, k, assign, idx, vals
+        idx, vals = _class_profile(
+            self._succs.get(word, _EMPTY), cm.category_of, cm.n_cats
+        )
+        return t.pairs.T, t.state_tot, k, assign, idx, vals
 
     def candidate_deltas(self, word: int, side: str):
         """Score deltas for moving ``word`` to each regular cluster.
@@ -438,31 +469,7 @@ class StandardObjective:
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""
-        res = self.candidate_deltas(word, side)
-        if res is None:
-            return None
-        targets, deltas = res
-        j = int(np.argmax(deltas))
-        val = float(deltas[j])
-        if val > 0.0 and math.isfinite(val):
-            return int(targets[j]), val
-        return None
-
-    def move_delta(self, word: int, side: str, dst: int) -> float:
-        self._check_move(word, side, dst)
-        res = self.candidate_deltas(word, side)
-        if res is None:
-            return 0.0
-        return float(res[1][dst])
-
-    def _check_move(self, word: int, side: str, dst: int) -> None:
-        matrix, marg, k, assign, _, _ = self._side(word, side)
-        if self.frozen(word, side):
-            raise InvalidMoveError(f"word {word} is pinned on the {side} side")
-        if not 0 <= dst < k:
-            raise InvalidMoveError(f"target cluster {dst} outside 0..{k - 1}")
-        if dst == int(assign[word]):
-            raise InvalidMoveError("target equals current cluster")
+        return self._best_move(word, side)
 
     def apply_move(self, word: int, side: str, dst: int) -> None:
         self._check_move(word, side, dst)
@@ -486,10 +493,8 @@ class StandardObjective:
         assign[word] = dst
 
 
-class AdaptiveObjective:
+class AdaptiveObjective(_MoveRules):
     """Adaptive objective over paired adaptation/background aggregates."""
-
-    side_names = (CATEGORY_SIDE, STATE_SIDE)
 
     def __init__(
         self,
@@ -521,33 +526,26 @@ class AdaptiveObjective:
     def score(self) -> float:
         return adaptive_score(self.cc, self.discount)
 
-    def frozen(self, word: int, side: str) -> bool:
-        fr = self.cm.frozen_cats if side == CATEGORY_SIDE else self.cm.frozen_states
-        return word in fr
-
     def _side(self, word: int, side: str):
+        assign, k, _ = self.assignment(side)
         cm = self.cm
         if side == CATEGORY_SIDE:
-            assign = cm.category_of
             other, n_other = cm.state_of, cm.n_states
             ia, va = _class_profile(self._preds_a.get(word, _EMPTY), other, n_other)
             ib, vb = _class_profile(self._preds_b.get(word, _EMPTY), other, n_other)
             return (
                 self.a.pairs, self.bg.pairs, self.a.cat_tot, self.bg.cat_tot,
-                cm.k_cats, cm.n_cats, assign, ia, va, ib, vb,
+                k, cm.n_cats, assign, ia, va, ib, vb,
                 "n_g",
             )
-        if side == STATE_SIDE:
-            assign = cm.state_of
-            other, n_other = cm.category_of, cm.n_cats
-            ia, va = _class_profile(self._succs_a.get(word, _EMPTY), other, n_other)
-            ib, vb = _class_profile(self._succs_b.get(word, _EMPTY), other, n_other)
-            return (
-                self.a.pairs.T, self.bg.pairs.T, self.a.state_tot, self.bg.state_tot,
-                cm.k_states, cm.n_states, assign, ia, va, ib, vb,
-                "n_s",
-            )
-        raise ConfigError(f"unknown side {side!r}")
+        other, n_other = cm.category_of, cm.n_cats
+        ia, va = _class_profile(self._succs_a.get(word, _EMPTY), other, n_other)
+        ib, vb = _class_profile(self._succs_b.get(word, _EMPTY), other, n_other)
+        return (
+            self.a.pairs.T, self.bg.pairs.T, self.a.state_tot, self.bg.state_tot,
+            k, cm.n_states, assign, ia, va, ib, vb,
+            "n_s",
+        )
 
     @staticmethod
     def _union_profile(ia, va, ib, vb):
@@ -640,31 +638,8 @@ class AdaptiveObjective:
         return np.arange(k), deltas
 
     def best_move(self, word: int, side: str):
-        res = self.candidate_deltas(word, side)
-        if res is None:
-            return None
-        targets, deltas = res
-        j = int(np.argmax(deltas))
-        val = float(deltas[j])
-        if val > 0.0 and math.isfinite(val):
-            return int(targets[j]), val
-        return None
-
-    def move_delta(self, word: int, side: str, dst: int) -> float:
-        self._check_move(word, side, dst)
-        res = self.candidate_deltas(word, side)
-        if res is None:
-            return 0.0
-        return float(res[1][dst])
-
-    def _check_move(self, word: int, side: str, dst: int) -> None:
-        (_, _, _, _, k, _, assign, *_rest) = self._side(word, side)
-        if self.frozen(word, side):
-            raise InvalidMoveError(f"word {word} is pinned on the {side} side")
-        if not 0 <= dst < k:
-            raise InvalidMoveError(f"target cluster {dst} outside 0..{k - 1}")
-        if dst == int(assign[word]):
-            raise InvalidMoveError("target equals current cluster")
+        """(target, delta) of the best strictly improving move, else None."""
+        return self._best_move(word, side)
 
     def apply_move(self, word: int, side: str, dst: int) -> None:
         self._check_move(word, side, dst)
@@ -709,18 +684,9 @@ class AdaptiveObjective:
 
 def move_delta(objective, word: int, side: str, src: int, dst: int) -> float:
     """Score change for one move, validated against the current assignment."""
-    _, _, _, assign = _objective_side_info(objective, side)
+    assign = objective.assignment(side)[0]
     if int(assign[word]) != src:
         raise InvalidMoveError(
             f"word {word} is in cluster {int(assign[word])}, not {src}"
         )
     return objective.move_delta(word, side, dst)
-
-
-def _objective_side_info(objective, side: str):
-    cm = objective.cm
-    if side == CATEGORY_SIDE:
-        return cm.n_cats, cm.k_cats, cm.frozen_cats, cm.category_of
-    if side == STATE_SIDE:
-        return cm.n_states, cm.k_states, cm.frozen_states, cm.state_of
-    raise ConfigError(f"unknown side {side!r}")

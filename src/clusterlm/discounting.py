@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -41,6 +42,21 @@ def estimate_discount(histogram: Mapping[int, int]) -> Discount:
     if denom == 0:
         return Discount(DEFAULT_B)
     return Discount(min(CLAMP_HI, max(CLAMP_LO, r1 / denom)))
+
+
+def count_of_counts(counts: Iterable[int]) -> Counter:
+    """Number of events seen exactly r times, for every r > 0."""
+    return Counter(c for c in counts if c > 0)
+
+
+def bigram_discount(forced: float | None, *tables) -> Discount:
+    """``forced`` if set, else the discount estimated from the pooled bigram
+    count-of-counts of the given count tables."""
+    if forced is not None:
+        return Discount(forced)
+    return estimate_discount(count_of_counts(
+        c for table in tables for row in table.rows.values() for c in row.values()
+    ))
 
 
 def discounted_distribution(

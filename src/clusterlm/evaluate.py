@@ -1,4 +1,13 @@
-"""Perplexity evaluation and the multi-method comparison suite."""
+"""Perplexity evaluation, the train/adapt pipeline, and the comparison suite.
+
+``train_backoff_model``, ``fillup_model``, ``train_class_model`` and
+``adapt_class_model`` build every method of the comparison.  Both
+``experiment_suite`` and the command line (``clusterlm.cli``) call them, so
+a method is built by the same code whichever of the two runs it.  The
+pipeline and the suite call ``run_exchange`` and ``perplexity`` through this
+module's globals, which the benchmark's ``trend`` workload swaps to time
+each step.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +15,20 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .backoff import fillup, train_backoff
-from .classmodel import estimate_class_model, init_clustering
+from .backoff import BackoffModel, fillup, train_backoff
+from .classmodel import ClassModel, ClusterMap, estimate_class_model, init_clustering
 from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, sentence_ids
 from .criterion import combine_word_counts
-from .discounting import Discount, estimate_discount
+from .discounting import Discount, bigram_discount
 from .errors import ConfigError, ModelIntegrityError
-from .exchange import ADAPTIVE, STANDARD, ExchangeConfig, run_exchange
+from .exchange import (
+    ADAPTIVE,
+    DEFAULT_LAMBDA_GRID,
+    STANDARD,
+    ExchangeConfig,
+    ExchangeResult,
+    run_exchange,
+)
 
 METHODS = ("back_bo", "back_cl", "adapt_bo", "adapt_cl", "fillup", "clust_adapt")
 
@@ -90,7 +106,7 @@ class SuiteConfig:
     cutoff: int = 1
     discount: float | None = None
     max_iterations: int = 20
-    lambda_grid: tuple[float, ...] = tuple(i / 10.0 for i in range(11))
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     methods: tuple[str, ...] = METHODS
     score_oov: bool = False
 
@@ -116,16 +132,6 @@ def _take_words(sentences: list[list[str]], budget: int) -> tuple[list[list[str]
     return out, total
 
 
-def _table_discount(counts: CountTable, forced: float | None) -> Discount:
-    if forced is not None:
-        return Discount(forced)
-    hist: dict[int, int] = {}
-    for row in counts.rows.values():
-        for c in row.values():
-            hist[c] = hist.get(c, 0) + 1
-    return estimate_discount(hist)
-
-
 def _clamp_clusters(requested: int, vocab: Vocabulary, notes: list[str]) -> int:
     movable = len(vocab) - 3
     if requested > movable:
@@ -136,28 +142,66 @@ def _clamp_clusters(requested: int, vocab: Vocabulary, notes: list[str]) -> int:
     return requested
 
 
-def _exchange_model(
-    counts: CountTable,
-    vocab: Vocabulary,
-    k: int,
-    cfg: SuiteConfig,
-    label: str,
-):
-    init = init_clustering(counts, k, k, vocab)
+def train_backoff_model(counts: CountTable, vocab: Vocabulary, cfg: SuiteConfig) -> BackoffModel:
+    """Backoff model on ``counts`` with the discount of its own table."""
+    return train_backoff(
+        counts, bigram_discount(cfg.discount, counts),
+        cutoff=cfg.cutoff, vocab_md5=vocab.checksum(),
+    )
+
+
+def fillup_model(
+    adapt_counts: CountTable, background: BackoffModel, cfg: SuiteConfig
+) -> BackoffModel:
+    """Fill-up of ``background`` with the discount of the adaptation table."""
+    return fillup(adapt_counts, background, bigram_discount(cfg.discount, adapt_counts))
+
+
+def _class_model(counts, cm: ClusterMap, vocab: Vocabulary, cfg: SuiteConfig, label: str):
+    forced = Discount(cfg.discount) if cfg.discount is not None else None
+    return estimate_class_model(
+        counts, cm, discount=forced, vocab_md5=vocab.checksum(), label=label
+    )
+
+
+def cluster_words(
+    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, trace_path=None
+) -> ExchangeResult:
+    """Exchange clustering of ``counts`` into k classes per side, from the
+    frequency init."""
     xc = ExchangeConfig(
-        k_states=k,
-        k_cats=k,
-        criterion=STANDARD,
-        max_iterations=cfg.max_iterations,
+        k_states=k, k_cats=k, criterion=STANDARD,
+        max_iterations=cfg.max_iterations, discount=cfg.discount,
+    )
+    init = init_clustering(counts, k, k, vocab)
+    return run_exchange(counts, None, init, xc, vocab=vocab, trace_path=trace_path)
+
+
+def train_class_model(
+    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, label: str,
+    trace_path=None,
+) -> tuple[ClassModel, ExchangeResult]:
+    """``cluster_words``, then the class model estimated on its map."""
+    result = cluster_words(counts, vocab, k, cfg, trace_path)
+    return _class_model(counts, result.cluster_map, vocab, cfg, label), result
+
+
+def adapt_class_model(
+    adapt_counts: CountTable, back_counts: CountTable, init: ClusterMap,
+    vocab: Vocabulary, cfg: SuiteConfig, trace_path=None,
+) -> tuple[ClassModel, ExchangeResult]:
+    """Clustered adaptation: adaptive exchange from ``init``, then the class
+    model estimated on the counts interpolated with the chosen weight."""
+    xc = ExchangeConfig(
+        k_states=init.k_states, k_cats=init.k_cats, criterion=ADAPTIVE,
+        max_iterations=cfg.max_iterations, lambda_grid=cfg.lambda_grid,
         discount=cfg.discount,
     )
-    result = run_exchange(counts, None, init, xc, vocab=vocab)
-    model = estimate_class_model(
-        counts, result.cluster_map,
-        discount=Discount(cfg.discount) if cfg.discount is not None else None,
-        vocab_md5=vocab.checksum(), label=label,
+    result = run_exchange(
+        adapt_counts, back_counts, init, xc, vocab=vocab, trace_path=trace_path
     )
-    return model, result
+    combined = combine_word_counts(adapt_counts, back_counts, result.lam)
+    return _class_model(combined, result.cluster_map, vocab, cfg, "clust_adapt"), result
 
 
 def experiment_suite(
@@ -202,14 +246,10 @@ def experiment_suite(
         vocab_b = build_vocabulary([], back_sents, cfg.vocab_size)
         counts_b = count_events(back_sents, vocab_b)
         if "back_bo" in cfg.methods:
-            model = train_backoff(
-                counts_b, _table_discount(counts_b, cfg.discount),
-                cutoff=cfg.cutoff, vocab_md5=vocab_b.checksum(),
-            )
-            ev(model, vocab_b, "back_bo", None)
+            ev(train_backoff_model(counts_b, vocab_b, cfg), vocab_b, "back_bo", None)
         if "back_cl" in cfg.methods:
             k = _clamp_clusters(cfg.clusters, vocab_b, notes)
-            model, _ = _exchange_model(counts_b, vocab_b, k, cfg, "back_cl")
+            model, _ = train_class_model(counts_b, vocab_b, k, cfg, "back_cl")
             ev(model, vocab_b, "back_cl", None)
 
     adapted_methods = set(cfg.methods) - {"back_bo", "back_cl"}
@@ -231,40 +271,17 @@ def experiment_suite(
         k = _clamp_clusters(cfg.clusters, vocab_s, notes)
 
         if "adapt_bo" in cfg.methods:
-            model = train_backoff(
-                adapt_counts, _table_discount(adapt_counts, cfg.discount),
-                cutoff=cfg.cutoff, vocab_md5=vocab_s.checksum(),
-            )
+            model = train_backoff_model(adapt_counts, vocab_s, cfg)
             ev(model, vocab_s, "adapt_bo", size, actual)
         if "adapt_cl" in cfg.methods:
-            model, _ = _exchange_model(adapt_counts, vocab_s, k, cfg, "adapt_cl")
+            model, _ = train_class_model(adapt_counts, vocab_s, k, cfg, "adapt_cl")
             ev(model, vocab_s, "adapt_cl", size, actual)
         if "fillup" in cfg.methods:
-            background = train_backoff(
-                back_counts, _table_discount(back_counts, cfg.discount),
-                cutoff=cfg.cutoff, vocab_md5=vocab_s.checksum(),
-            )
-            model = fillup(
-                adapt_counts, background,
-                _table_discount(adapt_counts, cfg.discount),
-            )
-            ev(model, vocab_s, "fillup", size, actual)
+            background = train_backoff_model(back_counts, vocab_s, cfg)
+            ev(fillup_model(adapt_counts, background, cfg), vocab_s, "fillup", size, actual)
         if "clust_adapt" in cfg.methods:
-            _, back_run = _exchange_model(back_counts, vocab_s, k, cfg, "back_cl")
-            xc = ExchangeConfig(
-                k_states=k, k_cats=k, criterion=ADAPTIVE,
-                max_iterations=cfg.max_iterations,
-                lambda_grid=cfg.lambda_grid, discount=cfg.discount,
-            )
-            ad = run_exchange(
-                adapt_counts, back_counts, back_run.cluster_map, xc, vocab=vocab_s
-            )
-            combined = combine_word_counts(adapt_counts, back_counts, ad.lam)
-            model = estimate_class_model(
-                combined, ad.cluster_map,
-                discount=Discount(cfg.discount) if cfg.discount is not None else None,
-                vocab_md5=vocab_s.checksum(), label="clust_adapt",
-            )
+            init = cluster_words(back_counts, vocab_s, k, cfg).cluster_map
+            model, ad = adapt_class_model(adapt_counts, back_counts, init, vocab_s, cfg)
             result.lambdas[size] = ad.lam
             ev(model, vocab_s, "clust_adapt", size, actual)
 

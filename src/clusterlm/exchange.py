@@ -14,7 +14,6 @@ breaking toward low cluster ids, no randomness anywhere.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .classmodel import ClusterMap, save_clusters
@@ -28,7 +27,7 @@ from .criterion import (
     StandardObjective,
     adaptive_score,
 )
-from .discounting import Discount, estimate_discount
+from .discounting import Discount, bigram_discount
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -101,25 +100,13 @@ def optimize_lambda(
     return float(best_lam), best_score
 
 
-def _bigram_histogram(counts: CountTable) -> Counter:
-    hist: Counter = Counter()
-    for row in counts.rows.values():
-        for c in row.values():
-            hist[int(c)] += 1
-    return hist
-
-
 def criterion_discount(
     train_counts: CountTable, back_counts: CountTable | None, cfg: ExchangeConfig
 ) -> Discount:
     """Discount used inside the objective: forced, or estimated from the
     pooled bigram count-of-count histogram of the training table(s)."""
-    if cfg.discount is not None:
-        return Discount(cfg.discount)
-    hist = _bigram_histogram(train_counts)
-    if back_counts is not None:
-        hist.update(_bigram_histogram(back_counts))
-    return estimate_discount(hist)
+    tables = [t for t in (train_counts, back_counts) if t is not None]
+    return bigram_discount(cfg.discount, *tables)
 
 
 def _visit_order(
@@ -130,10 +117,8 @@ def _visit_order(
     weight = train_counts.unigram.copy()
     if back_counts is not None:
         weight = weight + back_counts.unigram
-    ids = range(len(weight))
-    if vocab is not None:
-        return sorted(ids, key=lambda w: (-int(weight[w]), vocab.word(w)))
-    return sorted(ids, key=lambda w: (-int(weight[w]), w))
+    name = vocab.word if vocab is not None else int
+    return sorted(range(len(weight)), key=lambda w: (-int(weight[w]), name(w)))
 
 
 def run_exchange(
@@ -189,7 +174,7 @@ def run_exchange(
         for it in range(1, cfg.max_iterations + 1):
             moves = 0
             for side in (CATEGORY_SIDE, STATE_SIDE):
-                assign = cm.category_of if side == CATEGORY_SIDE else cm.state_of
+                assign = engine.assignment(side)[0]
                 for w in order:
                     if engine.frozen(w, side):
                         continue

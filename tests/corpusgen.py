@@ -119,12 +119,3 @@ def random_table(rng, vocab_size, density=0.25, max_count=9):
         counts.add_bigram(v, w, rng.randint(1, max_count))
     return counts
 
-
-def random_cluster_map(rng, vocab_size, k_states, k_cats):
-    """Uniformly random assignments with no frozen structure."""
-    from clusterlm.classmodel import ClusterMap
-
-    states = [rng.randrange(k_states) for _ in range(vocab_size)]
-    cats = [rng.randrange(k_cats) for _ in range(vocab_size)]
-    # keep every cluster id in range even when unused
-    return ClusterMap(states, cats, k_states, k_cats)

@@ -343,3 +343,30 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, section, line):
     path.write_text(text.replace(marker, marker + line + "\n"))
     with pytest.raises(FormatError):
         BackoffModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # word 0 is lost and word 9 set twice; the model no longer normalizes
+        pytest.param("\\unigrams:\n0 ", "\\unigrams:\n-1 ", id="unigram-id-minus-one"),
+        pytest.param("\\unigrams:\n", "\\unigrams:\n4 -1.0\n", id="duplicate-unigram"),
+        pytest.param("\\contexts:\n", "\\contexts:\n999 0.5\n", id="context-out-of-range"),
+        pytest.param("\\contexts:\n", "\\contexts:\n3 0.5\n", id="duplicate-context"),
+        pytest.param("\\contexts:\n", "\\contexts:\n4 nan\n", id="context-mass-nan"),
+        pytest.param("\\contexts:\n", "", id="missing-section"),
+        pytest.param("\\bigrams:\n", "\\bigrams:\n3 5 -0.5\n", id="duplicate-bigram"),
+        pytest.param("\\bigrams:\n", "\\bigrams:\n3 10 -0.5\n", id="bigram-out-of-range"),
+        pytest.param("\\bigrams:\n", "\\bigrams:\n-1 4 -0.5\n", id="bigram-negative-id"),
+        pytest.param("vocab_size=10", "vocab_size", id="header-token"),
+    ],
+)
+def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new):
+    _, background = adaptation_only_setup()
+    path = tmp_path / "m.lm"
+    background.save(path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(FormatError):
+        BackoffModel.load(path)

@@ -246,3 +246,69 @@ def test_structured_corpus_gets_useful_classes():
     p0, q0 = vocab.lookup("p0"), vocab.lookup("q0")
     assert model.prob(p0, q0) > model.prob(q0, q0)
     assert model.prob(q0, p0) > model.prob(p0, p0)
+
+
+def _repeat_first_line(section):
+    def edit(text):
+        head, body = text.split(section + "\n", 1)
+        return head + section + "\n" + body.split("\n", 1)[0] + "\n" + body
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(
+            lambda t: t.replace("\\state-alphas:\n", "\\state-alphas:\n99 0.5\n"),
+            id="state-out-of-range",
+        ),
+        pytest.param(lambda t: t[: t.index("\\word-unigrams:")], id="no-word-unigrams"),
+        pytest.param(_repeat_first_line("\\clusters:"), id="duplicate-cluster"),
+        pytest.param(_repeat_first_line("\\state-bigrams:"), id="duplicate-state-bigram"),
+        pytest.param(_repeat_first_line("\\state-alphas:"), id="duplicate-state-alpha"),
+        pytest.param(_repeat_first_line("\\category-unigrams:"), id="duplicate-category"),
+        pytest.param(_repeat_first_line("\\word-unigrams:"), id="duplicate-word"),
+        pytest.param(
+            lambda t: t.replace("\\clusters:\n0 ", "\\clusters:\n0 99 "), id="cluster-id-out-of-range"
+        ),
+        pytest.param(
+            lambda t: t.replace("\\category-unigrams:\n", "\\category-unigrams:\n0 x\n"),
+            id="non-numeric-value",
+        ),
+        pytest.param(lambda t: t + "\\extra:\n", id="unknown-section"),
+        pytest.param(lambda t: t.replace(" b_cats=", " junk b_cats="), id="header-token"),
+    ],
+)
+def test_class_model_load_rejects_malformed_files(tmp_path, edit):
+    vocab, counts = small_setup()
+    model = estimate_class_model(counts, init_clustering(counts, 3, 2, vocab))
+    path = tmp_path / "m.lm"
+    model.save(path)
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(FormatError):
+        ClassModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " x"],
+                     id="non-integer-cluster-id"),
+        pytest.param(lambda lines: [lines[0] + " junk"] + lines[1:], id="header-token"),
+        pytest.param(lambda lines: lines + lines[-1:], id="duplicate-word"),
+        pytest.param(lambda lines: lines[:-1] + [lines[-1].split()[0] + " 99 0"],
+                     id="state-out-of-range"),
+        pytest.param(lambda lines: lines[:-1] + [lines[-1].split()[0] + " 0 -1"],
+                     id="negative-category"),
+        pytest.param(lambda lines: lines + ["stranger 0 0"], id="unknown-word"),
+    ],
+)
+def test_load_clusters_rejects_malformed_files(tmp_path, edit):
+    vocab, counts = small_setup()
+    path = tmp_path / "clusters.txt"
+    save_clusters(path, vocab, init_clustering(counts, 3, 2, vocab))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(FormatError):
+        load_clusters(path, vocab)

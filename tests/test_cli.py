@@ -11,7 +11,7 @@ from clusterlm.classmodel import load_clusters
 from clusterlm.cli import main
 from clusterlm.corpus import CountTable, Vocabulary, read_sentences
 from clusterlm.discounting import estimate_discount
-from clusterlm.evaluate import perplexity
+from clusterlm.evaluate import SuiteConfig, experiment_suite, perplexity
 
 
 def write_corpus(path, sentences):
@@ -283,3 +283,69 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
     ])
     assert rc == 2
     assert "fill words" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flag, value",
+    [
+        pytest.param("clusters 3\n", None, None, id="config-line-without-equals"),
+        pytest.param("cutoff=abc\n", None, None, id="config-bad-cutoff"),
+        pytest.param("clusterz=3\n", None, None, id="config-unknown-key"),
+        pytest.param(None, "--discount", "abc", id="bad-discount"),
+        pytest.param(None, "--discount", "1.5", id="discount-out-of-range"),
+        pytest.param(None, "--cutoff", "x", id="bad-cutoff"),
+        pytest.param(None, "--config", "missing.cfg", id="missing-config"),
+        pytest.param(None, "--vocab", "missing.txt", id="missing-vocab"),
+        pytest.param(None, "--counts", "missing.counts", id="missing-counts"),
+    ],
+)
+def test_bad_settings_and_missing_inputs_exit_2(
+    workdir, tmp_path, capsys, config, flag, value
+):
+    flags = {
+        "--vocab": str(workdir / "words.txt"),
+        "--counts": str(workdir / "back.counts"),
+        "--out": str(tmp_path / "m.lm"),
+    }
+    if config is not None:
+        (tmp_path / "settings.cfg").write_text(config)
+        flags["--config"] = str(tmp_path / "settings.cfg")
+    if flag is not None:
+        flags[flag] = str(tmp_path / value) if value.startswith("missing") else value
+    argv = ["--config", flags.pop("--config")] if "--config" in flags else []
+    argv += ["train", "--method", "back_bo"]
+    for item in flags.items():
+        argv += item
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path):
+    # The fixture built clust_adapt.lm through the CLI with k=4 and four
+    # iterations on each exchange; the suite must build the same model.
+    back, adapt, heldout = (
+        list(read_sentences(workdir / f"{name}.txt"))
+        for name in ("background", "adaptation", "heldout")
+    )
+    words = sum(len(s) for s in adapt)
+    cfg = SuiteConfig(
+        vocab_size=250, clusters=4, max_iterations=4, methods=("adapt_cl", "clust_adapt")
+    )
+    suite = experiment_suite(back, adapt, heldout, [words], cfg).adapted[words]
+
+    assert main([
+        "train", "--method", "adapt_cl", "--vocab", str(workdir / "words.txt"),
+        "--counts", str(workdir / "adapt.counts"), "--clusters", "4",
+        "--max-iterations", "4", "--out", str(tmp_path / "adapt_cl.lm"),
+    ]) == 0
+    for method, model in (("adapt_cl", tmp_path / "adapt_cl.lm"),
+                          ("clust_adapt", workdir / "clust_adapt.lm")):
+        out = tmp_path / f"{method}.json"
+        assert main([
+            "eval", "--model", str(model), "--vocab", str(workdir / "words.txt"),
+            "--heldout", str(workdir / "heldout.txt"), "--out", str(out),
+        ]) == 0
+        cli_pp = json.loads(out.read_text())["perplexity"]
+        assert cli_pp == pytest.approx(suite[method].perplexity, rel=1e-12), method

@@ -184,8 +184,32 @@ def test_merge_rejects_vocab_size_mismatch():
         CountTable(4).merge(CountTable(5))
 
 
-def test_cols_transposes_rows():
-    counts = CountTable(5)
-    counts.add_bigram(3, 4, 2)
-    counts.add_bigram(0, 4, 1)
-    assert counts.cols()[4] == {3: 2, 0: 1}
+def _repeat_last_count_line(text):
+    lines = text.splitlines()
+    header = lines[0].split()
+    total = int(header[2].split("=")[1]) + int(lines[-1].split()[2])
+    header[2] = f"total_tokens={total}"
+    return "\n".join([" ".join(header)] + lines[1:] + lines[-1:]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda t: t + "1 x 1\n", id="non-integer"),
+        pytest.param(lambda t: t.replace(" total_tokens=", " junk total_tokens="),
+                     id="header-token"),
+        pytest.param(lambda t: t.replace("vocab_size=5", "vocab_size=-5"), id="negative-size"),
+        pytest.param(lambda t: t + "3 3 0\n", id="zero-count"),
+        pytest.param(lambda t: t + "3 4\n", id="two-fields"),
+        pytest.param(_repeat_last_count_line, id="duplicate-bigram"),
+    ],
+)
+def test_count_table_load_rejects_malformed_files(tmp_path, edit):
+    vocab = Vocabulary(["a", "b"])
+    path = tmp_path / "counts.txt"
+    count_events([["a", "b"], ["b", "a", "a"]], vocab).save(path, vocab.checksum())
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(FormatError):
+        CountTable.load(path)
