@@ -32,7 +32,6 @@ from .criterion import (
     combine_counts,
     combine_word_counts,
     loo_score,
-    move_delta,
 )
 from .discounting import Discount, discounted_distribution, estimate_discount
 from .errors import (

@@ -107,6 +107,15 @@ class BackoffModel:
         self._tail_z.pop(v, None)
         self._fill_z.pop(v, None)
 
+    def _share_values(self) -> "BackoffModel":
+        """Make equal explicit values one float object, to save memory: a
+        row repeats the value of each count it holds more than once."""
+        shared: dict[float, float] = {}
+        for row in self.explicit_lp.values():
+            for w, lp in row.items():
+                row[w] = shared.setdefault(lp, lp)
+        return self
+
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(
@@ -170,17 +179,13 @@ class BackoffModel:
         model.explicit_lp = explicit_lp
         model.alpha = masses["\\contexts:"]
         model.beta = masses["\\fill-contexts:"]
-        return model
+        return model._share_values()
 
 
 def _unigram_lp(counts: CountTable, discount: Discount) -> np.ndarray:
     uniform = np.full(counts.vocab_size, 1.0 / counts.vocab_size)
     p = discounted_distribution(counts.unigram, discount, uniform)
     return np.log10(p)
-
-
-def _unseen_words(counts: CountTable) -> frozenset[int]:
-    return frozenset(int(w) for w in np.flatnonzero(counts.unigram == 0))
 
 
 def train_backoff(
@@ -197,7 +202,8 @@ def train_backoff(
     b = discount.b
     model = BackoffModel(
         counts.vocab_size, b, cutoff, _unigram_lp(counts, discount),
-        vocab_md5=vocab_md5, unseen=_unseen_words(counts),
+        vocab_md5=vocab_md5,
+        unseen=frozenset(int(w) for w in np.flatnonzero(counts.unigram == 0)),
     )
     for v, row in counts.rows.items():
         total = sum(row.values())
@@ -216,7 +222,7 @@ def train_backoff(
         for w, c in retained.items():
             model.set_explicit(v, w, (c - b) / total)
         model.alpha[v] = reserve
-    return model
+    return model._share_values()
 
 
 def fillup(
@@ -345,4 +351,4 @@ def fillup(
             model.set_explicit(v, w, scale * 10.0 ** lp)
         model.alpha[v] = scale * (a - tail * bg_fill)
         model.beta[v] = q_all
-    return model
+    return model._share_values()

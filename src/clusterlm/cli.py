@@ -12,7 +12,7 @@ from .backoff import BACKOFF_MAGIC, BackoffModel
 from .classmodel import CLASSMODEL_MAGIC, ClassModel, load_clusters, save_clusters
 from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, read_sentences
 from .discounting import Discount
-from .errors import ClusterLMError, ConfigError, VocabMismatchError
+from .errors import ClusterLMError, ConfigError, FormatError, VocabMismatchError
 from .evaluate import (
     SuiteConfig,
     adapt_class_model,
@@ -206,17 +206,34 @@ def cmd_eval(args, cfg: SuiteConfig) -> int:
     return 0
 
 
-def cmd_report(args, cfg: SuiteConfig) -> int:
-    rows: list[dict] = []
-    for path in args.records:
-        with open(path, encoding="utf-8") as fh:
+# Record fields the report reads, each with the types it accepts.
+REPORT_FIELDS = {
+    "model_id": str, "perplexity": (int, float), "oov_rate": (int, float),
+    "tokens_scored": (int, float), "size": (int, float, type(None)),
+}
+
+
+def read_records(path) -> list[dict]:
+    """Evaluation records of a JSON file: one record, a list of them, or
+    ``{"records": [...]}`` as the suite writes it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
             payload = json.load(fh)
-        if isinstance(payload, dict) and "records" in payload:
-            rows.extend(payload["records"])
-        elif isinstance(payload, dict):
-            rows.append(payload)
-        else:
-            rows.extend(payload)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    if isinstance(payload, dict):
+        payload = payload["records"] if "records" in payload else [payload]
+    if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
+        raise FormatError(f"{path}: expected a record or a list of records")
+    for record in payload:
+        for key, types in REPORT_FIELDS.items():
+            if key in record and not isinstance(record[key], types):
+                raise FormatError(f"{path}: bad {key} {record[key]!r} in a record")
+    return payload
+
+
+def cmd_report(args, cfg: SuiteConfig) -> int:
+    rows = [r for path in args.records for r in read_records(path)]
     if not rows:
         raise ConfigError("no evaluation records given")
     rows.sort(key=lambda r: (str(r.get("model_id", "")), r.get("size") or 0))

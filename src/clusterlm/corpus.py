@@ -177,9 +177,6 @@ class CountTable:
     def bigram(self, v: int, w: int) -> int:
         return self.rows.get(v, {}).get(w, 0)
 
-    def context_total(self, v: int) -> int:
-        return sum(self.rows.get(v, {}).values())
-
     def nonzero_bigrams(self) -> Iterator[tuple[int, int, int]]:
         for v in sorted(self.rows):
             row = self.rows[v]

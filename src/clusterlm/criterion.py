@@ -1,17 +1,25 @@
 """Clustering objectives and incremental move evaluation.
 
-Two scores over class-level bigram count tables:
+Both scores sum over three *families* of class-level counts: the
+class-bigram cells, the states and the categories.  A family with weights
+``w`` and combined counts ``c`` contributes ``Σ w·ln(c−1−b)`` over its
+members with ``c > 1``, plus the singleton mass term
+``n1·ln(b (n+ − 1) / (n0 + 1))`` from its numbers of count-one, positive and
+empty members.  A score is the cell family minus the two marginal families.
 
-* a leave-one-out score for training-set clustering, built from discounted
-  cell terms ``N ln(N-1-b)``, marginal corrections ``N ln(N-1)``, and a
-  singleton mass term;
-* an adaptive variant that scores adaptation counts against interpolated
-  adaptation/background counts rounded to integers, with the same shape of
-  singleton corrections applied to cells and both marginals.
+* Leave-one-out, for training-set clustering (Kneser & Ney 1993), is the
+  special case ``c = w`` = the training counts, whose two marginal families
+  take ``b = 0`` and no singleton term.
+* The adaptive score weights by the adaptation counts and combines the
+  rounded interpolation ``c = round(λ·a + (1−λ)·b)`` of adaptation and
+  background counts, with the discount and singleton term on every family.
 
-The objective classes keep dense count matrices plus the few scalars the
-singleton terms need, and evaluate all candidate moves of one word with
-vectorized table lookups.
+One kernel, ``_family_delta``, gives a family's change of ``Σ w·ln(c−1−b)``
+and of its positive and count-one tallies when a word leaves its source
+cluster and enters each target; ``_singleton_change`` turns the tallies into
+the change of the singleton term.  Both objectives evaluate all candidate
+moves of one word, and apply a move, through these two with vectorized
+table lookups.
 """
 
 from __future__ import annotations
@@ -34,7 +42,13 @@ STATE_SIDE = "state"
 
 def round_combined(value):
     """Round interpolated nonnegative counts to integers, halves up."""
-    return np.floor(np.asarray(value, dtype=np.float64) + 0.5).astype(np.int64)
+    # the cast truncates, which is the floor for nonnegative values
+    return (np.asarray(value, dtype=np.float64) + 0.5).astype(np.int64)
+
+
+def _tallies(c) -> tuple[int, int]:
+    """(count-one, positive) members of a family."""
+    return int((c == 1).sum()), int((c > 0).sum())
 
 
 class ClassCounts:
@@ -60,8 +74,7 @@ class ClassCounts:
     def recount(self) -> None:
         self.state_tot = self.pairs.sum(axis=1)
         self.cat_tot = self.pairs.sum(axis=0)
-        self.n_pos = int((self.pairs > 0).sum())
-        self.n_one = int((self.pairs == 1).sum())
+        self.n_one, self.n_pos = _tallies(self.pairs)
 
     @classmethod
     def from_matrix(cls, pairs) -> "ClassCounts":
@@ -114,86 +127,166 @@ def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> Coun
 class LogTables:
     """Lookup tables for ``ln(N-1-b)`` and ``N ln(N-1-b)`` indexed by count.
 
-    Entries below N=2 are zero so masked sums need no branching.  Tables grow
-    geometrically on demand; memory scales with the largest count seen.
+    Entries below N=2 are zero so masked sums need no branching.  Each table
+    is built on its first lookup, so an objective holds only the one it
+    reads; tables grow geometrically on demand and memory scales with the
+    largest count seen.
     """
 
     def __init__(self, b: float):
         self.b = float(b)
         self._size = 0
-        self._cell = np.zeros(0)
-        self._lnm1b = np.zeros(0)
+        self._tables: dict[bool, np.ndarray] = {}  # keyed by "times N"
         self.ensure(1024)
 
     def ensure(self, n: int) -> None:
-        if n < self._size:
-            return
-        size = max(int(n) + 1, 1024, int(self._size * 3 // 2))
-        idx = np.arange(size, dtype=np.float64)
-        self._lnm1b = np.where(idx >= 2, np.log(np.maximum(idx - 1.0 - self.b, 1e-300)), 0.0)
-        self._cell = idx * self._lnm1b
-        self._size = size
+        if n >= self._size:
+            self._size = max(int(n) + 1, 1024, int(self._size * 3 // 2))
+            self._tables.clear()  # rebuilt at the new size on the next lookup
+
+    def _table(self, times_n: bool) -> np.ndarray:
+        table = self._tables.get(times_n)
+        if table is None:
+            # in place: a build holds at most two count-sized arrays
+            table = np.arange(self._size, dtype=np.float64)
+            table -= 1.0
+            table -= self.b
+            np.maximum(table, 1e-300, out=table)
+            np.log(table, out=table)
+            table[:2] = 0.0
+            if times_n:
+                table *= np.arange(self._size, dtype=np.float64)
+            self._tables[times_n] = table
+        return table
 
     def cell(self, n):
-        return self._cell[n]
+        return self._table(True)[n]
 
     def lnm1b(self, n):
-        return self._lnm1b[n]
+        return self._table(False)[n]
 
 
-def _loo_marg(n: int) -> float:
-    return n * math.log(n - 1) if n > 1 else 0.0
-
-
-def _loo_marg_vec(n: np.ndarray) -> np.ndarray:
-    n = np.asarray(n, dtype=np.float64)
-    return np.where(n > 1, n * np.log(np.maximum(n - 1.0, 1.0)), 0.0)
-
-
-def _singleton_term(n_one: int, n_pos: int, n_cells: int, b: float) -> float:
-    """Mass correction for count-one events: n1 * ln(b (n+ - 1) / (n0 + 1))."""
+def _singleton_term(n_one: int, n_pos: int, size: int, b: float) -> float:
+    """Mass correction for count-one members: n1 * ln(b (n+ - 1) / (n0 + 1))."""
     if n_one == 0:
         return 0.0
     if n_pos <= 1:
         return NEG_INF
-    return n_one * math.log(b * (n_pos - 1) / (n_cells - n_pos + 1))
+    return n_one * math.log(b * (n_pos - 1) / (size - n_pos + 1))
 
 
-def _singleton_term_vec(n_one, n_pos, n_cells: int, b: float) -> np.ndarray:
-    n_one = np.asarray(n_one, dtype=np.float64)
-    n_pos = np.asarray(n_pos, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        body = n_one * (
-            math.log(b)
-            + np.log(np.maximum(n_pos - 1.0, 1e-300))
-            - np.log(n_cells - n_pos + 1.0)
-        )
-    term = np.where(n_one == 0, 0.0, body)
-    return np.where((n_pos <= 1) & (n_one > 0), NEG_INF, term)
+# ------------------------------------------------------------ move kernel
+
+_ROW = np.zeros(1, dtype=np.int64)  # the one row of a marginal family
+
+
+def _move_counts(matrix, rows, add, src: int, k: int, dst: int | None = None):
+    """Counts a move of ``add`` out of column ``src`` changes, at ``rows``.
+
+    Covers every column below k (and the source past them), or with ``dst``
+    only the source and ``dst``.  Returns (old, new), each rows x columns:
+    a column's counts before and after inserting into it.  The source
+    column (``src``, or 0 with ``dst``) holds the insertion into the source
+    once the word has left it: the removal reversed, so no count grows past
+    the largest one held.
+    """
+    if dst is None:
+        old, at = matrix[rows, :max(k, src + 1)], src
+    else:
+        old, at = matrix[rows[:, None], [src, dst]], 0
+    new = old + add[:, None]
+    old[:, at] -= add
+    new[:, at] -= add
+    return old, new
+
+
+def _family_delta(c, at: int, look=None, w=None, tallies=True):
+    """One family's change under a move, from ``_move_counts`` arrays.
+
+    ``c`` holds the family's (old, new) combined counts and ``w`` their
+    weights.  Without ``w`` the weights are ``c`` themselves and ``look``
+    gives ``c ln(c-1-b)`` (leave-one-out), else ``ln(c-1-b)``.  Returns the
+    removal's change of ``Σ w ln(c-1-b)`` (0.0 without ``look``), the
+    insertion's change of it per column, and the change of the numbers of
+    positive and of count-one members per column, removal included (0
+    unless ``tallies``).
+    """
+    old, new = c
+    d_pos = d_one = 0
+    if tallies:
+        # insertion only raises counts: a member turns positive or stays
+        d_pos = ((new > 0) > (old > 0)).sum(axis=0)
+        d_one = (new == 1).sum(axis=0) - (old == 1).sum(axis=0)
+        d_pos = d_pos - d_pos[at]
+        d_one = d_one - d_one[at]
+    if look is None:
+        return 0.0, 0.0, d_pos, d_one
+    if w is None:
+        t_old, t_new = look(old), look(new)
+    else:
+        t_old, t_new = w[0] * look(old), w[1] * look(new)
+    rem = t_old[:, at].sum() - t_new[:, at].sum()
+    ins = t_new.sum(axis=0) - t_old.sum(axis=0)
+    return rem, ins, d_pos, d_one
+
+
+def _singleton_change(
+    n_one: int, n_pos: int, d_one, d_pos, size: int, b: float, cells: bool
+):
+    """Per-target change of a family's singleton term, and the targets that
+    leave the family degenerate: a singleton term of -inf or, for the cell
+    family, at most one positive cell (such a table scores -inf)."""
+    one = n_one + d_one
+    pos = n_pos + d_pos
+    # both logs take positive arguments: pos never exceeds the family size
+    ln_ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log(size - pos + 1.0)
+    new = one * ln_ratio
+    new = np.where(one == 0, 0.0, new)
+    bad = (pos <= 1) if cells else (pos <= 1) & (one > 0)
+    return new - _singleton_term(n_one, n_pos, size, b), bad
+
+
+def _store(matrix, rows, src: int, dst: int, counts) -> None:
+    """Write back the source and ``dst`` counts of ``_move_counts`` with ``dst``."""
+    matrix[rows, src] = counts[0][:, 0]
+    matrix[rows, dst] = counts[1][:, 1]
 
 
 @dataclass
-class LooTerms:
+class Terms:
+    """A score's three families: weighted log sums and singleton terms."""
+
     pair_term: float
     pair_singleton: float
     state_term: float
+    state_singleton: float
     cat_term: float
+    cat_singleton: float
 
     @property
     def score(self) -> float:
-        return self.pair_term + self.pair_singleton - self.state_term - self.cat_term
+        # A degenerate singleton family (log of a nonpositive argument) marks
+        # the whole configuration as invalid, whichever side it sits on.
+        if NEG_INF in (self.pair_singleton, self.state_singleton, self.cat_singleton):
+            return NEG_INF
+        return (self.pair_term + self.pair_singleton - self.state_term
+                - self.state_singleton - self.cat_term - self.cat_singleton)
 
 
-def loo_terms(t: ClassCounts, discount: Discount) -> LooTerms:
-    b = discount.b
-    cells = t.pairs[t.pairs > 1].astype(np.float64)
-    pair = float((cells * np.log(cells - 1.0 - b)).sum())
-    single = _singleton_term(t.n_one, t.n_pos, t.n_cells, b)
-    st = t.state_tot[t.state_tot > 1].astype(np.float64)
-    state = float((st * np.log(st - 1.0)).sum())
-    ct = t.cat_tot[t.cat_tot > 1].astype(np.float64)
-    cat = float((ct * np.log(ct - 1.0)).sum())
-    return LooTerms(pair, single, state, cat)
+def _family_term(w, c, b: float, tallies=None) -> tuple[float, float]:
+    """(Σ w ln(c-1-b) over members with c > 1, singleton term); the family
+    has no singleton term when ``tallies`` (count-one, positive) is None."""
+    mask = c > 1
+    term = float((w[mask] * np.log(c[mask] - 1.0 - b)).sum())
+    return term, 0.0 if tallies is None else _singleton_term(*tallies, c.size, b)
+
+
+def loo_terms(t: ClassCounts, discount: Discount) -> Terms:
+    return Terms(
+        *_family_term(t.pairs, t.pairs, discount.b, (t.n_one, t.n_pos)),
+        *_family_term(t.state_tot, t.state_tot, 0.0),
+        *_family_term(t.cat_tot, t.cat_tot, 0.0),
+    )
 
 
 def loo_score(t: ClassCounts, discount: Discount) -> float:
@@ -217,99 +310,45 @@ class CombinedClassCounts:
         self.back = back
         self.n_states = adapt.n_states
         self.n_cats = adapt.n_cats
-        self.lam = float(lam)
-        self.n_bi_one = 0
-        self.n_bi_pos = 0
-        self.n_s_one = 0
-        self.n_s_pos = 0
-        self.n_g_one = 0
-        self.n_g_pos = 0
-        self._refresh()
+        self.set_lambda(lam)
 
     @property
     def n_cells(self) -> int:
         return self.n_states * self.n_cats
 
+    def combine(self, a, b):
+        """Adaptation counts ``a`` and background counts ``b`` interpolated
+        with the current weight and rounded."""
+        return round_combined(self.lam * a + (1.0 - self.lam) * b)
+
     def combined_pairs(self) -> np.ndarray:
-        return round_combined(
-            self.lam * self.adapt.pairs + (1.0 - self.lam) * self.back.pairs
-        )
+        return self.combine(self.adapt.pairs, self.back.pairs)
 
     def combined_state_tot(self) -> np.ndarray:
-        return round_combined(
-            self.lam * self.adapt.state_tot + (1.0 - self.lam) * self.back.state_tot
-        )
+        return self.combine(self.adapt.state_tot, self.back.state_tot)
 
     def combined_cat_tot(self) -> np.ndarray:
-        return round_combined(
-            self.lam * self.adapt.cat_tot + (1.0 - self.lam) * self.back.cat_tot
-        )
-
-    def _refresh(self) -> None:
-        c = self.combined_pairs()
-        self.n_bi_pos = int((c > 0).sum())
-        self.n_bi_one = int((c == 1).sum())
-        cs = self.combined_state_tot()
-        self.n_s_pos = int((cs > 0).sum())
-        self.n_s_one = int((cs == 1).sum())
-        cg = self.combined_cat_tot()
-        self.n_g_pos = int((cg > 0).sum())
-        self.n_g_one = int((cg == 1).sum())
+        return self.combine(self.adapt.cat_tot, self.back.cat_tot)
 
     def set_lambda(self, lam: float) -> None:
+        """Set the weight and recount the combined tallies of every family."""
         self.lam = float(lam)
-        self._refresh()
+        self.n_bi_one, self.n_bi_pos = _tallies(self.combined_pairs())
+        self.n_s_one, self.n_s_pos = _tallies(self.combined_state_tot())
+        self.n_g_one, self.n_g_pos = _tallies(self.combined_cat_tot())
 
 
 def combine_counts(adapt: ClassCounts, back: ClassCounts, lam: float) -> CombinedClassCounts:
     return CombinedClassCounts(adapt, back, lam)
 
 
-@dataclass
-class AdaptiveTerms:
-    pair_term: float
-    pair_singleton: float
-    state_term: float
-    state_singleton: float
-    cat_term: float
-    cat_singleton: float
-
-    @property
-    def score(self) -> float:
-        # A degenerate singleton family (log of a nonpositive argument) marks
-        # the whole configuration as invalid, whichever side it sits on.
-        if NEG_INF in (self.pair_singleton, self.state_singleton, self.cat_singleton):
-            return NEG_INF
-        return (
-            self.pair_term
-            + self.pair_singleton
-            - self.state_term
-            - self.state_singleton
-            - self.cat_term
-            - self.cat_singleton
-        )
-
-
-def adaptive_terms(cc: CombinedClassCounts, discount: Discount) -> AdaptiveTerms:
-    b = discount.b
-    a = cc.adapt
-
-    c = cc.combined_pairs().astype(np.float64)
-    mask = c > 1
-    pair = float((a.pairs[mask] * np.log(c[mask] - 1.0 - b)).sum())
-    pair_single = _singleton_term(cc.n_bi_one, cc.n_bi_pos, cc.n_cells, b)
-
-    cs = cc.combined_state_tot().astype(np.float64)
-    mask = cs > 1
-    state = float((a.state_tot[mask] * np.log(cs[mask] - 1.0 - b)).sum())
-    state_single = _singleton_term(cc.n_s_one, cc.n_s_pos, cc.n_states, b)
-
-    cg = cc.combined_cat_tot().astype(np.float64)
-    mask = cg > 1
-    cat = float((a.cat_tot[mask] * np.log(cg[mask] - 1.0 - b)).sum())
-    cat_single = _singleton_term(cc.n_g_one, cc.n_g_pos, cc.n_cats, b)
-
-    return AdaptiveTerms(pair, pair_single, state, state_single, cat, cat_single)
+def adaptive_terms(cc: CombinedClassCounts, discount: Discount) -> Terms:
+    b, a = discount.b, cc.adapt
+    return Terms(
+        *_family_term(a.pairs, cc.combined_pairs(), b, (cc.n_bi_one, cc.n_bi_pos)),
+        *_family_term(a.state_tot, cc.combined_state_tot(), b, (cc.n_s_one, cc.n_s_pos)),
+        *_family_term(a.cat_tot, cc.combined_cat_tot(), b, (cc.n_g_one, cc.n_g_pos)),
+    )
 
 
 def adaptive_score(cc: CombinedClassCounts, discount: Discount) -> float:
@@ -340,14 +379,10 @@ def _word_profiles(counts: CountTable):
 _EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
-def _class_profile(entry, assign: np.ndarray, n: int):
-    """Project raw id/count arrays onto clusters; returns nonzero (ids, counts)."""
+def _class_profile(entry, assign: np.ndarray, n: int) -> np.ndarray:
+    """Project raw id/count arrays onto the n clusters of ``assign``."""
     ids, cnt = entry
-    if len(ids) == 0:
-        return _EMPTY
-    prof = np.bincount(assign[ids], weights=cnt, minlength=n).astype(np.int64)
-    idx = np.nonzero(prof)[0]
-    return idx, prof[idx]
+    return np.bincount(assign[ids], weights=cnt, minlength=n).astype(np.int64)
 
 
 class _MoveRules:
@@ -387,6 +422,15 @@ class _MoveRules:
             return 0.0
         return float(res[1][dst])
 
+    @staticmethod
+    def _candidates(deltas, bad, src: int, k: int):
+        """(targets, deltas) over the k regular clusters, with invalid
+        targets and the source at -inf."""
+        # moves into a degenerate configuration are invalid, not attractive
+        deltas = np.where(bad, NEG_INF, deltas)
+        deltas[src] = NEG_INF
+        return np.arange(k), deltas[:k]
+
     def _best_move(self, word: int, side: str):
         res = self.candidate_deltas(word, side)
         if res is None:
@@ -406,8 +450,11 @@ class StandardObjective(_MoveRules):
         self.cm = cm
         self.discount = discount
         self.t = aggregate_class_counts(counts, cm)
+        # cells take the discount, marginals b = 0; counts stay below the total
         self.tables = LogTables(discount.b)
-        self.tables.ensure(int(counts.total_tokens) + 2)
+        self.marg_tables = LogTables(0.0)
+        for tab in (self.tables, self.marg_tables):
+            tab.ensure(int(counts.total_tokens) + 2)
         self._preds, self._succs = _word_profiles(counts)
 
     def score(self) -> float:
@@ -418,14 +465,14 @@ class StandardObjective(_MoveRules):
         assign, k, _ = self.assignment(side)
         t, cm = self.t, self.cm
         if side == CATEGORY_SIDE:
-            idx, vals = _class_profile(
-                self._preds.get(word, _EMPTY), cm.state_of, cm.n_states
-            )
-            return t.pairs, t.cat_tot, k, assign, idx, vals
-        idx, vals = _class_profile(
-            self._succs.get(word, _EMPTY), cm.category_of, cm.n_cats
-        )
-        return t.pairs.T, t.state_tot, k, assign, idx, vals
+            prof, other, n = self._preds, cm.state_of, cm.n_states
+            matrix, marg = t.pairs, t.cat_tot
+        else:
+            prof, other, n = self._succs, cm.category_of, cm.n_cats
+            matrix, marg = t.pairs.T, t.state_tot
+        prof = _class_profile(prof.get(word, _EMPTY), other, n)
+        idx = np.flatnonzero(prof)
+        return matrix, marg, k, assign, idx, prof[idx]
 
     def candidate_deltas(self, word: int, side: str):
         """Score deltas for moving ``word`` to each regular cluster.
@@ -437,35 +484,19 @@ class StandardObjective(_MoveRules):
         if len(idx) == 0:
             return None
         src = int(assign[word])
-        t, tab, b = self.t, self.tables, self.discount.b
-
-        src_col = matrix[idx, src]
-        new_src = src_col - vals
-        cell_rem = float(tab.cell(new_src).sum() - tab.cell(src_col).sum())
-        d_pos_rem = -int((new_src == 0).sum())
-        d_one_rem = int((new_src == 1).sum()) - int((src_col == 1).sum())
-        u = int(vals.sum())
-        marg_rem = _loo_marg(int(marg[src]) - u) - _loo_marg(int(marg[src]))
-
-        M = matrix[idx, :k]
-        Mv = M + vals[:, None]
-        cell_ins = tab.cell(Mv).sum(axis=0) - tab.cell(M).sum(axis=0)
-        d_pos_ins = (M == 0).sum(axis=0)
-        d_one_ins = (Mv == 1).sum(axis=0) - (M == 1).sum(axis=0)
-        margs = marg[:k]
-        marg_ins = _loo_marg_vec(margs + u) - _loo_marg_vec(margs)
-
-        n_one_new = t.n_one + d_one_rem + d_one_ins
-        n_pos_new = t.n_pos + d_pos_rem + d_pos_ins
-        single_old = _singleton_term(t.n_one, t.n_pos, t.n_cells, b)
-        single_new = _singleton_term_vec(n_one_new, n_pos_new, t.n_cells, b)
-        single_new = np.where(n_pos_new <= 1, NEG_INF, single_new)
-
-        deltas = cell_rem + cell_ins - marg_rem - marg_ins + (single_new - single_old)
-        deltas = np.where(np.isneginf(single_new), NEG_INF, deltas)
-        if src < k:
-            deltas[src] = NEG_INF
-        return np.arange(k), deltas
+        t = self.t
+        cell_rem, cell_ins, d_pos, d_one = _family_delta(
+            _move_counts(matrix, idx, vals, src, k), src, self.tables.cell
+        )
+        marg_rem, marg_ins, _, _ = _family_delta(
+            _move_counts(marg[None], _ROW, vals.sum(keepdims=True), src, k), src,
+            self.marg_tables.cell, tallies=False,
+        )
+        single, bad = _singleton_change(
+            t.n_one, t.n_pos, d_one, d_pos, t.n_cells, self.discount.b, cells=True
+        )
+        deltas = cell_rem + cell_ins - marg_rem - marg_ins + single
+        return self._candidates(deltas, bad, src, k)
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""
@@ -477,16 +508,11 @@ class StandardObjective(_MoveRules):
         src = int(assign[word])
         t = self.t
         if len(idx):
-            src_col = matrix[idx, src]
-            dst_col = matrix[idx, dst]
-            new_src = src_col - vals
-            new_dst = dst_col + vals
-            t.n_pos += int((new_dst > 0).sum()) - int((dst_col > 0).sum())
-            t.n_pos -= int((new_src == 0).sum())
-            t.n_one += int((new_src == 1).sum()) - int((src_col == 1).sum())
-            t.n_one += int((new_dst == 1).sum()) - int((dst_col == 1).sum())
-            matrix[idx, src] = new_src
-            matrix[idx, dst] = new_dst
+            counts = _move_counts(matrix, idx, vals, src, k, dst)
+            _, _, d_pos, d_one = _family_delta(counts, 0)
+            t.n_pos += int(d_pos[1])
+            t.n_one += int(d_one[1])
+            _store(matrix, idx, src, dst, counts)
             u = int(vals.sum())
             marg[src] -= u
             marg[dst] += u
@@ -527,115 +553,49 @@ class AdaptiveObjective(_MoveRules):
         return adaptive_score(self.cc, self.discount)
 
     def _side(self, word: int, side: str):
+        """The cell and marginal families of one side, each as (adaptation
+        and background matrices, rows, the word's adaptation and background
+        counts at those rows, tally prefix), then move range, assignment and
+        the size of the word's union profile."""
         assign, k, _ = self.assignment(side)
-        cm = self.cm
+        cm, a, bg = self.cm, self.a, self.bg
         if side == CATEGORY_SIDE:
             other, n_other = cm.state_of, cm.n_states
-            ia, va = _class_profile(self._preds_a.get(word, _EMPTY), other, n_other)
-            ib, vb = _class_profile(self._preds_b.get(word, _EMPTY), other, n_other)
-            return (
-                self.a.pairs, self.bg.pairs, self.a.cat_tot, self.bg.cat_tot,
-                k, cm.n_cats, assign, ia, va, ib, vb,
-                "n_g",
-            )
-        other, n_other = cm.category_of, cm.n_cats
-        ia, va = _class_profile(self._succs_a.get(word, _EMPTY), other, n_other)
-        ib, vb = _class_profile(self._succs_b.get(word, _EMPTY), other, n_other)
-        return (
-            self.a.pairs.T, self.bg.pairs.T, self.a.state_tot, self.bg.state_tot,
-            k, cm.n_states, assign, ia, va, ib, vb,
-            "n_s",
+            prof_a, prof_b = self._preds_a, self._preds_b
+            A, B, mA, mB, prefix = a.pairs, bg.pairs, a.cat_tot, bg.cat_tot, "n_g"
+        else:
+            other, n_other = cm.category_of, cm.n_cats
+            prof_a, prof_b = self._succs_a, self._succs_b
+            A, B, mA, mB, prefix = a.pairs.T, bg.pairs.T, a.state_tot, bg.state_tot, "n_s"
+        pa = _class_profile(prof_a.get(word, _EMPTY), other, n_other)
+        pb = _class_profile(prof_b.get(word, _EMPTY), other, n_other)
+        idx = np.flatnonzero(pa + pb)
+        pa, pb = pa[idx], pb[idx]
+        families = (
+            (A, B, idx, pa, pb, "n_bi"),
+            (mA[None], mB[None], _ROW, pa.sum(keepdims=True), pb.sum(keepdims=True), prefix),
         )
-
-    @staticmethod
-    def _union_profile(ia, va, ib, vb):
-        idx = np.union1d(ia, ib)
-        pa = np.zeros(len(idx), dtype=np.int64)
-        pb = np.zeros(len(idx), dtype=np.int64)
-        pa[np.searchsorted(idx, ia)] = va
-        pb[np.searchsorted(idx, ib)] = vb
-        return idx, pa, pb
+        return families, k, assign, len(idx)
 
     def candidate_deltas(self, word: int, side: str):
-        (MA_full, MB_full, margA, margB, k, n_side, assign,
-         ia, va, ib, vb, family) = self._side(word, side)
-        if len(ia) == 0 and len(ib) == 0:
+        families, k, assign, n = self._side(word, side)
+        if n == 0:
             return None
-        idx, pa, pb = self._union_profile(ia, va, ib, vb)
         src = int(assign[word])
-        cc, tab, b = self.cc, self.tables, self.discount.b
-        lam, mu = cc.lam, 1.0 - cc.lam
-
-        # --- removal from the source column ---
-        aS = MA_full[idx, src]
-        bS = MB_full[idx, src]
-        aS2 = aS - pa
-        bS2 = bS - pb
-        cS_old = round_combined(lam * aS + mu * bS)
-        cS_new = round_combined(lam * aS2 + mu * bS2)
-        pair_rem = float((aS2 * tab.lnm1b(cS_new)).sum() - (aS * tab.lnm1b(cS_old)).sum())
-        d_bi_pos_rem = int((cS_new > 0).sum()) - int((cS_old > 0).sum())
-        d_bi_one_rem = int((cS_new == 1).sum()) - int((cS_old == 1).sum())
-
-        uA = int(pa.sum())
-        uB = int(pb.sum())
-        mA_src = int(margA[src])
-        mB_src = int(margB[src])
-        cm_src_old = int(round_combined(lam * mA_src + mu * mB_src))
-        cm_src_new = int(round_combined(lam * (mA_src - uA) + mu * (mB_src - uB)))
-        marg_rem = float(
-            (mA_src - uA) * tab.lnm1b(cm_src_new) - mA_src * tab.lnm1b(cm_src_old)
-        )
-        d_m_pos_rem = int(cm_src_new > 0) - int(cm_src_old > 0)
-        d_m_one_rem = int(cm_src_new == 1) - int(cm_src_old == 1)
-
-        # --- insertion into each regular target ---
-        MA = MA_full[idx, :k]
-        MB = MB_full[idx, :k]
-        MAv = MA + pa[:, None]
-        MBv = MB + pb[:, None]
-        c_old = round_combined(lam * MA + mu * MB)
-        c_new = round_combined(lam * MAv + mu * MBv)
-        pair_ins = (MAv * tab.lnm1b(c_new)).sum(axis=0) - (MA * tab.lnm1b(c_old)).sum(axis=0)
-        d_bi_pos_ins = (c_new > 0).sum(axis=0) - (c_old > 0).sum(axis=0)
-        d_bi_one_ins = (c_new == 1).sum(axis=0) - (c_old == 1).sum(axis=0)
-
-        mA_t = margA[:k]
-        mB_t = margB[:k]
-        cm_t_old = round_combined(lam * mA_t + mu * mB_t)
-        cm_t_new = round_combined(lam * (mA_t + uA) + mu * (mB_t + uB))
-        marg_ins = (mA_t + uA) * tab.lnm1b(cm_t_new) - mA_t * tab.lnm1b(cm_t_old)
-        d_m_pos_ins = (cm_t_new > 0).astype(np.int64) - (cm_t_old > 0).astype(np.int64)
-        d_m_one_ins = (cm_t_new == 1).astype(np.int64) - (cm_t_old == 1).astype(np.int64)
-
-        # --- singleton corrections ---
-        n_bi_one_new = cc.n_bi_one + d_bi_one_rem + d_bi_one_ins
-        n_bi_pos_new = cc.n_bi_pos + d_bi_pos_rem + d_bi_pos_ins
-        bi_single_old = _singleton_term(cc.n_bi_one, cc.n_bi_pos, cc.n_cells, b)
-        bi_single_new = _singleton_term_vec(n_bi_one_new, n_bi_pos_new, cc.n_cells, b)
-        bi_single_new = np.where(n_bi_pos_new <= 1, NEG_INF, bi_single_new)
-
-        if family == "n_g":
-            m_one, m_pos = cc.n_g_one, cc.n_g_pos
-        else:
-            m_one, m_pos = cc.n_s_one, cc.n_s_pos
-        m_one_new = m_one + d_m_one_rem + d_m_one_ins
-        m_pos_new = m_pos + d_m_pos_rem + d_m_pos_ins
-        m_single_old = _singleton_term(m_one, m_pos, n_side, b)
-        m_single_new = _singleton_term_vec(m_one_new, m_pos_new, n_side, b)
-
-        deltas = (
-            pair_rem + pair_ins
-            + (bi_single_new - bi_single_old)
-            - (marg_rem + marg_ins)
-            - (m_single_new - m_single_old)
-        )
-        # moves into a degenerate configuration are invalid, not attractive
-        bad = np.isneginf(m_single_new) | np.isneginf(bi_single_new)
-        deltas = np.where(bad, NEG_INF, deltas)
-        if src < k:
-            deltas[src] = NEG_INF
-        return np.arange(k), deltas
+        cc, look, b = self.cc, self.tables.lnm1b, self.discount.b
+        out = []
+        for A, B, rows, xa, xb, prefix in families:
+            w = _move_counts(A, rows, xa, src, k)
+            c = [cc.combine(x, y) for x, y in zip(w, _move_counts(B, rows, xb, src, k))]
+            rem, ins, d_pos, d_one = _family_delta(c, src, look, w)
+            single, bad = _singleton_change(
+                getattr(cc, prefix + "_one"), getattr(cc, prefix + "_pos"), d_one, d_pos,
+                A.size, b, cells=prefix == "n_bi",
+            )
+            out.append((rem, ins, single, bad))
+        (pair_rem, pair_ins, bi_single, bi_bad), (marg_rem, marg_ins, m_single, m_bad) = out
+        deltas = pair_rem + pair_ins + bi_single - (marg_rem + marg_ins) - m_single
+        return self._candidates(deltas, bi_bad | m_bad, src, k)
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""
@@ -643,50 +603,18 @@ class AdaptiveObjective(_MoveRules):
 
     def apply_move(self, word: int, side: str, dst: int) -> None:
         self._check_move(word, side, dst)
-        (MA_full, MB_full, margA, margB, k, n_side, assign,
-         ia, va, ib, vb, family) = self._side(word, side)
+        families, k, assign, n = self._side(word, side)
         src = int(assign[word])
         cc = self.cc
-        lam, mu = cc.lam, 1.0 - cc.lam
-        if len(ia) or len(ib):
-            idx, pa, pb = self._union_profile(ia, va, ib, vb)
-            for cols, sign in ((src, -1), (dst, +1)):
-                aC = MA_full[idx, cols]
-                bC = MB_full[idx, cols]
-                aN = aC + sign * pa
-                bN = bC + sign * pb
-                c_old = round_combined(lam * aC + mu * bC)
-                c_new = round_combined(lam * aN + mu * bN)
-                cc.n_bi_pos += int((c_new > 0).sum()) - int((c_old > 0).sum())
-                cc.n_bi_one += int((c_new == 1).sum()) - int((c_old == 1).sum())
-                MA_full[idx, cols] = aN
-                MB_full[idx, cols] = bN
-            uA = int(pa.sum())
-            uB = int(pb.sum())
-            d_pos = d_one = 0
-            for col, sA, sB in ((src, -uA, -uB), (dst, uA, uB)):
-                m_old = int(round_combined(lam * margA[col] + mu * margB[col]))
-                m_new = int(
-                    round_combined(lam * (margA[col] + sA) + mu * (margB[col] + sB))
+        if n:
+            for A, B, rows, xa, xb, prefix in families:
+                wa = _move_counts(A, rows, xa, src, k, dst)
+                wb = _move_counts(B, rows, xb, src, k, dst)
+                _, _, d_pos, d_one = _family_delta(
+                    [cc.combine(x, y) for x, y in zip(wa, wb)], 0
                 )
-                d_pos += int(m_new > 0) - int(m_old > 0)
-                d_one += int(m_new == 1) - int(m_old == 1)
-                margA[col] += sA
-                margB[col] += sB
-            if family == "n_g":
-                cc.n_g_pos += d_pos
-                cc.n_g_one += d_one
-            else:
-                cc.n_s_pos += d_pos
-                cc.n_s_one += d_one
+                setattr(cc, prefix + "_pos", getattr(cc, prefix + "_pos") + int(d_pos[1]))
+                setattr(cc, prefix + "_one", getattr(cc, prefix + "_one") + int(d_one[1]))
+                _store(A, rows, src, dst, wa)
+                _store(B, rows, src, dst, wb)
         assign[word] = dst
-
-
-def move_delta(objective, word: int, side: str, src: int, dst: int) -> float:
-    """Score change for one move, validated against the current assignment."""
-    assign = objective.assignment(side)[0]
-    if int(assign[word]) != src:
-        raise InvalidMoveError(
-            f"word {word} is in cluster {int(assign[word])}, not {src}"
-        )
-    return objective.move_delta(word, side, dst)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .classmodel import ClusterMap, save_clusters
+from .classmodel import ClusterMap
 from .corpus import CountTable, Vocabulary
 from .criterion import (
     CATEGORY_SIDE,
@@ -41,6 +41,9 @@ DEFAULT_LAMBDA_GRID = tuple(i / 10.0 for i in range(11))
 # their initial classes.
 RARE_EVENTS = 2
 
+# A sweep that raises the score by less than this share of it converges.
+REL_THRESHOLD = 1e-6
+
 
 @dataclass
 class ExchangeConfig:
@@ -48,7 +51,6 @@ class ExchangeConfig:
     k_cats: int
     criterion: str = STANDARD
     max_iterations: int = 20
-    rel_threshold: float = 1e-6
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     discount: float | None = None
 
@@ -129,7 +131,6 @@ def run_exchange(
     discount: Discount | None = None,
     vocab: Vocabulary | None = None,
     trace_path=None,
-    checkpoint_path=None,
 ) -> ExchangeResult:
     """Run exchange clustering from ``init`` until convergence or the
     iteration cap.
@@ -146,8 +147,6 @@ def run_exchange(
         raise ConfigError("adaptive criterion needs background counts")
     if not adaptive and back_counts is not None:
         raise ConfigError("background counts are only used by the adaptive criterion")
-    if checkpoint_path is not None and vocab is None:
-        raise ConfigError("checkpointing needs the vocabulary")
 
     cm = init.copy()
     if discount is None:
@@ -204,16 +203,11 @@ def run_exchange(
                 "iteration %d: %d moves, score %.6f%s",
                 it, moves, score, "" if lam is None else f", lambda {lam:.2f}",
             )
-            if checkpoint_path is not None:
-                meta = {"iteration": it, "score": score}
-                if lam is not None:
-                    meta["lambda"] = lam
-                save_clusters(checkpoint_path, vocab, cm, metadata=meta)
             if moves == 0:
                 result.converged = True
                 break
             rel = (score - prev) / max(1.0, abs(prev))
-            if rel < cfg.rel_threshold:
+            if rel < REL_THRESHOLD:
                 result.converged = True
                 break
             prev = score

@@ -107,6 +107,19 @@ def test_round_trip_is_byte_stable(tmp_path):
             assert loaded.prob(v, w) == model.prob(v, w)
 
 
+def test_equal_explicit_values_share_one_float(tmp_path):
+    counts = CountTable(6)
+    for w in (1, 2, 3):
+        counts.add_bigram(0, w, 4)
+    model = train_backoff(counts, Discount(0.5))
+    path = tmp_path / "m.lm"
+    model.save(path)
+    for m in (model, BackoffModel.load(path), fillup(counts, model, Discount(0.5))):
+        row = m.explicit_lp[0]
+        assert row[1] == row[2] == row[3]
+        assert row[1] is row[2] is row[3]
+
+
 def test_fillup_of_empty_adaptation_copies_background():
     rng = random.Random(9)
     back_counts = random_table(rng, 10)

@@ -286,21 +286,28 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, flag, value",
+    "config, flag, value, records",
     [
-        pytest.param("clusters 3\n", None, None, id="config-line-without-equals"),
-        pytest.param("cutoff=abc\n", None, None, id="config-bad-cutoff"),
-        pytest.param("clusterz=3\n", None, None, id="config-unknown-key"),
-        pytest.param(None, "--discount", "abc", id="bad-discount"),
-        pytest.param(None, "--discount", "1.5", id="discount-out-of-range"),
-        pytest.param(None, "--cutoff", "x", id="bad-cutoff"),
-        pytest.param(None, "--config", "missing.cfg", id="missing-config"),
-        pytest.param(None, "--vocab", "missing.txt", id="missing-vocab"),
-        pytest.param(None, "--counts", "missing.counts", id="missing-counts"),
+        pytest.param("clusters 3\n", None, None, None, id="config-line-without-equals"),
+        pytest.param("cutoff=abc\n", None, None, None, id="config-bad-cutoff"),
+        pytest.param("clusterz=3\n", None, None, None, id="config-unknown-key"),
+        pytest.param(None, "--discount", "abc", None, id="bad-discount"),
+        pytest.param(None, "--discount", "1.5", None, id="discount-out-of-range"),
+        pytest.param(None, "--cutoff", "x", None, id="bad-cutoff"),
+        pytest.param(None, "--config", "missing.cfg", None, id="missing-config"),
+        pytest.param(None, "--vocab", "missing.txt", None, id="missing-vocab"),
+        pytest.param(None, "--counts", "missing.counts", None, id="missing-counts"),
+        pytest.param(None, None, None, "{bad json", id="report-bad-json"),
+        pytest.param(None, None, None, "[1, 2]", id="report-records-not-objects"),
+        pytest.param(None, None, None, '{"records": 5}', id="report-records-not-a-list"),
+        pytest.param(
+            None, None, None, '[{"model_id": "x", "perplexity": "abc"}]',
+            id="report-perplexity-not-a-number",
+        ),
     ],
 )
 def test_bad_settings_and_missing_inputs_exit_2(
-    workdir, tmp_path, capsys, config, flag, value
+    workdir, tmp_path, capsys, config, flag, value, records
 ):
     flags = {
         "--vocab": str(workdir / "words.txt"),
@@ -316,10 +323,28 @@ def test_bad_settings_and_missing_inputs_exit_2(
     argv += ["train", "--method", "back_bo"]
     for item in flags.items():
         argv += item
+    if records is not None:
+        (tmp_path / "records.json").write_text(records)
+        argv = ["report", str(tmp_path / "records.json")]
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_train_on_a_corpus_dominated_by_one_bigram(tmp_path):
+    # "a a" holds most of the events, so weighing a move of "a" back into its
+    # own cluster must not read past the criterion's log tables
+    d = tmp_path
+    write_corpus(d / "skewed.txt", [["a"] * 10 + ["b"]] * 100)
+    for argv in (
+        ["vocab", "--background", d / "skewed.txt", "--out", d / "words.txt"],
+        ["counts", "--vocab", d / "words.txt", "--corpus", d / "skewed.txt",
+         "--out", d / "skewed.counts"],
+        ["train", "--method", "back_cl", "--vocab", d / "words.txt",
+         "--counts", d / "skewed.counts", "--out", d / "back_cl.lm", "--clusters", "2"],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv
 
 
 def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from corpusgen import random_table
+from corpusgen import random_table, table_from_sentences
 
-from clusterlm.classmodel import ClusterMap
+from clusterlm.classmodel import ClusterMap, init_clustering
 from clusterlm.criterion import (
     CATEGORY_SIDE,
     NEG_INF,
@@ -24,7 +24,6 @@ from clusterlm.criterion import (
     combine_counts,
     combine_word_counts,
     loo_score,
-    move_delta,
     round_combined,
 )
 from clusterlm.corpus import CountTable
@@ -306,13 +305,46 @@ def legal_random_move(rng, eng):
     raise AssertionError("could not sample a legal move")
 
 
+def check_every_target(eng, w, side):
+    """Each candidate delta of ``w`` equals the full recompute of its move,
+    and the source slot is -inf; the engine is left as it was."""
+    res = eng.candidate_deltas(w, side)
+    if res is None:
+        return 0
+    targets, deltas = res
+    src = int(eng.assignment(side)[0][w])
+    assert deltas[src] == NEG_INF
+    before = eng.score()
+    checked = 0
+    for dst, delta in zip(targets.tolist(), deltas.tolist()):
+        if dst == src:
+            continue
+        eng.apply_move(w, side, dst)
+        after = eng.score()
+        eng.apply_move(w, side, src)
+        if math.isinf(before):
+            continue
+        if math.isinf(after):
+            assert delta == NEG_INF, f"{side} move {w}: {src}->{dst}"
+            continue
+        assert delta == pytest.approx(
+            after - before, rel=1e-8, abs=1e-8
+        ), f"{side} move {w}: {src}->{dst}"
+        checked += 1
+    assert eng.score() == before
+    return checked
+
+
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_move_delta_matches_full_recompute(adaptive):
     rng = random.Random(42 + adaptive)
+    checked = 0
     for _ in range(12):
         eng = engine_with_counts(rng, adaptive)
         for _ in range(8):
             w, side, src, dst = legal_random_move(rng, eng)
+            for either in (CATEGORY_SIDE, STATE_SIDE):
+                checked += check_every_target(eng, w, either)
             before = eng.score()
             delta = eng.move_delta(w, side, dst)
             eng.apply_move(w, side, dst)
@@ -322,6 +354,25 @@ def test_move_delta_matches_full_recompute(adaptive):
             assert delta == pytest.approx(
                 after - before, rel=1e-8, abs=1e-8
             ), f"{side} move {w}: {src}->{dst}"
+    assert checked > 100
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_every_lookup_stays_inside_the_log_tables(adaptive):
+    # one cell holds most of the table: inserting its word back into its own
+    # cluster would count twice the cell, past the tables' size
+    vocab, counts = table_from_sentences([["a"] * 10 + ["b"]] * 100)
+    cm = init_clustering(counts, 2, 2, vocab)
+    if adaptive:
+        eng = AdaptiveObjective(counts, counts, cm, Discount(0.5), lam=0.5)
+    else:
+        eng = StandardObjective(counts, cm, Discount(0.5))
+    checked = 0
+    for w in range(counts.vocab_size):
+        for side in (CATEGORY_SIDE, STATE_SIDE):
+            if not eng.frozen(w, side):
+                checked += check_every_target(eng, w, side)
+    assert checked > 0
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -413,9 +464,6 @@ def test_invalid_moves_are_rejected():
         eng.apply_move(2, STATE_SIDE, 5)
     with pytest.raises(InvalidMoveError):
         eng.apply_move(2, STATE_SIDE, 0)  # already there
-    # the free helper also validates the claimed source cluster
-    with pytest.raises(InvalidMoveError):
-        move_delta(eng, 2, STATE_SIDE, 1, 1)
 
 
 def test_singleton_donor_cluster_delta_matches_recompute():

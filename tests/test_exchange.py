@@ -7,7 +7,7 @@ import pytest
 
 from corpusgen import block_corpus, domain_corpus, table_from_sentences
 
-from clusterlm.classmodel import init_clustering, load_clusters
+from clusterlm.classmodel import init_clustering
 from clusterlm.corpus import Vocabulary, build_vocabulary, count_events
 from clusterlm.criterion import ClassCounts, combine_counts
 from clusterlm.discounting import Discount, estimate_discount
@@ -61,15 +61,6 @@ def test_background_counts_must_match_criterion():
         run_exchange(counts, counts, cm, ExchangeConfig(2, 2, criterion=STANDARD))
     with pytest.raises(ConfigError):
         run_exchange(counts, None, cm, ExchangeConfig(2, 2, criterion=ADAPTIVE))
-
-
-def test_checkpoint_requires_vocabulary(tmp_path):
-    _, counts, cm = block_setup()
-    with pytest.raises(ConfigError):
-        run_exchange(
-            counts, None, cm, ExchangeConfig(2, 2),
-            checkpoint_path=tmp_path / "ck.txt",
-        )
 
 
 # ------------------------------------------------------------ visit ordering
@@ -169,18 +160,6 @@ def test_iteration_cap_is_respected():
     vocab, counts, cm = block_setup()
     result = run_exchange(counts, None, cm, ExchangeConfig(2, 2, max_iterations=1))
     assert len(result.iterations) == 1
-
-
-def test_checkpoint_written_and_loadable(tmp_path):
-    vocab, counts, cm = block_setup()
-    ck = tmp_path / "checkpoint.txt"
-    result = run_exchange(
-        counts, None, cm, ExchangeConfig(2, 2), vocab=vocab, checkpoint_path=ck
-    )
-    loaded, fields = load_clusters(ck, vocab)
-    assert loaded.same_assignments(result.cluster_map)
-    assert int(fields["iteration"]) == len(result.iterations)
-    assert float(fields["score"]) == pytest.approx(result.score)
 
 
 # ------------------------------------------------------------- adaptive runs
