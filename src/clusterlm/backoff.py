@@ -83,12 +83,15 @@ class BackoffModel:
         return self._tail_mass(v, True, self._fill_z, self.fill_mass)
 
     def _tail_mass(self, v: int, in_fill: bool, cache: dict, total: float) -> float:
-        """Lazy, cached: ``total`` minus the group's explicit words after v."""
+        """Lazy, cached: ``total`` minus the group's explicit words after v.
+
+        The sum runs in word order, which a saved and reloaded model shares,
+        so that the two agree bit for bit."""
         z = cache.get(v)
         if z is None:
-            fill = self.fill_words
-            row = self.explicit_lp.get(v, ())
-            z = max(total - sum(self.p_uni[w] for w in row if (w in fill) == in_fill), 0.0)
+            fill, uni = self.fill_words, self._uni
+            row = sorted(self.explicit_lp.get(v, ()))
+            z = max(total - sum(uni[w] for w in row if (w in fill) == in_fill), 0.0)
             cache[v] = z
         return z
 

@@ -88,6 +88,16 @@ class ClusterMap:
         )
 
 
+def class_bigrams(counts: CountTable, cm: ClusterMap) -> np.ndarray:
+    """The word bigram counts projected onto (state, category) cells."""
+    if counts.vocab_size != cm.vocab_size:
+        raise ConfigError("counts and cluster map disagree on vocabulary size")
+    context, word, count = counts.cells()
+    pairs = np.zeros((cm.n_states, cm.n_cats), dtype=np.int64)
+    np.add.at(pairs, (cm.state_of[context], cm.category_of[word]), count)
+    return pairs
+
+
 def init_clustering(
     counts: CountTable, k_states: int, k_cats: int, vocab: Vocabulary
 ) -> ClusterMap:
@@ -347,23 +357,15 @@ def estimate_class_model(
     """Estimate the two factors from bigram counts under a fixed clustering.
 
     Every quantity is derived from the bigram cells, so the same code serves
-    plain and interpolated count tables.  With ``discount`` unset, separate
-    discounts are estimated for the class transition cells, the category
-    totals, and the word counts.
+    plain and interpolated count tables; the word counts are the unigram,
+    which every table keeps equal to the cells' column sums.  With
+    ``discount`` unset, separate discounts are estimated for the class
+    transition cells, the category totals, and the word counts.
     """
-    if counts.vocab_size != cm.vocab_size:
-        raise ConfigError("counts and cluster map disagree on vocabulary size")
-    S = cm.state_of
     G = cm.category_of
     n_states, n_cats = cm.n_states, cm.n_cats
-
-    pairs = np.zeros((n_states, n_cats), dtype=np.int64)
-    word_weight = np.zeros(cm.vocab_size, dtype=np.int64)
-    for v, row in counts.rows.items():
-        s = S[v]
-        for w, c in row.items():
-            pairs[s, G[w]] += c
-            word_weight[w] += c
+    pairs = class_bigrams(counts, cm)
+    word_weight = counts.unigram
     cat_tot = pairs.sum(axis=0)
 
     members: list[list[int]] = [[] for _ in range(n_cats)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -158,8 +159,13 @@ class CountTable:
 
     ``rows[v][w]`` is the number of times word ``w`` followed context ``v``.
     ``unigram[w]`` counts predicted positions (every token including the end
-    marker, never the begin marker), so column sums of the bigram table equal
-    the unigram counts.
+    marker, never the begin marker).  Every way of building a table keeps
+    ``unigram`` equal to the column sums of the bigram cells, and estimation
+    relies on it: it reads word counts from ``unigram``.
+
+    ``cells()`` is the one array form of the table.  Every class-level and
+    numeric consumer reads it; only ingestion, the file format and per-context
+    model building walk ``rows``.
     """
 
     def __init__(self, vocab_size: int):
@@ -176,6 +182,32 @@ class CountTable:
 
     def bigram(self, v: int, w: int) -> int:
         return self.rows.get(v, {}).get(w, 0)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(context, word, count) int64 arrays of the bigrams, row by row.
+
+        Counting, loading and combining store positive counts only."""
+        rows = self.rows.values()
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        n = int(lengths.sum())
+        context = np.repeat(np.fromiter(self.rows, dtype=np.int64, count=len(rows)), lengths)
+        word = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n)
+        count = np.fromiter(
+            chain.from_iterable(row.values() for row in rows), dtype=np.int64, count=n
+        )
+        return context, word, count
+
+    @classmethod
+    def from_cells(cls, vocab_size: int, context, word, count) -> "CountTable":
+        """The table of the given bigrams, the inverse of ``cells``: each
+        (context, word) pair appears at most once."""
+        table = cls(vocab_size)
+        rows = table.rows
+        for v, w, c in zip(context.tolist(), word.tolist(), count.tolist()):
+            rows.setdefault(v, {})[w] = c
+        np.add.at(table.unigram, word, count)
+        table.total_tokens = int(count.sum())
+        return table
 
     def nonzero_bigrams(self) -> Iterator[tuple[int, int, int]]:
         for v in sorted(self.rows):

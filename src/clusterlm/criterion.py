@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classmodel import ClusterMap
+from .classmodel import ClusterMap, class_bigrams
 from .corpus import CountTable
 from .discounting import Discount
 from .errors import ConfigError, InvalidMoveError
@@ -87,16 +87,7 @@ class ClassCounts:
 
 def aggregate_class_counts(counts: CountTable, cm: ClusterMap) -> ClassCounts:
     """Project word bigram counts onto (state, category) cells."""
-    if counts.vocab_size != cm.vocab_size:
-        raise ConfigError("counts and cluster map disagree on vocabulary size")
-    t = ClassCounts(cm.n_states, cm.n_cats)
-    S, G = cm.state_of, cm.category_of
-    for v, row in counts.rows.items():
-        s = S[v]
-        for w, c in row.items():
-            t.pairs[s, G[w]] += c
-    t.recount()
-    return t
+    return ClassCounts.from_matrix(class_bigrams(counts, cm))
 
 
 def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> CountTable:
@@ -108,41 +99,32 @@ def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> Coun
     """
     if adapt.vocab_size != back.vocab_size:
         raise ConfigError("tables cover different vocabularies")
-    out = CountTable(adapt.vocab_size)
-    for v in sorted(set(adapt.rows) | set(back.rows)):
-        row_a = adapt.rows.get(v, {})
-        row_b = back.rows.get(v, {})
-        merged = {}
-        for w in set(row_a) | set(row_b):
-            c = int(round_combined(lam * row_a.get(w, 0) + (1.0 - lam) * row_b.get(w, 0)))
-            if c > 0:
-                merged[w] = c
-                out.unigram[w] += c
-        if merged:
-            out.rows[v] = merged
-    out.total_tokens = int(out.unigram.sum())
-    return out
+    n = adapt.vocab_size
+    (va, wa, ca), (vb, wb, cb) = adapt.cells(), back.cells()
+    # one key per (context, word) cell of either table
+    keys, at = np.unique(np.concatenate([va * n + wa, vb * n + wb]), return_inverse=True)
+    a = np.zeros(len(keys), dtype=np.int64)
+    b = np.zeros(len(keys), dtype=np.int64)
+    a[at[:len(va)]] = ca
+    b[at[len(va):]] = cb
+    c = round_combined(lam * a + (1.0 - lam) * b)
+    keep = c > 0
+    return CountTable.from_cells(n, keys[keep] // n, keys[keep] % n, c[keep])
 
 
 class LogTables:
     """Lookup tables for ``ln(N-1-b)`` and ``N ln(N-1-b)`` indexed by count.
 
-    Entries below N=2 are zero so masked sums need no branching.  Each table
-    is built on its first lookup, so an objective holds only the one it
-    reads; tables grow geometrically on demand and memory scales with the
-    largest count seen.
+    Entries below N=2 are zero so masked sums need no branching.  The tables
+    cover every count up to ``n``, which the caller sizes from the largest
+    count its table can hold.  Each table is built on its first lookup, so
+    an objective holds only the one it reads.
     """
 
-    def __init__(self, b: float):
+    def __init__(self, b: float, n: int):
         self.b = float(b)
-        self._size = 0
+        self._size = int(n) + 1
         self._tables: dict[bool, np.ndarray] = {}  # keyed by "times N"
-        self.ensure(1024)
-
-    def ensure(self, n: int) -> None:
-        if n >= self._size:
-            self._size = max(int(n) + 1, 1024, int(self._size * 3 // 2))
-            self._tables.clear()  # rebuilt at the new size on the next lookup
 
     def _table(self, times_n: bool) -> np.ndarray:
         table = self._tables.get(times_n)
@@ -359,30 +341,25 @@ def adaptive_score(cc: CombinedClassCounts, discount: Discount) -> float:
 
 
 def _word_profiles(counts: CountTable):
-    """Per-word context and successor id/count arrays, cluster-independent."""
-    preds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    succs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pred_lists: dict[int, list[tuple[int, int]]] = {}
-    for v, row in counts.rows.items():
-        ids = np.fromiter(row.keys(), dtype=np.int64, count=len(row))
-        cnt = np.fromiter(row.values(), dtype=np.int64, count=len(row))
-        succs[v] = (ids, cnt)
-        for w, c in row.items():
-            pred_lists.setdefault(w, []).append((v, c))
-    for w, pairs in pred_lists.items():
-        ids = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        cnt = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        preds[w] = (ids, cnt)
-    return preds, succs
+    """The contexts before each word and the words after each context, as
+    two cluster-independent (start offsets, ids, counts) indexes: word x's
+    profile in an index is the slice from ``starts[x]`` to ``starts[x + 1]``."""
+    context, word, count = counts.cells()
+
+    def index(key, ids):
+        order = np.argsort(key, kind="stable")
+        starts = np.zeros(counts.vocab_size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=counts.vocab_size), out=starts[1:])
+        return starts.tolist(), ids[order], count[order]
+
+    return index(word, context), index(context, word)
 
 
-_EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-
-
-def _class_profile(entry, assign: np.ndarray, n: int) -> np.ndarray:
-    """Project raw id/count arrays onto the n clusters of ``assign``."""
-    ids, cnt = entry
-    return np.bincount(assign[ids], weights=cnt, minlength=n).astype(np.int64)
+def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
+    """Project the profile of ``word`` in ``index`` onto the n clusters of ``assign``."""
+    starts, ids, cnt = index
+    at = slice(starts[word], starts[word + 1])
+    return np.bincount(assign[ids[at]], weights=cnt[at], minlength=n).astype(np.int64)
 
 
 class _MoveRules:
@@ -451,10 +428,9 @@ class StandardObjective(_MoveRules):
         self.discount = discount
         self.t = aggregate_class_counts(counts, cm)
         # cells take the discount, marginals b = 0; counts stay below the total
-        self.tables = LogTables(discount.b)
-        self.marg_tables = LogTables(0.0)
-        for tab in (self.tables, self.marg_tables):
-            tab.ensure(int(counts.total_tokens) + 2)
+        largest = int(counts.total_tokens) + 2
+        self.tables = LogTables(discount.b, largest)
+        self.marg_tables = LogTables(0.0, largest)
         self._preds, self._succs = _word_profiles(counts)
 
     def score(self) -> float:
@@ -470,7 +446,7 @@ class StandardObjective(_MoveRules):
         else:
             prof, other, n = self._succs, cm.category_of, cm.n_cats
             matrix, marg = t.pairs.T, t.state_tot
-        prof = _class_profile(prof.get(word, _EMPTY), other, n)
+        prof = _class_profile(prof, word, other, n)
         idx = np.flatnonzero(prof)
         return matrix, marg, k, assign, idx, prof[idx]
 
@@ -535,9 +511,8 @@ class AdaptiveObjective(_MoveRules):
         self.a = aggregate_class_counts(adapt_counts, cm)
         self.bg = aggregate_class_counts(back_counts, cm)
         self.cc = CombinedClassCounts(self.a, self.bg, lam)
-        self.tables = LogTables(discount.b)
-        self.tables.ensure(
-            max(int(adapt_counts.total_tokens), int(back_counts.total_tokens)) + 2
+        self.tables = LogTables(
+            discount.b, max(int(adapt_counts.total_tokens), int(back_counts.total_tokens)) + 2
         )
         self._preds_a, self._succs_a = _word_profiles(adapt_counts)
         self._preds_b, self._succs_b = _word_profiles(back_counts)
@@ -567,8 +542,8 @@ class AdaptiveObjective(_MoveRules):
             other, n_other = cm.category_of, cm.n_cats
             prof_a, prof_b = self._succs_a, self._succs_b
             A, B, mA, mB, prefix = a.pairs.T, bg.pairs.T, a.state_tot, bg.state_tot, "n_s"
-        pa = _class_profile(prof_a.get(word, _EMPTY), other, n_other)
-        pb = _class_profile(prof_b.get(word, _EMPTY), other, n_other)
+        pa = _class_profile(prof_a, word, other, n_other)
+        pb = _class_profile(prof_b, word, other, n_other)
         idx = np.flatnonzero(pa + pb)
         pa, pb = pa[idx], pb[idx]
         families = (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -44,9 +44,11 @@ def estimate_discount(histogram: Mapping[int, int]) -> Discount:
     return Discount(min(CLAMP_HI, max(CLAMP_LO, r1 / denom)))
 
 
-def count_of_counts(counts: Iterable[int]) -> Counter:
-    """Number of events seen exactly r times, for every r > 0."""
-    return Counter(c for c in counts if c > 0)
+def count_of_counts(counts) -> Counter:
+    """Number of events seen exactly r times, for every r > 0, from an array
+    of event counts."""
+    values, freq = np.unique(counts, return_counts=True)
+    return Counter({r: n for r, n in zip(values.tolist(), freq.tolist()) if r > 0})
 
 
 def bigram_discount(forced: float | None, *tables) -> Discount:
@@ -54,9 +56,9 @@ def bigram_discount(forced: float | None, *tables) -> Discount:
     count-of-counts of the given count tables."""
     if forced is not None:
         return Discount(forced)
-    return estimate_discount(count_of_counts(
-        c for table in tables for row in table.rows.values() for c in row.values()
-    ))
+    return estimate_discount(
+        count_of_counts(np.concatenate([table.cells()[2] for table in tables]))
+    )
 
 
 def discounted_distribution(

@@ -21,14 +21,7 @@ from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, sent
 from .criterion import combine_word_counts
 from .discounting import Discount, bigram_discount
 from .errors import ConfigError, ModelIntegrityError
-from .exchange import (
-    ADAPTIVE,
-    DEFAULT_LAMBDA_GRID,
-    STANDARD,
-    ExchangeConfig,
-    ExchangeResult,
-    run_exchange,
-)
+from .exchange import DEFAULT_LAMBDA_GRID, ExchangeConfig, ExchangeResult, run_exchange
 
 METHODS = ("back_bo", "back_cl", "adapt_bo", "adapt_cl", "fillup", "clust_adapt")
 
@@ -169,10 +162,7 @@ def cluster_words(
 ) -> ExchangeResult:
     """Exchange clustering of ``counts`` into k classes per side, from the
     frequency init."""
-    xc = ExchangeConfig(
-        k_states=k, k_cats=k, criterion=STANDARD,
-        max_iterations=cfg.max_iterations, discount=cfg.discount,
-    )
+    xc = ExchangeConfig(max_iterations=cfg.max_iterations, discount=cfg.discount)
     init = init_clustering(counts, k, k, vocab)
     return run_exchange(counts, None, init, xc, vocab=vocab, trace_path=trace_path)
 
@@ -193,7 +183,6 @@ def adapt_class_model(
     """Clustered adaptation: adaptive exchange from ``init``, then the class
     model estimated on the counts interpolated with the chosen weight."""
     xc = ExchangeConfig(
-        k_states=init.k_states, k_cats=init.k_cats, criterion=ADAPTIVE,
         max_iterations=cfg.max_iterations, lambda_grid=cfg.lambda_grid,
         discount=cfg.discount,
     )

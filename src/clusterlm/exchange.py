@@ -32,9 +32,6 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-STANDARD = "standard"
-ADAPTIVE = "adaptive"
-
 DEFAULT_LAMBDA_GRID = tuple(i / 10.0 for i in range(11))
 
 # Words with at most this many events in the table being clustered keep
@@ -47,16 +44,11 @@ REL_THRESHOLD = 1e-6
 
 @dataclass
 class ExchangeConfig:
-    k_states: int
-    k_cats: int
-    criterion: str = STANDARD
     max_iterations: int = 20
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     discount: float | None = None
 
     def validate(self) -> None:
-        if self.criterion not in (STANDARD, ADAPTIVE):
-            raise ConfigError(f"unknown criterion {self.criterion!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if not self.lambda_grid:
@@ -128,29 +120,23 @@ def run_exchange(
     back_counts: CountTable | None,
     init: ClusterMap,
     cfg: ExchangeConfig,
-    discount: Discount | None = None,
     vocab: Vocabulary | None = None,
     trace_path=None,
 ) -> ExchangeResult:
     """Run exchange clustering from ``init`` until convergence or the
     iteration cap.
 
-    ``back_counts`` must be given exactly when the adaptive criterion is
-    selected.  Under either criterion, words with at most ``RARE_EVENTS``
-    events in ``train_counts`` (the table being clustered) keep their state
-    and category from ``init``.  The returned map is a copy; ``init`` is
-    left untouched.
+    With ``back_counts`` the criterion is the adaptive one over the
+    adaptation counts ``train_counts`` and the background counts, else
+    leave-one-out over ``train_counts``.  Under either criterion, words with
+    at most ``RARE_EVENTS`` events in ``train_counts`` (the table being
+    clustered) keep their state and category from ``init``.  The returned
+    map is a copy; ``init`` is left untouched.
     """
     cfg.validate()
-    adaptive = cfg.criterion == ADAPTIVE
-    if adaptive and back_counts is None:
-        raise ConfigError("adaptive criterion needs background counts")
-    if not adaptive and back_counts is not None:
-        raise ConfigError("background counts are only used by the adaptive criterion")
-
+    adaptive = back_counts is not None
     cm = init.copy()
-    if discount is None:
-        discount = criterion_discount(train_counts, back_counts, cfg)
+    discount = criterion_discount(train_counts, back_counts, cfg)
     if adaptive:
         engine = AdaptiveObjective(train_counts, back_counts, cm, discount)
         lam, score = optimize_lambda(engine.cc, cfg.lambda_grid, discount)

@@ -104,6 +104,23 @@ def cells_from_table(counts_rows, state_of, category_of):
     return cells
 
 
+def combined_rows(adapt_rows, back_rows, lam):
+    """Word bigram rows interpolated cell by cell, rounded halves up, with
+    zero-rounded cells and emptied rows dropped."""
+    out = {}
+    for v in set(adapt_rows) | set(back_rows):
+        row_a = adapt_rows.get(v, {})
+        row_b = back_rows.get(v, {})
+        merged = {}
+        for w in set(row_a) | set(row_b):
+            c = round_nearest(lam * row_a.get(w, 0) + (1.0 - lam) * row_b.get(w, 0))
+            if c > 0:
+                merged[w] = c
+        if merged:
+            out[v] = merged
+    return out
+
+
 def unigram_distribution(unigram_counts, vocab_size, b):
     """Absolute-discounted unigram with a uniform fallback, as a dict."""
     total = sum(unigram_counts.values())

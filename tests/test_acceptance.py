@@ -41,7 +41,7 @@ from clusterlm.evaluate import (
     relative_improvement,
     suite_records,
 )
-from clusterlm.exchange import ADAPTIVE, ExchangeConfig, run_exchange
+from clusterlm.exchange import ExchangeConfig, run_exchange
 
 
 def verdict(capsys, num, summary, ok):
@@ -169,7 +169,7 @@ def test_hill_climbing_is_monotone_and_converges(capsys, tmp_path):
 
     trace = tmp_path / "standard.trace"
     result = run_exchange(
-        counts, None, init, ExchangeConfig(20, 20), vocab=vocab, trace_path=trace
+        counts, None, init, ExchangeConfig(), vocab=vocab, trace_path=trace
     )
     all_positive = True
     nondecreasing = True
@@ -192,7 +192,7 @@ def test_hill_climbing_is_monotone_and_converges(capsys, tmp_path):
     a_trace = tmp_path / "adaptive.trace"
     a_result = run_exchange(
         a_counts, b_counts, a_init,
-        ExchangeConfig(20, 20, criterion=ADAPTIVE),
+        ExchangeConfig(),
         vocab=tv, trace_path=a_trace,
     )
     for line in a_trace.read_text().splitlines():
@@ -224,11 +224,11 @@ def test_every_model_type_normalizes(capsys):
     models["backoff"] = train_backoff(back, disc, cutoff=1)
     models["fillup"] = fillup(adapt, models["backoff"], disc)
     init = init_clustering(back, 8, 8, vocab)
-    std = run_exchange(back, None, init, ExchangeConfig(8, 8, max_iterations=5))
+    std = run_exchange(back, None, init, ExchangeConfig(max_iterations=5))
     models["class"] = estimate_class_model(back, std.cluster_map)
     ada = run_exchange(
         adapt, back, std.cluster_map,
-        ExchangeConfig(8, 8, criterion=ADAPTIVE, max_iterations=5),
+        ExchangeConfig(max_iterations=5),
     )
     combined = combine_word_counts(adapt, back, ada.lam)
     models["adaptive class"] = estimate_class_model(combined, ada.cluster_map)
@@ -285,7 +285,7 @@ def test_exchange_attains_enumerated_optimum_on_block_corpus(capsys):
     init = init_clustering(counts, 2, 2, vocab)
     disc = Discount(0.5)
     result = run_exchange(
-        counts, None, init, ExchangeConfig(2, 2, discount=0.5), vocab=vocab
+        counts, None, init, ExchangeConfig(discount=0.5), vocab=vocab
     )
 
     # exhaustive enumeration over every clustering of the content words

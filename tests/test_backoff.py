@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from corpusgen import random_table
+from corpusgen import domain_corpus, random_table
 
 from clusterlm.backoff import BackoffModel, fillup, train_backoff
-from clusterlm.corpus import CountTable, Vocabulary, count_events
+from clusterlm.corpus import CountTable, Vocabulary, build_vocabulary, count_events
 from clusterlm.discounting import Discount
 from clusterlm.errors import ConfigError, FormatError
+from clusterlm.evaluate import SuiteConfig, fillup_model, train_backoff_model
 
 
 def row_sum(model, v):
@@ -311,6 +312,28 @@ def test_fillup_round_trip_is_byte_stable(tmp_path):
     for v in range(10):
         for w in range(10):
             assert loaded.prob(v, w) == adapted.prob(v, w)
+
+
+def test_trend_models_and_their_reloaded_copies_agree_bit_for_bit(tmp_path):
+    # The trend corpora: the 5k-word adaptation slice has a 736-word vocabulary.
+    back = domain_corpus("back", seed=71, n_words=100_000, topic_size=300)
+    adapt = domain_corpus("target", seed=72, n_words=5_000, topic_size=300)
+    while sum(map(len, adapt)) > 5_000:
+        adapt.pop()
+    vocab = build_vocabulary(adapt, back, 20_000)
+    n = len(vocab)
+    assert n == 736
+    cfg = SuiteConfig()
+    background = train_backoff_model(count_events(back, vocab), vocab, cfg)
+    filled = fillup_model(count_events(adapt, vocab), background, cfg)
+    for name, model in (("background", background), ("fillup", filled)):
+        path = tmp_path / f"{name}.lm"
+        model.save(path)
+        loaded = BackoffModel.load(path)
+        differ = sum(
+            model.prob(v, w) != loaded.prob(v, w) for v in range(n) for w in range(n)
+        )
+        assert differ == 0, f"{name}: {differ} of {n * n} probabilities differ"
 
 
 def test_file_without_the_new_sections_loads_as_before(tmp_path):

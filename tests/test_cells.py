@@ -1,0 +1,109 @@
+"""The array form of a count table and the consumers that read it.
+
+Random tables, empty ones and ones with empty rows included, are checked
+against plain dict walks over ``CountTable.rows`` and against the per-cell
+references in ``oracles``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+
+from clusterlm.classmodel import ClusterMap, class_bigrams
+from clusterlm.corpus import CountTable
+from clusterlm.criterion import _word_profiles, aggregate_class_counts, combine_word_counts
+
+# at 0.5 every odd sum of the two counts rounds a tie
+LAMBDAS = (0.0, 0.3, 0.5, 0.95, 1.0)
+CASES = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def tables(draw, n):
+    """A table over n words from random bigram events, plus empty rows."""
+    table = CountTable(n)
+    ids = st.integers(0, n - 1)
+    for v, w, c in draw(st.lists(st.tuples(ids, ids, st.integers(1, 9)), max_size=40)):
+        table.add_bigram(v, w, c)
+    for v in draw(st.lists(ids, max_size=3)):
+        table.rows.setdefault(v, {})
+    return table
+
+
+@st.composite
+def setups(draw):
+    """Two tables over one vocabulary and a cluster map of it."""
+    n = draw(st.integers(1, 12))
+    n_states, n_cats = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    state_of = draw(st.lists(st.integers(0, n_states - 1), min_size=n, max_size=n))
+    category_of = draw(st.lists(st.integers(0, n_cats - 1), min_size=n, max_size=n))
+    cm = ClusterMap(state_of, category_of, n_states, n_cats)
+    return draw(tables(n)), draw(tables(n)), cm
+
+
+def walk(table):
+    """(context, word, count) of every stored cell, row by row, from ``rows``."""
+    return [(v, w, c) for v, row in table.rows.items() for w, c in row.items()]
+
+
+def column_sums(table):
+    sums = np.zeros(table.vocab_size, dtype=np.int64)
+    for _, w, c in walk(table):
+        sums[w] += c
+    return sums
+
+
+def matrix(cells, cm):
+    out = np.zeros((cm.n_states, cm.n_cats), dtype=np.int64)
+    for (s, g), c in cells.items():
+        out[s, g] = c
+    return out
+
+
+@CASES
+@given(setups())
+def test_cells_match_rows_and_unigram_is_the_column_sums(setup):
+    for table in setup[:2]:
+        context, word, count = table.cells()
+        assert all(a.dtype == np.int64 for a in (context, word, count))
+        assert list(zip(context.tolist(), word.tolist(), count.tolist())) == walk(table)
+        assert np.array_equal(table.unigram, column_sums(table))
+
+
+@CASES
+@given(setups())
+def test_class_projections_match_the_oracle(setup):
+    table, _, cm = setup
+    want = matrix(oracles.cells_from_table(table.rows, cm.state_of, cm.category_of), cm)
+    assert np.array_equal(class_bigrams(table, cm), want)
+    assert np.array_equal(aggregate_class_counts(table, cm).pairs, want)
+
+
+@CASES
+@given(setups())
+def test_word_profile_slices_match_a_dict_walk(setup):
+    table = setup[0]
+    preds, succs = _word_profiles(table)
+    for x in range(table.vocab_size):
+        for index, want in (
+            (preds, {v: row[x] for v, row in table.rows.items() if x in row}),
+            (succs, table.rows.get(x, {})),
+        ):
+            starts, ids, counts = index
+            at = slice(starts[x], starts[x + 1])
+            assert dict(zip(ids[at].tolist(), counts[at].tolist())) == want
+            assert len(ids[at]) == len(want)
+
+
+@CASES
+@given(setups())
+def test_combined_counts_match_the_per_cell_reference(setup):
+    adapt, back, _ = setup
+    for lam in LAMBDAS:
+        out = combine_word_counts(adapt, back, lam)
+        assert out.rows == oracles.combined_rows(adapt.rows, back.rows, lam)
+        assert np.array_equal(out.unigram, column_sums(out))
+        assert out.total_tokens == int(out.unigram.sum())
+

@@ -513,11 +513,10 @@ def test_adaptive_set_lambda_changes_score_consistently():
 
 
 def test_log_tables_values_and_growth():
-    tab = LogTables(0.5)
+    tab = LogTables(0.5, 50_000)
     assert tab.cell(0) == 0.0 and tab.cell(1) == 0.0
     assert tab.cell(2) == pytest.approx(2 * math.log(0.5))
     assert tab.lnm1b(7) == pytest.approx(math.log(7 - 1.5))
-    tab.ensure(50_000)
     assert tab.cell(50_000) == pytest.approx(50_000 * math.log(50_000 - 1.5))
     arr = tab.cell(np.array([0, 1, 2, 3]))
     assert arr.shape == (4,)

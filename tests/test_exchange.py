@@ -13,9 +13,7 @@ from clusterlm.criterion import ClassCounts, combine_counts
 from clusterlm.discounting import Discount, estimate_discount
 from clusterlm.errors import ConfigError
 from clusterlm.exchange import (
-    ADAPTIVE,
     RARE_EVENTS,
-    STANDARD,
     ExchangeConfig,
     criterion_discount,
     optimize_lambda,
@@ -45,22 +43,12 @@ def adaptive_setup():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExchangeConfig(2, 2, criterion="annealing").validate()
+        ExchangeConfig(max_iterations=0).validate()
     with pytest.raises(ConfigError):
-        ExchangeConfig(2, 2, max_iterations=0).validate()
+        ExchangeConfig(lambda_grid=()).validate()
     with pytest.raises(ConfigError):
-        ExchangeConfig(2, 2, lambda_grid=()).validate()
-    with pytest.raises(ConfigError):
-        ExchangeConfig(2, 2, lambda_grid=(0.5, 1.5)).validate()
-    ExchangeConfig(2, 2).validate()
-
-
-def test_background_counts_must_match_criterion():
-    vocab, counts, cm = block_setup()
-    with pytest.raises(ConfigError):
-        run_exchange(counts, counts, cm, ExchangeConfig(2, 2, criterion=STANDARD))
-    with pytest.raises(ConfigError):
-        run_exchange(counts, None, cm, ExchangeConfig(2, 2, criterion=ADAPTIVE))
+        ExchangeConfig(lambda_grid=(0.5, 1.5)).validate()
+    ExchangeConfig().validate()
 
 
 # ------------------------------------------------------------ visit ordering
@@ -91,7 +79,7 @@ def test_visit_order_pools_both_tables():
 
 def test_standard_run_is_deterministic(tmp_path):
     vocab, counts, cm = block_setup()
-    cfg = ExchangeConfig(2, 2)
+    cfg = ExchangeConfig()
     t1, t2 = tmp_path / "a.trace", tmp_path / "b.trace"
     r1 = run_exchange(counts, None, cm, cfg, vocab=vocab, trace_path=t1)
     r2 = run_exchange(counts, None, cm, cfg, vocab=vocab, trace_path=t2)
@@ -104,7 +92,7 @@ def test_standard_run_is_deterministic(tmp_path):
 def test_standard_run_leaves_init_untouched():
     vocab, counts, cm = block_setup()
     baseline = cm.copy()
-    run_exchange(counts, None, cm, ExchangeConfig(2, 2))
+    run_exchange(counts, None, cm, ExchangeConfig())
     assert cm.same_assignments(baseline)
 
 
@@ -112,11 +100,11 @@ def test_standard_run_monotone_and_convergent(tmp_path):
     vocab, counts, cm = block_setup()
     trace = tmp_path / "run.trace"
     result = run_exchange(
-        counts, None, cm, ExchangeConfig(2, 2), vocab=vocab, trace_path=trace
+        counts, None, cm, ExchangeConfig(), vocab=vocab, trace_path=trace
     )
     assert result.converged
     assert result.score > run_exchange(
-        counts, None, cm, ExchangeConfig(2, 2, max_iterations=1)
+        counts, None, cm, ExchangeConfig(max_iterations=1)
     ).iterations[0].sweep_score - 1e-9
 
     # every applied move strictly improves; the running score never dips
@@ -136,7 +124,7 @@ def test_standard_run_monotone_and_convergent(tmp_path):
 
 def test_standard_finds_block_structure():
     vocab, counts, cm = block_setup()
-    result = run_exchange(counts, None, cm, ExchangeConfig(2, 2), vocab=vocab)
+    result = run_exchange(counts, None, cm, ExchangeConfig(), vocab=vocab)
     got = result.cluster_map
     p_ids = [vocab.lookup(w) for w in ("p0", "p1", "p2")]
     q_ids = [vocab.lookup(w) for w in ("q0", "q1", "q2")]
@@ -148,8 +136,8 @@ def test_standard_finds_block_structure():
 
 def test_converged_run_is_a_fixpoint():
     vocab, counts, cm = block_setup()
-    first = run_exchange(counts, None, cm, ExchangeConfig(2, 2))
-    again = run_exchange(counts, None, first.cluster_map, ExchangeConfig(2, 2))
+    first = run_exchange(counts, None, cm, ExchangeConfig())
+    again = run_exchange(counts, None, first.cluster_map, ExchangeConfig())
     assert again.converged
     assert again.iterations[0].moves == 0
     assert again.score == pytest.approx(first.score, rel=1e-12)
@@ -158,7 +146,7 @@ def test_converged_run_is_a_fixpoint():
 
 def test_iteration_cap_is_respected():
     vocab, counts, cm = block_setup()
-    result = run_exchange(counts, None, cm, ExchangeConfig(2, 2, max_iterations=1))
+    result = run_exchange(counts, None, cm, ExchangeConfig(max_iterations=1))
     assert len(result.iterations) == 1
 
 
@@ -167,7 +155,7 @@ def test_iteration_cap_is_respected():
 
 def test_adaptive_run_improves_and_reports_lambda():
     vocab, adapt, back, cm = adaptive_setup()
-    cfg = ExchangeConfig(4, 4, criterion=ADAPTIVE, max_iterations=8)
+    cfg = ExchangeConfig(max_iterations=8)
     result = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     assert result.lam in cfg.lambda_grid
     assert math.isfinite(result.score)
@@ -179,7 +167,7 @@ def test_adaptive_run_improves_and_reports_lambda():
 
 def test_adaptive_run_is_deterministic():
     vocab, adapt, back, cm = adaptive_setup()
-    cfg = ExchangeConfig(4, 4, criterion=ADAPTIVE, max_iterations=5)
+    cfg = ExchangeConfig(max_iterations=5)
     r1 = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     r2 = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     assert r1.cluster_map.same_assignments(r2.cluster_map)
@@ -210,16 +198,16 @@ def test_optimize_lambda_all_degenerate():
 # -------------------------------------------------------------- rare words
 
 
-@pytest.mark.parametrize("criterion", [STANDARD, ADAPTIVE])
+@pytest.mark.parametrize("criterion", ["standard", "adaptive"])
 def test_words_seen_at_most_twice_keep_their_initial_classes(tmp_path, criterion):
     vocab, adapt, back, cm = adaptive_setup()
-    if criterion == STANDARD:
+    if criterion == "standard":
         train, other = back, None
     else:
         train, other = adapt, back
     trace = tmp_path / "run.trace"
     result = run_exchange(
-        train, other, cm, ExchangeConfig(4, 4, criterion=criterion, max_iterations=5),
+        train, other, cm, ExchangeConfig(max_iterations=5),
         vocab=vocab, trace_path=trace,
     )
     rare = {w for w in range(len(vocab)) if 0 < train.unigram[w] <= RARE_EVENTS}
@@ -239,9 +227,9 @@ def test_words_seen_at_most_twice_keep_their_initial_classes(tmp_path, criterion
 
 def test_criterion_discount_forced_or_estimated():
     vocab, counts, _ = block_setup()
-    forced = criterion_discount(counts, None, ExchangeConfig(2, 2, discount=0.42))
+    forced = criterion_discount(counts, None, ExchangeConfig(discount=0.42))
     assert forced.b == 0.42
-    auto = criterion_discount(counts, None, ExchangeConfig(2, 2))
+    auto = criterion_discount(counts, None, ExchangeConfig())
     hist = {}
     for row in counts.rows.values():
         for c in row.values():
@@ -251,7 +239,7 @@ def test_criterion_discount_forced_or_estimated():
 
 def test_criterion_discount_pools_background():
     vocab, adapt, back, _ = adaptive_setup()
-    pooled = criterion_discount(adapt, back, ExchangeConfig(4, 4, criterion=ADAPTIVE))
+    pooled = criterion_discount(adapt, back, ExchangeConfig())
     hist = {}
     for table in (adapt, back):
         for row in table.rows.values():
