@@ -17,7 +17,6 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     count_events,
-    merge_counts,
     read_sentences,
     sentence_ids,
     tokenize_line,

@@ -62,6 +62,13 @@ class ClusterMap:
             self.state_of.max() >= n_states or self.category_of.max() >= n_cats
         ):
             raise ConfigError("cluster id out of range")
+        if not (1 <= self.k_states <= n_states and 1 <= self.k_cats <= n_cats):
+            raise ConfigError(
+                f"movable clusters k_states={self.k_states}, k_cats={self.k_cats} "
+                f"outside 1..{n_states}, 1..{n_cats}"
+            )
+        if any(not 0 <= w < self.vocab_size for w in self.frozen_states | self.frozen_cats):
+            raise ConfigError("frozen word id outside the vocabulary")
 
     @property
     def vocab_size(self) -> int:
@@ -198,11 +205,14 @@ def _read_map(art: Artifact, lines) -> ClusterMap:
         category_of[w] = word_id(g, n_cats)
     if (state_of < 0).any():
         raise ValueError("clusters do not cover the vocabulary")
-    return ClusterMap(
-        state_of, category_of, n_states, n_cats,
-        art.field("k_states", size), art.field("k_cats", size),
-        art.field("frozen_states", id_list), art.field("frozen_cats", id_list),
-    )
+    try:
+        return ClusterMap(
+            state_of, category_of, n_states, n_cats,
+            art.field("k_states", size), art.field("k_cats", size),
+            art.field("frozen_states", id_list), art.field("frozen_cats", id_list),
+        )
+    except ConfigError as exc:  # a bad header: reported as a malformed file
+        raise ValueError(str(exc)) from exc
 
 
 def load_clusters(

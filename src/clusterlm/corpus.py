@@ -215,17 +215,6 @@ class CountTable:
             for w in sorted(row):
                 yield v, w, row[w]
 
-    def merge(self, other: "CountTable") -> None:
-        """Add another table's counts in place; shards must share a vocabulary."""
-        if other.vocab_size != self.vocab_size:
-            raise ConfigError("cannot merge count tables with different vocab sizes")
-        for v, row in other.rows.items():
-            mine = self.rows.setdefault(v, {})
-            for w, c in row.items():
-                mine[w] = mine.get(w, 0) + c
-        self.unigram += other.unigram
-        self.total_tokens += other.total_tokens
-
     def save(self, path: str | Path, vocab_md5: str) -> None:
         """Header line, then ``v w count`` lines sorted by (v, w)."""
         with open(path, "w", encoding="utf-8") as fh:
@@ -287,15 +276,3 @@ def count_events(
             total += 1
     table.total_tokens = total
     return table
-
-
-def merge_counts(tables: Iterable[CountTable]) -> CountTable:
-    """Sum count tables from disjoint corpus shards into one table."""
-    merged: CountTable | None = None
-    for table in tables:
-        if merged is None:
-            merged = CountTable(table.vocab_size)
-        merged.merge(table)
-    if merged is None:
-        raise ConfigError("merge_counts needs at least one table")
-    return merged

@@ -1,25 +1,25 @@
-"""Clustering objectives and incremental move evaluation.
+"""Clustering objectives and the one engine that evaluates and applies moves.
 
-Both scores sum over three *families* of class-level counts: the
-class-bigram cells, the states and the categories.  A family with weights
-``w`` and combined counts ``c`` contributes ``Σ w·ln(c−1−b)`` over its
-members with ``c > 1``, plus the singleton mass term
-``n1·ln(b (n+ − 1) / (n0 + 1))`` from its numbers of count-one, positive and
-empty members.  A score is the cell family minus the two marginal families.
+Both scores sum over three *families* of class-level counts: the cells
+(family ``"cell"``) and the two marginals, each named after its side.  A
+family with weights ``w`` and combined counts ``c`` contributes
+``Σ w·ln(c−1−b)`` over its members with ``c > 1``.  A family that keeps
+*tallies* (its numbers of count-one and positive members) also contributes
+the singleton mass term ``n1·ln(b (n+ − 1) / (n0 + 1))``, n0 being its
+number of empty members.  A score is the cells minus the two marginals.
 
 * Leave-one-out, for training-set clustering (Kneser & Ney 1993), is the
-  special case ``c = w`` = the training counts, whose two marginal families
-  take ``b = 0`` and no singleton term.
+  special case ``c = w`` = the training counts; its marginals take ``b = 0``
+  and keep no tallies.
 * The adaptive score weights by the adaptation counts and combines the
   rounded interpolation ``c = round(λ·a + (1−λ)·b)`` of adaptation and
-  background counts, with the discount and singleton term on every family.
+  background counts, with the discount and tallies on every family.
 
-One kernel, ``_family_delta``, gives a family's change of ``Σ w·ln(c−1−b)``
-and of its positive and count-one tallies when a word leaves its source
-cluster and enters each target; ``_singleton_change`` turns the tallies into
-the change of the singleton term.  Both objectives evaluate all candidate
-moves of one word, and apply a move, through these two with vectorized
-table lookups.
+One engine, ``_Objective``, evaluates and applies moves for both.  A
+criterion declares its class-count tables, one word-profile index per table,
+one log table per family, how its per-table counts combine, and its tallies,
+kept exactly on the families with a singleton term (the fact that both the
+full score and the engine read).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .errors import ConfigError, InvalidMoveError
 
 NEG_INF = float("-inf")
 
+# The families: the cells, and a marginal named after its side.
+CELL_FAMILY = "cell"
 CATEGORY_SIDE = "category"
 STATE_SIDE = "state"
 
@@ -52,7 +54,7 @@ def _tallies(c) -> tuple[int, int]:
 
 
 class ClassCounts:
-    """Dense class-level bigram table with marginals and singleton tallies."""
+    """Dense class-level bigram table with marginals and its cell tallies."""
 
     def __init__(self, n_states: int, n_cats: int):
         self.n_states = n_states
@@ -60,21 +62,16 @@ class ClassCounts:
         self.pairs = np.zeros((n_states, n_cats), dtype=np.int64)
         self.state_tot = np.zeros(n_states, dtype=np.int64)
         self.cat_tot = np.zeros(n_cats, dtype=np.int64)
-        self.n_one = 0
-        self.n_pos = 0
+        self.tallies = {CELL_FAMILY: (0, 0)}
 
     @property
     def n_cells(self) -> int:
         return self.n_states * self.n_cats
 
-    @property
-    def total(self) -> int:
-        return int(self.state_tot.sum())
-
     def recount(self) -> None:
         self.state_tot = self.pairs.sum(axis=1)
         self.cat_tot = self.pairs.sum(axis=0)
-        self.n_one, self.n_pos = _tallies(self.pairs)
+        self.tallies[CELL_FAMILY] = _tallies(self.pairs)
 
     @classmethod
     def from_matrix(cls, pairs) -> "ClassCounts":
@@ -112,40 +109,19 @@ def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> Coun
     return CountTable.from_cells(n, keys[keep] // n, keys[keep] % n, c[keep])
 
 
-class LogTables:
-    """Lookup tables for ``ln(N-1-b)`` and ``N ln(N-1-b)`` indexed by count.
-
-    Entries below N=2 are zero so masked sums need no branching.  The tables
-    cover every count up to ``n``, which the caller sizes from the largest
-    count its table can hold.  Each table is built on its first lookup, so
-    an objective holds only the one it reads.
-    """
-
-    def __init__(self, b: float, n: int):
-        self.b = float(b)
-        self._size = int(n) + 1
-        self._tables: dict[bool, np.ndarray] = {}  # keyed by "times N"
-
-    def _table(self, times_n: bool) -> np.ndarray:
-        table = self._tables.get(times_n)
-        if table is None:
-            # in place: a build holds at most two count-sized arrays
-            table = np.arange(self._size, dtype=np.float64)
-            table -= 1.0
-            table -= self.b
-            np.maximum(table, 1e-300, out=table)
-            np.log(table, out=table)
-            table[:2] = 0.0
-            if times_n:
-                table *= np.arange(self._size, dtype=np.float64)
-            self._tables[times_n] = table
-        return table
-
-    def cell(self, n):
-        return self._table(True)[n]
-
-    def lnm1b(self, n):
-        return self._table(False)[n]
+def log_table(b: float, n: int, times_n: bool) -> np.ndarray:
+    """``ln(N-1-b)``, or ``N ln(N-1-b)`` with ``times_n``, for each count N up
+    to ``n``; entries below N=2 are zero so masked sums need no branching."""
+    # in place: a build holds at most two count-sized arrays
+    table = np.arange(n + 1, dtype=np.float64)
+    table -= 1.0
+    table -= b
+    np.maximum(table, 1e-300, out=table)
+    np.log(table, out=table)
+    table[:2] = 0.0
+    if times_n:
+        table *= np.arange(n + 1, dtype=np.float64)
+    return table
 
 
 def _singleton_term(n_one: int, n_pos: int, size: int, b: float) -> float:
@@ -160,39 +136,30 @@ def _singleton_term(n_one: int, n_pos: int, size: int, b: float) -> float:
 # ------------------------------------------------------------ move kernel
 
 _ROW = np.zeros(1, dtype=np.int64)  # the one row of a marginal family
+_SHIFT = np.array([-1, 1])  # a move takes counts from the source to the target
 
 
-def _move_counts(matrix, rows, add, src: int, k: int, dst: int | None = None):
-    """Counts a move of ``add`` out of column ``src`` changes, at ``rows``.
-
-    Covers every column below k (and the source past them), or with ``dst``
-    only the source and ``dst``.  Returns (old, new), each rows x columns:
-    a column's counts before and after inserting into it.  The source
-    column (``src``, or 0 with ``dst``) holds the insertion into the source
-    once the word has left it: the removal reversed, so no count grows past
-    the largest one held.
-    """
-    if dst is None:
-        old, at = matrix[rows, :max(k, src + 1)], src
-    else:
-        old, at = matrix[rows[:, None], [src, dst]], 0
+def _move_counts(matrix, rows, add, src: int, k: int):
+    """Counts a move of ``add`` out of column ``src`` changes, at ``rows``
+    and every column below k (and the source past them), as (old, new): a
+    column's counts before and after inserting into it.  The source column
+    holds the insertion into the source once the word has left it: the
+    removal reversed, so no count grows past the largest one held."""
+    old = matrix[rows, :max(k, src + 1)]
     new = old + add[:, None]
-    old[:, at] -= add
-    new[:, at] -= add
+    old[:, src] -= add
+    new[:, src] -= add
     return old, new
 
 
-def _family_delta(c, at: int, look=None, w=None, tallies=True):
-    """One family's change under a move, from ``_move_counts`` arrays.
-
-    ``c`` holds the family's (old, new) combined counts and ``w`` their
-    weights.  Without ``w`` the weights are ``c`` themselves and ``look``
-    gives ``c ln(c-1-b)`` (leave-one-out), else ``ln(c-1-b)``.  Returns the
-    removal's change of ``Σ w ln(c-1-b)`` (0.0 without ``look``), the
-    insertion's change of it per column, and the change of the numbers of
-    positive and of count-one members per column, removal included (0
-    unless ``tallies``).
-    """
+def _family_delta(c, at: int, look, w, tallies: bool):
+    """One family's change under a move, from the (old, new) ``_move_counts``
+    combined counts ``c`` and their weights ``w``: without ``w`` the weights
+    are ``c`` and the log table ``look`` holds ``c ln(c-1-b)``, else
+    ``ln(c-1-b)``.  Returns the removal's change of ``Σ w ln(c-1-b)``, the
+    insertion's change of it per column, and per column the change of the
+    numbers of positive and count-one members, removal included (0 unless
+    ``tallies``)."""
     old, new = c
     d_pos = d_one = 0
     if tallies:
@@ -201,37 +168,27 @@ def _family_delta(c, at: int, look=None, w=None, tallies=True):
         d_one = (new == 1).sum(axis=0) - (old == 1).sum(axis=0)
         d_pos = d_pos - d_pos[at]
         d_one = d_one - d_one[at]
-    if look is None:
-        return 0.0, 0.0, d_pos, d_one
     if w is None:
-        t_old, t_new = look(old), look(new)
+        t_old, t_new = look[old], look[new]
     else:
-        t_old, t_new = w[0] * look(old), w[1] * look(new)
+        t_old, t_new = w[0] * look[old], w[1] * look[new]
     rem = t_old[:, at].sum() - t_new[:, at].sum()
     ins = t_new.sum(axis=0) - t_old.sum(axis=0)
     return rem, ins, d_pos, d_one
 
 
-def _singleton_change(
-    n_one: int, n_pos: int, d_one, d_pos, size: int, b: float, cells: bool
-):
+def _singleton_change(n_one: int, n_pos: int, d_one, d_pos, size: int, b: float, cells: bool):
     """Per-target change of a family's singleton term, and the targets that
     leave the family degenerate: a singleton term of -inf or, for the cell
     family, at most one positive cell (such a table scores -inf)."""
     one = n_one + d_one
     pos = n_pos + d_pos
     # both logs take positive arguments: pos never exceeds the family size
-    ln_ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log(size - pos + 1.0)
+    ln_ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log((size + 1.0) - pos)
     new = one * ln_ratio
-    new = np.where(one == 0, 0.0, new)
+    new[one == 0] = 0.0
     bad = (pos <= 1) if cells else (pos <= 1) & (one > 0)
     return new - _singleton_term(n_one, n_pos, size, b), bad
-
-
-def _store(matrix, rows, src: int, dst: int, counts) -> None:
-    """Write back the source and ``dst`` counts of ``_move_counts`` with ``dst``."""
-    matrix[rows, src] = counts[0][:, 0]
-    matrix[rows, dst] = counts[1][:, 1]
 
 
 @dataclass
@@ -264,16 +221,17 @@ def _family_term(w, c, b: float, tallies=None) -> tuple[float, float]:
 
 
 def loo_terms(t: ClassCounts, discount: Discount) -> Terms:
+    tallies = t.tallies.get
     return Terms(
-        *_family_term(t.pairs, t.pairs, discount.b, (t.n_one, t.n_pos)),
-        *_family_term(t.state_tot, t.state_tot, 0.0),
-        *_family_term(t.cat_tot, t.cat_tot, 0.0),
+        *_family_term(t.pairs, t.pairs, discount.b, tallies(CELL_FAMILY)),
+        *_family_term(t.state_tot, t.state_tot, 0.0, tallies(STATE_SIDE)),
+        *_family_term(t.cat_tot, t.cat_tot, 0.0, tallies(CATEGORY_SIDE)),
     )
 
 
 def loo_score(t: ClassCounts, discount: Discount) -> float:
     """Leave-one-out clustering score; degenerate tables score -inf."""
-    if t.n_pos <= 1:
+    if t.tallies[CELL_FAMILY][1] <= 1:
         return NEG_INF
     return loo_terms(t, discount).score
 
@@ -290,13 +248,7 @@ class CombinedClassCounts:
             raise ConfigError("aggregate tables have mismatched cluster ranges")
         self.adapt = adapt
         self.back = back
-        self.n_states = adapt.n_states
-        self.n_cats = adapt.n_cats
         self.set_lambda(lam)
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_states * self.n_cats
 
     def combine(self, a, b):
         """Adaptation counts ``a`` and background counts ``b`` interpolated
@@ -315,9 +267,11 @@ class CombinedClassCounts:
     def set_lambda(self, lam: float) -> None:
         """Set the weight and recount the combined tallies of every family."""
         self.lam = float(lam)
-        self.n_bi_one, self.n_bi_pos = _tallies(self.combined_pairs())
-        self.n_s_one, self.n_s_pos = _tallies(self.combined_state_tot())
-        self.n_g_one, self.n_g_pos = _tallies(self.combined_cat_tot())
+        self.tallies = {
+            CELL_FAMILY: _tallies(self.combined_pairs()),
+            STATE_SIDE: _tallies(self.combined_state_tot()),
+            CATEGORY_SIDE: _tallies(self.combined_cat_tot()),
+        }
 
 
 def combine_counts(adapt: ClassCounts, back: ClassCounts, lam: float) -> CombinedClassCounts:
@@ -325,17 +279,17 @@ def combine_counts(adapt: ClassCounts, back: ClassCounts, lam: float) -> Combine
 
 
 def adaptive_terms(cc: CombinedClassCounts, discount: Discount) -> Terms:
-    b, a = discount.b, cc.adapt
+    b, a, tallies = discount.b, cc.adapt, cc.tallies.get
     return Terms(
-        *_family_term(a.pairs, cc.combined_pairs(), b, (cc.n_bi_one, cc.n_bi_pos)),
-        *_family_term(a.state_tot, cc.combined_state_tot(), b, (cc.n_s_one, cc.n_s_pos)),
-        *_family_term(a.cat_tot, cc.combined_cat_tot(), b, (cc.n_g_one, cc.n_g_pos)),
+        *_family_term(a.pairs, cc.combined_pairs(), b, tallies(CELL_FAMILY)),
+        *_family_term(a.state_tot, cc.combined_state_tot(), b, tallies(STATE_SIDE)),
+        *_family_term(a.cat_tot, cc.combined_cat_tot(), b, tallies(CATEGORY_SIDE)),
     )
 
 
 def adaptive_score(cc: CombinedClassCounts, discount: Discount) -> float:
     """Adaptive clustering score; -inf when the combined table is degenerate."""
-    if cc.n_bi_pos <= 1:
+    if cc.tallies[CELL_FAMILY][1] <= 1:
         return NEG_INF
     return adaptive_terms(cc, discount).score
 
@@ -355,6 +309,12 @@ def _word_profiles(counts: CountTable):
     return index(word, context), index(context, word)
 
 
+def _totals(index) -> np.ndarray:
+    """Each word's total count in a ``_word_profiles`` index."""
+    starts, _, cnt = index
+    return np.diff(np.concatenate(([0], np.cumsum(cnt)))[starts])
+
+
 def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
     """Project the profile of ``word`` in ``index`` onto the n clusters of ``assign``."""
     starts, ids, cnt = index
@@ -362,14 +322,32 @@ def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(assign[ids[at]], weights=cnt[at], minlength=n).astype(np.int64)
 
 
-class _MoveRules:
-    """Move validation and the best-move pick, shared by both objectives.
+class _Objective:
+    """The move engine of both criteria, set up by ``_declare``.
+    ``perfbench/tracing.py`` wraps ``__init__``, ``best_move`` and
+    ``apply_move`` from each class's own ``__dict__``, so each criterion
+    aliases the last two in its class body: ``best_move = _Objective.best_move``."""
 
-    Each objective supplies ``cm`` and ``candidate_deltas``.  Each still
-    defines its own ``__init__``, ``best_move`` and ``apply_move``:
-    ``perfbench/tracing.py`` wraps those per class, from the class's own
-    ``__dict__``.
-    """
+    def _declare(self, cm, discount, tables, profiles, logs, combine, tallies_of) -> None:
+        """A criterion's map, discount and class-count ``tables``, one
+        ``_word_profiles`` pair per table, one ``log_table`` per family, and
+        ``combine``: per-table counts to combined counts weighted by the first
+        table's, with ``ln(N-1-b)`` logs; or None for one table, whose counts
+        are both, with ``N ln(N-1-b)`` logs.  ``tallies_of.tallies`` always
+        holds the cells' tallies."""
+        self.cm, self.discount = cm, discount
+        self._combine, self._tallies_of, self._logs = combine, tallies_of, logs
+        # per side: the other side's assignment and range, then per table the
+        # profile index, each word's total in it, the cell matrix and the
+        # one-row marginal, with the moving side's clusters as columns
+        self._sides = {}
+        for side, other, n in ((CATEGORY_SIDE, cm.state_of, cm.n_states),
+                               (STATE_SIDE, cm.category_of, cm.n_cats)):
+            state = side == STATE_SIDE
+            index = [p[state] for p in profiles]  # (preds, succs)[state]
+            cells = [t.pairs.T if state else t.pairs for t in tables]
+            margs = [(t.state_tot if state else t.cat_tot)[None] for t in tables]
+            self._sides[side] = (other, n, index, [_totals(i) for i in index], cells, margs)
 
     def assignment(self, side: str):
         """(assignment array, movable cluster count, frozen words) of a side."""
@@ -392,6 +370,56 @@ class _MoveRules:
         if dst == int(assign[word]):
             raise InvalidMoveError("target equals current cluster")
 
+    def _side(self, word: int, side: str):
+        """The cell and marginal families a move of ``word`` on ``side``
+        changes, each as (name, per-table matrices, rows, per-table counts of
+        the word at those rows, log table); None if the word has none."""
+        other, n, index, totals, cells, margs = self._sides[side]
+        profiles = [_class_profile(i, word, other, n) for i in index]
+        # the rows any table touches; the start value spares one table an add
+        rows = sum(profiles[1:], profiles[0]).nonzero()[0]
+        if not len(rows):
+            return None
+        xs = [p[rows] for p in profiles]
+        return (
+            (CELL_FAMILY, cells, rows, xs, self._logs[CELL_FAMILY]),
+            (side, margs, _ROW, [t[word:word + 1] for t in totals], self._logs[side]),
+        )
+
+    def candidate_deltas(self, word: int, side: str):
+        """Score deltas for moving ``word`` to each regular cluster.
+
+        Returns (targets, deltas) or None when the word has no counts on
+        that side.  The source cluster's slot is -inf.
+        """
+        families = self._side(word, side)
+        if families is None:
+            return None
+        assign, k, _ = self.assignment(side)
+        src = int(assign[word])
+        changes = []
+        for name, mats, rows, xs, look in families:
+            per = [_move_counts(m, rows, x, src, k) for m, x in zip(mats, xs)]
+            if self._combine is None:
+                w, c = None, per[0]
+            else:
+                w, c = per[0], [self._combine(*counts) for counts in zip(*per)]
+            tallies = self._tallies_of.tallies.get(name)
+            rem, ins, d_pos, d_one = _family_delta(c, src, look, w, tallies is not None)
+            changes.append((rem, ins, None if tallies is None else _singleton_change(
+                *tallies, d_one, d_pos, mats[0].size, self.discount.b, name == CELL_FAMILY
+            )))
+        (c_rem, c_ins, (single, bad)), (m_rem, m_ins, m_single) = changes
+        deltas = c_rem + c_ins - m_rem - m_ins
+        deltas += single
+        if m_single is not None:
+            deltas -= m_single[0]
+            bad = bad | m_single[1]
+        # moves into a degenerate configuration are invalid, not attractive
+        deltas[bad] = NEG_INF
+        deltas[src] = NEG_INF
+        return np.arange(k), deltas[:k]
+
     def move_delta(self, word: int, side: str, dst: int) -> float:
         self._check_move(word, side, dst)
         res = self.candidate_deltas(word, side)
@@ -399,16 +427,8 @@ class _MoveRules:
             return 0.0
         return float(res[1][dst])
 
-    @staticmethod
-    def _candidates(deltas, bad, src: int, k: int):
-        """(targets, deltas) over the k regular clusters, with invalid
-        targets and the source at -inf."""
-        # moves into a degenerate configuration are invalid, not attractive
-        deltas = np.where(bad, NEG_INF, deltas)
-        deltas[src] = NEG_INF
-        return np.arange(k), deltas[:k]
-
-    def _best_move(self, word: int, side: str):
+    def best_move(self, word: int, side: str):
+        """(target, delta) of the best strictly improving move, else None."""
         res = self.candidate_deltas(word, side)
         if res is None:
             return None
@@ -419,83 +439,58 @@ class _MoveRules:
             return int(targets[j]), val
         return None
 
+    def apply_move(self, word: int, side: str, dst: int) -> None:
+        self._check_move(word, side, dst)
+        assign = self.assignment(side)[0]
+        src = int(assign[word])
+        families = self._side(word, side)
+        if families is not None:
+            tallies = self._tallies_of.tallies
+            for name, mats, rows, xs, _ in families:
+                if name not in tallies:
+                    # a marginal without tallies: a scalar move of the word's count
+                    for m, x in zip(mats, xs):
+                        m[0, src] -= x[0]
+                        m[0, dst] += x[0]
+                    continue
+                # the members the move changes, at rows x (source, target)
+                at = rows[:, None], [src, dst]
+                before = [m[at] for m in mats]
+                after = [b + x[:, None] * _SHIFT for b, x in zip(before, xs)]
+                (one0, pos0), (one1, pos1) = (
+                    _tallies(per[0] if self._combine is None else self._combine(*per))
+                    for per in (before, after)
+                )
+                n_one, n_pos = tallies[name]
+                tallies[name] = (n_one + one1 - one0, n_pos + pos1 - pos0)
+                for m, counts in zip(mats, after):
+                    m[at] = counts
+        assign[word] = dst
 
-class StandardObjective(_MoveRules):
+
+class StandardObjective(_Objective):
     """Leave-one-out objective with O(profile x clusters) move evaluation."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount):
-        self.cm = cm
-        self.discount = discount
         self.t = aggregate_class_counts(counts, cm)
         # cells take the discount, marginals b = 0; counts stay below the total
         largest = int(counts.total_tokens) + 2
-        self.tables = LogTables(discount.b, largest)
-        self.marg_tables = LogTables(0.0, largest)
-        self._preds, self._succs = _word_profiles(counts)
+        marg = log_table(0.0, largest, times_n=True)
+        self._declare(
+            cm, discount, [self.t], [_word_profiles(counts)],
+            {CELL_FAMILY: log_table(discount.b, largest, times_n=True),
+             STATE_SIDE: marg, CATEGORY_SIDE: marg},
+            None, self.t,
+        )
+
+    best_move = _Objective.best_move
+    apply_move = _Objective.apply_move
 
     def score(self) -> float:
         return loo_score(self.t, self.discount)
 
-    def _side(self, word: int, side: str):
-        """Matrix view, marginal vector, move range and profile for one side."""
-        assign, k, _ = self.assignment(side)
-        t, cm = self.t, self.cm
-        if side == CATEGORY_SIDE:
-            prof, other, n = self._preds, cm.state_of, cm.n_states
-            matrix, marg = t.pairs, t.cat_tot
-        else:
-            prof, other, n = self._succs, cm.category_of, cm.n_cats
-            matrix, marg = t.pairs.T, t.state_tot
-        prof = _class_profile(prof, word, other, n)
-        idx = np.flatnonzero(prof)
-        return matrix, marg, k, assign, idx, prof[idx]
 
-    def candidate_deltas(self, word: int, side: str):
-        """Score deltas for moving ``word`` to each regular cluster.
-
-        Returns (targets, deltas) or None when the word has no counts on
-        that side.  The source cluster's slot is -inf.
-        """
-        matrix, marg, k, assign, idx, vals = self._side(word, side)
-        if len(idx) == 0:
-            return None
-        src = int(assign[word])
-        t = self.t
-        cell_rem, cell_ins, d_pos, d_one = _family_delta(
-            _move_counts(matrix, idx, vals, src, k), src, self.tables.cell
-        )
-        marg_rem, marg_ins, _, _ = _family_delta(
-            _move_counts(marg[None], _ROW, vals.sum(keepdims=True), src, k), src,
-            self.marg_tables.cell, tallies=False,
-        )
-        single, bad = _singleton_change(
-            t.n_one, t.n_pos, d_one, d_pos, t.n_cells, self.discount.b, cells=True
-        )
-        deltas = cell_rem + cell_ins - marg_rem - marg_ins + single
-        return self._candidates(deltas, bad, src, k)
-
-    def best_move(self, word: int, side: str):
-        """(target, delta) of the best strictly improving move, else None."""
-        return self._best_move(word, side)
-
-    def apply_move(self, word: int, side: str, dst: int) -> None:
-        self._check_move(word, side, dst)
-        matrix, marg, k, assign, idx, vals = self._side(word, side)
-        src = int(assign[word])
-        t = self.t
-        if len(idx):
-            counts = _move_counts(matrix, idx, vals, src, k, dst)
-            _, _, d_pos, d_one = _family_delta(counts, 0)
-            t.n_pos += int(d_pos[1])
-            t.n_one += int(d_one[1])
-            _store(matrix, idx, src, dst, counts)
-            u = int(vals.sum())
-            marg[src] -= u
-            marg[dst] += u
-        assign[word] = dst
-
-
-class AdaptiveObjective(_MoveRules):
+class AdaptiveObjective(_Objective):
     """Adaptive objective over paired adaptation/background aggregates."""
 
     def __init__(
@@ -506,16 +501,22 @@ class AdaptiveObjective(_MoveRules):
         discount: Discount,
         lam: float = 0.5,
     ):
-        self.cm = cm
-        self.discount = discount
         self.a = aggregate_class_counts(adapt_counts, cm)
         self.bg = aggregate_class_counts(back_counts, cm)
         self.cc = CombinedClassCounts(self.a, self.bg, lam)
-        self.tables = LogTables(
-            discount.b, max(int(adapt_counts.total_tokens), int(back_counts.total_tokens)) + 2
+        log = log_table(
+            discount.b, max(int(adapt_counts.total_tokens), int(back_counts.total_tokens)) + 2,
+            times_n=False,
         )
-        self._preds_a, self._succs_a = _word_profiles(adapt_counts)
-        self._preds_b, self._succs_b = _word_profiles(back_counts)
+        self._declare(
+            cm, discount, [self.a, self.bg],
+            [_word_profiles(adapt_counts), _word_profiles(back_counts)],
+            dict.fromkeys((CELL_FAMILY, STATE_SIDE, CATEGORY_SIDE), log),
+            self.cc.combine, self.cc,
+        )
+
+    best_move = _Objective.best_move
+    apply_move = _Objective.apply_move
 
     @property
     def lam(self) -> float:
@@ -526,70 +527,3 @@ class AdaptiveObjective(_MoveRules):
 
     def score(self) -> float:
         return adaptive_score(self.cc, self.discount)
-
-    def _side(self, word: int, side: str):
-        """The cell and marginal families of one side, each as (adaptation
-        and background matrices, rows, the word's adaptation and background
-        counts at those rows, tally prefix), then move range, assignment and
-        the size of the word's union profile."""
-        assign, k, _ = self.assignment(side)
-        cm, a, bg = self.cm, self.a, self.bg
-        if side == CATEGORY_SIDE:
-            other, n_other = cm.state_of, cm.n_states
-            prof_a, prof_b = self._preds_a, self._preds_b
-            A, B, mA, mB, prefix = a.pairs, bg.pairs, a.cat_tot, bg.cat_tot, "n_g"
-        else:
-            other, n_other = cm.category_of, cm.n_cats
-            prof_a, prof_b = self._succs_a, self._succs_b
-            A, B, mA, mB, prefix = a.pairs.T, bg.pairs.T, a.state_tot, bg.state_tot, "n_s"
-        pa = _class_profile(prof_a, word, other, n_other)
-        pb = _class_profile(prof_b, word, other, n_other)
-        idx = np.flatnonzero(pa + pb)
-        pa, pb = pa[idx], pb[idx]
-        families = (
-            (A, B, idx, pa, pb, "n_bi"),
-            (mA[None], mB[None], _ROW, pa.sum(keepdims=True), pb.sum(keepdims=True), prefix),
-        )
-        return families, k, assign, len(idx)
-
-    def candidate_deltas(self, word: int, side: str):
-        families, k, assign, n = self._side(word, side)
-        if n == 0:
-            return None
-        src = int(assign[word])
-        cc, look, b = self.cc, self.tables.lnm1b, self.discount.b
-        out = []
-        for A, B, rows, xa, xb, prefix in families:
-            w = _move_counts(A, rows, xa, src, k)
-            c = [cc.combine(x, y) for x, y in zip(w, _move_counts(B, rows, xb, src, k))]
-            rem, ins, d_pos, d_one = _family_delta(c, src, look, w)
-            single, bad = _singleton_change(
-                getattr(cc, prefix + "_one"), getattr(cc, prefix + "_pos"), d_one, d_pos,
-                A.size, b, cells=prefix == "n_bi",
-            )
-            out.append((rem, ins, single, bad))
-        (pair_rem, pair_ins, bi_single, bi_bad), (marg_rem, marg_ins, m_single, m_bad) = out
-        deltas = pair_rem + pair_ins + bi_single - (marg_rem + marg_ins) - m_single
-        return self._candidates(deltas, bi_bad | m_bad, src, k)
-
-    def best_move(self, word: int, side: str):
-        """(target, delta) of the best strictly improving move, else None."""
-        return self._best_move(word, side)
-
-    def apply_move(self, word: int, side: str, dst: int) -> None:
-        self._check_move(word, side, dst)
-        families, k, assign, n = self._side(word, side)
-        src = int(assign[word])
-        cc = self.cc
-        if n:
-            for A, B, rows, xa, xb, prefix in families:
-                wa = _move_counts(A, rows, xa, src, k, dst)
-                wb = _move_counts(B, rows, xb, src, k, dst)
-                _, _, d_pos, d_one = _family_delta(
-                    [cc.combine(x, y) for x, y in zip(wa, wb)], 0
-                )
-                setattr(cc, prefix + "_pos", getattr(cc, prefix + "_pos") + int(d_pos[1]))
-                setattr(cc, prefix + "_one", getattr(cc, prefix + "_one") + int(d_one[1]))
-                _store(A, rows, src, dst, wa)
-                _store(B, rows, src, dst, wb)
-        assign[word] = dst

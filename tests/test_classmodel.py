@@ -1,6 +1,7 @@
 """Cluster maps, class model estimation, and their file formats."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,8 @@ def _repeat_first_line(section):
         ),
         pytest.param(lambda t: t + "\\extra:\n", id="unknown-section"),
         pytest.param(lambda t: t.replace(" b_cats=", " junk b_cats="), id="header-token"),
+        pytest.param(lambda t: re.sub(r" k_cats=\d+", " k_cats=0", t, count=1),
+                     id="no-movable-category"),
     ],
 )
 def test_class_model_load_rejects_malformed_files(tmp_path, edit):
@@ -291,6 +294,15 @@ def test_class_model_load_rejects_malformed_files(tmp_path, edit):
         ClassModel.load(path)
 
 
+def header_field(key, value):
+    """An edit that sets ``key=value`` in the header line of a cluster file."""
+    def edit(lines):
+        head, n = re.subn(rf" {key}=\S+", f" {key}={value}", lines[0])
+        assert n == 1, key
+        return [head] + lines[1:]
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -303,6 +315,10 @@ def test_class_model_load_rejects_malformed_files(tmp_path, edit):
         pytest.param(lambda lines: lines[:-1] + [lines[-1].split()[0] + " 0 -1"],
                      id="negative-category"),
         pytest.param(lambda lines: lines + ["stranger 0 0"], id="unknown-word"),
+        pytest.param(header_field("k_cats", 0), id="no-movable-category"),
+        pytest.param(header_field("k_states", 0), id="no-movable-state"),
+        pytest.param(header_field("k_cats", 500), id="more-movable-categories-than-categories"),
+        pytest.param(header_field("frozen_states", 99999), id="frozen-word-outside-vocabulary"),
     ],
 )
 def test_load_clusters_rejects_malformed_files(tmp_path, edit):

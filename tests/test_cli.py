@@ -262,6 +262,32 @@ def test_cli_fillup_matches_library_fillup(workdir, capsys, tmp_path):
     assert json.loads(out.read_text())["perplexity"] == pytest.approx(want, rel=1e-12)
 
 
+def test_eval_score_oov_scores_the_unknown_positions(workdir, capsys, tmp_path):
+    # held-out text with words outside the vocabulary, two of them in a row
+    vocab = Vocabulary.load(workdir / "words.txt")
+    heldout = list(read_sentences(workdir / "heldout.txt"))[:40]
+    heldout[0] = heldout[0] + ["zzz-unseen"]
+    heldout[1] = ["qqq-unseen", "zzz-unseen"] + heldout[1]
+    assert all(w not in vocab for w in ("zzz-unseen", "qqq-unseen"))
+    write_corpus(tmp_path / "oov.txt", heldout)
+    reports = {}
+    for flags in ([], ["--score-oov"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        assert main([
+            "eval", "--model", str(workdir / "back_bo.lm"), "--vocab", str(workdir / "words.txt"),
+            "--heldout", str(tmp_path / "oov.txt"), "--out", str(out), *flags,
+        ]) == 0
+        reports[bool(flags)] = json.loads(out.read_text())
+    skipped, scored = reports[False], reports[True]
+    assert scored["oov_tokens"] == skipped["oov_tokens"] >= 3
+    assert scored["tokens_scored"] == skipped["tokens_scored"] + scored["oov_tokens"]
+    model = BackoffModel.load(workdir / "back_bo.lm")
+    want = perplexity(model.prob, heldout, vocab, score_oov=True)
+    assert scored["tokens_scored"] == want.tokens_scored
+    assert scored["perplexity"] == pytest.approx(want.perplexity, rel=1e-12)
+    assert scored["perplexity"] != pytest.approx(skipped["perplexity"], rel=1e-6)
+
+
 def test_malformed_fillup_model_exits_cleanly(workdir, tmp_path, capsys):
     text = (workdir / "fillup.lm").read_text()
     bad = tmp_path / "bad.lm"
@@ -330,6 +356,22 @@ def test_bad_settings_and_missing_inputs_exit_2(
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_clust_adapt_with_a_malformed_init_map_exits_2(workdir, tmp_path, capsys):
+    # a header with no movable category is a malformed file, not a crash
+    text = (workdir / "back.clusters").read_text()
+    bad = tmp_path / "bad.clusters"
+    bad.write_text(text.replace(" k_cats=4 ", " k_cats=0 ", 1))
+    assert bad.read_text() != text
+    rc = main([
+        "adapt", "--method", "clust_adapt", "--vocab", str(workdir / "words.txt"),
+        "--counts", str(workdir / "adapt.counts"), "--back-counts", str(workdir / "back.counts"),
+        "--init-clusters", str(bad), "--out", str(tmp_path / "m.lm"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err and "k_cats=0" in err
 
 
 def test_train_on_a_corpus_dominated_by_one_bigram(tmp_path):

@@ -8,7 +8,6 @@ from clusterlm.corpus import (
     Vocabulary,
     build_vocabulary,
     count_events,
-    merge_counts,
     read_sentences,
     sentence_ids,
     tokenize_line,
@@ -160,28 +159,6 @@ def test_count_table_load_rejects_out_of_range(tmp_path):
     path.write_text(text)
     with pytest.raises(FormatError):
         CountTable.load(path)
-
-
-def test_merge_counts_sums_shards():
-    vocab = Vocabulary(["a", "b"])
-    c1 = count_events([["a", "b"]], vocab)
-    c2 = count_events([["b", "a"]], vocab)
-    merged = merge_counts([c1, c2])
-    assert merged.total_tokens == c1.total_tokens + c2.total_tokens
-    a, b = 3, 4
-    assert merged.bigram(a, b) == 1
-    assert merged.bigram(b, a) == 1
-    assert np.array_equal(merged.unigram, c1.unigram + c2.unigram)
-
-
-def test_merge_counts_requires_input():
-    with pytest.raises(ConfigError):
-        merge_counts([])
-
-
-def test_merge_rejects_vocab_size_mismatch():
-    with pytest.raises(ConfigError):
-        CountTable(4).merge(CountTable(5))
 
 
 def _repeat_last_count_line(text):

@@ -18,11 +18,11 @@ from clusterlm.criterion import (
     ClassCounts,
     CombinedClassCounts,
     StandardObjective,
-    LogTables,
     aggregate_class_counts,
     adaptive_score,
     combine_counts,
     combine_word_counts,
+    log_table,
     loo_score,
     round_combined,
 )
@@ -128,11 +128,11 @@ def test_aggregate_marginals_consistent():
     t = aggregate_class_counts(counts, cm)
     assert np.array_equal(t.state_tot, t.pairs.sum(axis=1))
     assert np.array_equal(t.cat_tot, t.pairs.sum(axis=0))
-    assert t.n_pos + int((t.pairs == 0).sum()) == t.n_cells
+    assert t.tallies["cell"][1] + int((t.pairs == 0).sum()) == t.n_cells
     # brute-force double loop
     want = oracles.cells_from_table(counts.rows, cm.state_of, cm.category_of)
     assert cells_of(t) == want
-    assert t.total == counts.total_tokens
+    assert t.state_tot.sum() == counts.total_tokens
 
 
 def test_aggregate_single_cluster_collects_everything():
@@ -184,7 +184,7 @@ def test_combined_marginals_rounded_independently():
     assert list(cc.combined_pairs()[0]) == [0, 0, 0]  # each 0.4 -> 0
     # state margin: 0.4 * 3 = 1.2 -> 1, not the sum of rounded cells
     assert cc.combined_state_tot()[0] == 1
-    assert cc.n_s_one == 1
+    assert cc.tallies["state"][0] == 1
 
 
 def test_combine_word_counts_endpoints_and_rounding():
@@ -258,8 +258,8 @@ def test_adaptive_score_degenerate_marginal_family_is_negative_infinity():
     a = ClassCounts.from_matrix([[1, 1], [0, 0]])
     bg = ClassCounts.from_matrix([[0, 0], [0, 0]])
     cc = combine_counts(a, bg, 0.7)
-    assert cc.n_bi_pos == 2
-    assert cc.n_s_pos == 1 and cc.n_s_one == 1
+    assert cc.tallies["cell"][1] == 2
+    assert cc.tallies["state"] == (1, 1)
     assert adaptive_score(cc, Discount(0.5)) == NEG_INF
     assert oracles.adaptation_score(cells_of(a), {}, 0.7, 2, 2, 0.5) == NEG_INF
 
@@ -403,18 +403,14 @@ def test_maintained_state_survives_many_moves(adaptive):
         assert np.array_equal(fresh_a.state_tot, eng.a.state_tot)
         assert np.array_equal(fresh_a.cat_tot, eng.a.cat_tot)
         fresh = CombinedClassCounts(eng.a, eng.bg, eng.lam)
-        for field in (
-            "n_bi_one", "n_bi_pos", "n_s_one", "n_s_pos", "n_g_one", "n_g_pos"
-        ):
-            assert getattr(fresh, field) == getattr(eng.cc, field), field
+        assert fresh.tallies == eng.cc.tallies
     else:
         fresh = ClassCounts(eng.t.n_states, eng.t.n_cats)
         fresh.pairs = eng.t.pairs.copy()
         fresh.recount()
         assert np.array_equal(fresh.state_tot, eng.t.state_tot)
         assert np.array_equal(fresh.cat_tot, eng.t.cat_tot)
-        assert fresh.n_one == eng.t.n_one
-        assert fresh.n_pos == eng.t.n_pos
+        assert fresh.tallies == eng.t.tallies
 
 
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
@@ -513,10 +509,12 @@ def test_adaptive_set_lambda_changes_score_consistently():
 
 
 def test_log_tables_values_and_growth():
-    tab = LogTables(0.5, 50_000)
-    assert tab.cell(0) == 0.0 and tab.cell(1) == 0.0
-    assert tab.cell(2) == pytest.approx(2 * math.log(0.5))
-    assert tab.lnm1b(7) == pytest.approx(math.log(7 - 1.5))
-    assert tab.cell(50_000) == pytest.approx(50_000 * math.log(50_000 - 1.5))
-    arr = tab.cell(np.array([0, 1, 2, 3]))
+    cell = log_table(0.5, 50_000, times_n=True)
+    lnm1b = log_table(0.5, 50_000, times_n=False)
+    assert cell.shape == lnm1b.shape == (50_001,)
+    assert cell[0] == 0.0 and cell[1] == 0.0
+    assert cell[2] == pytest.approx(2 * math.log(0.5))
+    assert lnm1b[7] == pytest.approx(math.log(7 - 1.5))
+    assert cell[50_000] == pytest.approx(50_000 * math.log(50_000 - 1.5))
+    arr = cell[np.array([0, 1, 2, 3])]
     assert arr.shape == (4,)
