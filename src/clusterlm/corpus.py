@@ -108,9 +108,14 @@ class Vocabulary:
                 f"{RESERVED_TOKENS}"
             )
         vocab = cls()
-        for w in entries[3:]:
+        for lineno, w in enumerate(entries[3:], start=4):
+            # Tokens come from str.split(), so such an entry could never match.
+            if w.split() != [w]:
+                raise FormatError(
+                    f"{path}:{lineno}: vocabulary entry {w!r} is empty or holds whitespace"
+                )
             if w in vocab.ids:
-                raise FormatError(f"{path}: duplicate vocabulary entry {w!r}")
+                raise FormatError(f"{path}:{lineno}: duplicate vocabulary entry {w!r}")
             vocab.add(w)
         return vocab
 
@@ -159,26 +164,30 @@ class CountTable:
 
     ``rows[v][w]`` is the number of times word ``w`` followed context ``v``.
     ``unigram[w]`` counts predicted positions (every token including the end
-    marker, never the begin marker).  Every way of building a table keeps
-    ``unigram`` equal to the column sums of the bigram cells, and estimation
-    relies on it: it reads word counts from ``unigram``.
-
-    ``cells()`` is the one array form of the table.  Every class-level and
-    numeric consumer reads it; only ingestion, the file format and per-context
-    model building walk ``rows``.
+    marker, never the begin marker).  A table is built once, by a constructor
+    that takes a rows dict over, puts it in (context, word) order (rebuilding
+    only what is out of order) and derives ``unigram``, the column sums that
+    estimation reads, and ``total_tokens``: tables with the same cells are
+    equal however they were built.  ``cells()`` is the one array form: every
+    class-level and numeric consumer reads it; only ingestion, the file
+    format and per-context model building walk ``rows``.
     """
 
-    def __init__(self, vocab_size: int):
+    def __init__(self, vocab_size: int, rows: dict[int, dict[int, int]] | None = None):
+        rows = {} if rows is None else rows
+        if list(rows) != sorted(rows):
+            for v in sorted(rows):
+                rows[v] = rows.pop(v)
+        unigram = [0] * vocab_size
+        for v, row in rows.items():
+            if list(row) != sorted(row):
+                rows[v] = row = {w: row[w] for w in sorted(row)}
+            for w, c in row.items():
+                unigram[w] += c
         self.vocab_size = vocab_size
-        self.rows: dict[int, dict[int, int]] = {}
-        self.unigram = np.zeros(vocab_size, dtype=np.int64)
-        self.total_tokens = 0
-
-    def add_bigram(self, v: int, w: int, count: int = 1) -> None:
-        row = self.rows.setdefault(v, {})
-        row[w] = row.get(w, 0) + count
-        self.unigram[w] += count
-        self.total_tokens += count
+        self.rows = rows
+        self.unigram = np.array(unigram, dtype=np.int64)
+        self.total_tokens = sum(unigram)
 
     def bigram(self, v: int, w: int) -> int:
         return self.rows.get(v, {}).get(w, 0)
@@ -201,19 +210,15 @@ class CountTable:
     def from_cells(cls, vocab_size: int, context, word, count) -> "CountTable":
         """The table of the given bigrams, the inverse of ``cells``: each
         (context, word) pair appears at most once."""
-        table = cls(vocab_size)
-        rows = table.rows
+        rows: dict[int, dict[int, int]] = {}
         for v, w, c in zip(context.tolist(), word.tolist(), count.tolist()):
             rows.setdefault(v, {})[w] = c
-        np.add.at(table.unigram, word, count)
-        table.total_tokens = int(count.sum())
-        return table
+        return cls(vocab_size, rows)
 
     def nonzero_bigrams(self) -> Iterator[tuple[int, int, int]]:
-        for v in sorted(self.rows):
-            row = self.rows[v]
-            for w in sorted(row):
-                yield v, w, row[w]
+        for v, row in self.rows.items():
+            for w, c in row.items():
+                yield v, w, c
 
     def save(self, path: str | Path, vocab_md5: str) -> None:
         """Header line, then ``v w count`` lines sorted by (v, w)."""
@@ -232,17 +237,13 @@ class CountTable:
             n = art.field("vocab_size", size)
             declared_total = art.field("total_tokens", size)
             vocab_md5 = art.field("vocab_md5")
-            table = cls(n)
-            rows = table.rows
-            unigram: dict[int, int] = {}
+            rows: dict[int, dict[int, int]] = {}
             for _, (v, w, c) in art:
-                w, c = word_id(w, n), int(c)
+                c = int(c)
                 if c <= 0:
                     raise ValueError("nonpositive count")
-                put(rows.setdefault(word_id(v, n), {}), w, c)
-                unigram[w] = unigram.get(w, 0) + c
-            table.unigram[list(unigram)] = list(unigram.values())
-            table.total_tokens = sum(unigram.values())
+                put(rows.setdefault(word_id(v, n), {}), word_id(w, n), c)
+            table = cls(n, rows)
             if table.total_tokens != declared_total:
                 raise ValueError(
                     f"header total_tokens={declared_total} but counts sum "
@@ -263,16 +264,10 @@ def count_events(
     corpus: Iterable[Sequence[str]], vocab: Vocabulary
 ) -> CountTable:
     """Count framed bigram and unigram events for every sentence of a corpus."""
-    table = CountTable(len(vocab))
-    rows = table.rows
-    unigram = table.unigram
-    total = 0
+    rows: dict[int, dict[int, int]] = {}
     for sent in corpus:
         ids = sentence_ids(sent, vocab)
         for v, w in zip(ids, ids[1:]):
             row = rows.setdefault(v, {})
             row[w] = row.get(w, 0) + 1
-            unigram[w] += 1
-            total += 1
-    table.total_tokens = total
-    return table
+    return CountTable(len(vocab), rows)

@@ -111,11 +111,12 @@ def random_table(rng, vocab_size, density=0.25, max_count=9):
     Draws bigram events over all ids (including the reserved ones, which is
     fine for criterion-level tests: the scoring code only sees cells).
     """
-    counts = CountTable(vocab_size)
+    rows = {}
     n_events = max(3, int(vocab_size * vocab_size * density * 0.15))
     for _ in range(n_events):
         v = rng.randrange(vocab_size)
         w = rng.randrange(vocab_size)
-        counts.add_bigram(v, w, rng.randint(1, max_count))
-    return counts
+        row = rows.setdefault(v, {})
+        row[w] = row.get(w, 0) + rng.randint(1, max_count)
+    return CountTable(vocab_size, rows)
 

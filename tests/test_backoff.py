@@ -52,9 +52,7 @@ def test_matches_direct_computation():
 
 
 def test_cutoff_drops_singletons():
-    counts = CountTable(6)
-    counts.add_bigram(3, 4, 1)
-    counts.add_bigram(3, 5, 7)
+    counts = CountTable(6, {3: {4: 1, 5: 7}})
     kept = train_backoff(counts, Discount(0.5), cutoff=1)
     assert 4 not in kept.explicit_lp[3]
     assert 5 in kept.explicit_lp[3]
@@ -63,10 +61,7 @@ def test_cutoff_drops_singletons():
 
 
 def test_tiny_discount_approaches_maximum_likelihood():
-    counts = CountTable(8)
-    counts.add_bigram(3, 4, 6)
-    counts.add_bigram(3, 5, 3)
-    counts.add_bigram(3, 6, 1)
+    counts = CountTable(8, {3: {4: 6, 5: 3, 6: 1}})
     model = train_backoff(counts, Discount(1e-6), cutoff=0)
     assert model.prob(3, 4) == pytest.approx(0.6, abs=1e-4)
     assert model.prob(3, 5) == pytest.approx(0.3, abs=1e-4)
@@ -74,8 +69,7 @@ def test_tiny_discount_approaches_maximum_likelihood():
 
 
 def test_unseen_context_backs_off_to_unigram():
-    counts = CountTable(6)
-    counts.add_bigram(3, 4, 5)
+    counts = CountTable(6, {3: {4: 5}})
     model = train_backoff(counts, Discount(0.5))
     for w in range(6):
         assert model.prob(5, w) == pytest.approx(model.p_uni[w], rel=1e-12)
@@ -83,9 +77,7 @@ def test_unseen_context_backs_off_to_unigram():
 
 
 def test_full_coverage_context_renormalizes():
-    counts = CountTable(4)
-    for w, c in enumerate([5, 4, 3, 2]):
-        counts.add_bigram(3, w, c)
+    counts = CountTable(4, {3: dict(enumerate([5, 4, 3, 2]))})
     model = train_backoff(counts, Discount(0.5), cutoff=1)
     assert model.alpha[3] == 0.0
     assert row_sum(model, 3) == pytest.approx(1.0, abs=1e-12)
@@ -109,9 +101,7 @@ def test_round_trip_is_byte_stable(tmp_path):
 
 
 def test_equal_explicit_values_share_one_float(tmp_path):
-    counts = CountTable(6)
-    for w in (1, 2, 3):
-        counts.add_bigram(0, w, 4)
+    counts = CountTable(6, {0: {1: 4, 2: 4, 3: 4}})
     model = train_backoff(counts, Discount(0.5))
     path = tmp_path / "m.lm"
     model.save(path)
@@ -162,13 +152,9 @@ def test_fillup_fixpoint_when_adaptation_retrains_background():
 def test_fillup_spreads_reserve_proportionally_to_background():
     # After context v the background strongly prefers w=5 over w=6; the
     # filled model must keep that preference among unobserved words.
-    back_counts = CountTable(8)
-    back_counts.add_bigram(3, 5, 9)
-    back_counts.add_bigram(3, 6, 1)
-    back_counts.add_bigram(3, 7, 1)
+    back_counts = CountTable(8, {3: {5: 9, 6: 1, 7: 1}})
     background = train_backoff(back_counts, Discount(0.5), cutoff=0)
-    adapt_counts = CountTable(8)
-    adapt_counts.add_bigram(3, 4, 4)
+    adapt_counts = CountTable(8, {3: {4: 4}})
     adapted = fillup(adapt_counts, background, Discount(0.5))
     assert adapted.prob(3, 5) > adapted.prob(3, 6)
     ratio = adapted.prob(3, 5) / adapted.prob(3, 6)
@@ -177,13 +163,9 @@ def test_fillup_spreads_reserve_proportionally_to_background():
 
 
 def test_fillup_renormalizes_when_background_mass_is_exhausted():
-    back_counts = CountTable(4)
-    for w in range(4):
-        back_counts.add_bigram(3, w, 3)
+    back_counts = CountTable(4, {3: dict.fromkeys(range(4), 3)})
     background = train_backoff(back_counts, Discount(0.5), cutoff=0)
-    adapt_counts = CountTable(4)
-    for w, c in enumerate([1, 2, 3, 4]):
-        adapt_counts.add_bigram(3, w, c)
+    adapt_counts = CountTable(4, {3: dict(enumerate([1, 2, 3, 4]))})
     adapted = fillup(adapt_counts, background, Discount(0.5))
     assert adapted.alpha[3] == 0.0
     assert row_sum(adapted, 3) == pytest.approx(1.0, abs=1e-12)
@@ -200,12 +182,8 @@ def test_fillup_requires_shared_vocabulary():
 def adaptation_only_setup(cutoff=0):
     # The background never sees 6, 7 or 8; the adaptation data sees all
     # three, and 6 also after context 3.
-    back_counts = CountTable(10)
-    for v, w, c in [(3, 5, 9), (3, 4, 2), (5, 4, 3), (4, 5, 2)]:
-        back_counts.add_bigram(v, w, c)
-    adapt_counts = CountTable(10)
-    for v, w, c in [(3, 4, 4), (3, 6, 2), (5, 7, 3), (5, 8, 1)]:
-        adapt_counts.add_bigram(v, w, c)
+    back_counts = CountTable(10, {3: {5: 9, 4: 2}, 5: {4: 3}, 4: {5: 2}})
+    adapt_counts = CountTable(10, {3: {4: 4, 6: 2}, 5: {7: 3, 8: 1}})
     background = train_backoff(back_counts, Discount(0.5), cutoff=cutoff)
     return adapt_counts, background
 
@@ -260,13 +238,9 @@ def test_fillup_splits_the_reserve_between_the_two_word_groups():
 
 
 def test_fillup_adaptation_bigrams_at_or_below_cutoff_join_the_reserve():
-    back_counts = CountTable(8)
-    back_counts.add_bigram(2, 5, 9)
-    back_counts.add_bigram(2, 4, 3)
+    back_counts = CountTable(8, {2: {5: 9, 4: 3}})
     background = train_backoff(back_counts, Discount(0.5), cutoff=1)
-    adapt_counts = CountTable(8)
-    adapt_counts.add_bigram(3, 4, 1)
-    adapt_counts.add_bigram(3, 5, 6)
+    adapt_counts = CountTable(8, {3: {4: 1, 5: 6}})
     b = 0.4
     adapted = fillup(adapt_counts, background, Discount(b))
     assert set(adapted.explicit_lp[3]) == {5}
@@ -276,7 +250,7 @@ def test_fillup_adaptation_bigrams_at_or_below_cutoff_join_the_reserve():
 
     # A context whose every adaptation bigram is dropped is filled like one
     # the adaptation data never saw.
-    adapt_counts.add_bigram(6, 4, 1)
+    adapt_counts = CountTable(8, {3: {4: 1, 5: 6}, 6: {4: 1}})
     refilled = fillup(adapt_counts, background, Discount(b))
     for w in range(8):
         assert refilled.prob(6, w) == refilled.prob(7, w)
@@ -334,6 +308,32 @@ def test_trend_models_and_their_reloaded_copies_agree_bit_for_bit(tmp_path):
             model.prob(v, w) != loaded.prob(v, w) for v in range(n) for w in range(n)
         )
         assert differ == 0, f"{name}: {differ} of {n * n} probabilities differ"
+
+
+def test_fillup_does_not_depend_on_where_its_counts_came_from(tmp_path):
+    # The trend corpora at the 1k-word adaptation slice: fill-up on the
+    # counted table and on its saved-and-reloaded copy must be one model.
+    back = domain_corpus("back", seed=71, n_words=100_000, topic_size=300)
+    adapt = domain_corpus("target", seed=72, n_words=1_000, topic_size=300)
+    while sum(map(len, adapt)) > 1_000:
+        adapt.pop()
+    vocab = build_vocabulary(adapt, back, 20_000)
+    n = len(vocab)
+    cfg = SuiteConfig()
+    background = train_backoff_model(count_events(back, vocab), vocab, cfg)
+    counted = count_events(adapt, vocab)
+    path = tmp_path / "adapt.counts"
+    counted.save(path, vocab.checksum())
+    reloaded, _ = CountTable.load(path)
+    filled = fillup_model(counted, background, cfg)
+    refilled = fillup_model(reloaded, background, cfg)
+    assert filled.explicit_lp == refilled.explicit_lp
+    assert filled.alpha == refilled.alpha
+    assert filled.beta == refilled.beta
+    differ = sum(
+        filled.prob(v, w) != refilled.prob(v, w) for v in range(n) for w in range(n)
+    )
+    assert differ == 0, f"{differ} of {n * n} probabilities differ"
 
 
 def test_file_without_the_new_sections_loads_as_before(tmp_path):

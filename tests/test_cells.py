@@ -5,6 +5,9 @@ against plain dict walks over ``CountTable.rows`` and against the per-cell
 references in ``oracles``.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +26,14 @@ CASES = settings(max_examples=150, deadline=None, derandomize=True)
 @st.composite
 def tables(draw, n):
     """A table over n words from random bigram events, plus empty rows."""
-    table = CountTable(n)
+    rows = {}
     ids = st.integers(0, n - 1)
     for v, w, c in draw(st.lists(st.tuples(ids, ids, st.integers(1, 9)), max_size=40)):
-        table.add_bigram(v, w, c)
+        row = rows.setdefault(v, {})
+        row[w] = row.get(w, 0) + c
     for v in draw(st.lists(ids, max_size=3)):
-        table.rows.setdefault(v, {})
-    return table
+        rows.setdefault(v, {})
+    return CountTable(n, rows)
 
 
 @st.composite
@@ -70,6 +74,30 @@ def test_cells_match_rows_and_unigram_is_the_column_sums(setup):
         assert all(a.dtype == np.int64 for a in (context, word, count))
         assert list(zip(context.tolist(), word.tolist(), count.tolist())) == walk(table)
         assert np.array_equal(table.unigram, column_sums(table))
+
+
+def stored(table):
+    """The nonempty rows with their cells, in order at both levels; empty
+    rows hold no cell, so neither ``cells()`` nor the file carries them."""
+    return [(v, list(row.items())) for v, row in table.rows.items() if row]
+
+
+@CASES
+@given(setups())
+def test_one_table_per_set_of_cells(setup):
+    for table in setup[:2]:
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.counts"
+            table.save(path, "cafe")
+            loaded, _ = CountTable.load(path)
+        rebuilt = CountTable.from_cells(table.vocab_size, *table.cells())
+        want = stored(table)
+        assert [v for v, _ in want] == sorted(v for v, _ in want)
+        assert all([w for w, _ in row] == sorted(w for w, _ in row) for _, row in want)
+        for other in (rebuilt, loaded):
+            assert stored(other) == want
+            assert np.array_equal(other.unigram, table.unigram)
+            assert other.total_tokens == table.total_tokens
 
 
 @CASES

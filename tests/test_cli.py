@@ -186,6 +186,18 @@ def test_counts_against_wrong_vocab_fail(workdir, tmp_path, capsys):
     assert "different vocabulary" in capsys.readouterr().err
 
 
+def test_counts_rejects_a_vocabulary_entry_holding_whitespace(workdir, tmp_path, capsys):
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("<unk>\n<s>\n</s>\nalpha\nbeta gamma\n\n")
+    rc = main([
+        "counts", "--vocab", str(vocab),
+        "--corpus", str(workdir / "adaptation.txt"), "--out", str(tmp_path / "c.counts"),
+    ])
+    assert rc == 2
+    assert "v.txt:5: " in capsys.readouterr().err
+    assert not (tmp_path / "c.counts").exists()
+
+
 def test_unrecognized_model_file(workdir, tmp_path, capsys):
     rc = main([
         "eval", "--model", str(workdir / "back.counts"),

@@ -61,6 +61,22 @@ def test_vocab_load_rejects_duplicates(tmp_path):
         Vocabulary.load(path)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param("", id="blank-line"),
+        pytest.param("beta gamma", id="inner-space"),
+        pytest.param("beta\tgamma", id="tab"),
+        pytest.param("beta ", id="trailing-space"),
+    ],
+)
+def test_vocab_load_rejects_entries_that_no_token_can_match(tmp_path, entry):
+    path = tmp_path / "words.txt"
+    path.write_text(f"<unk>\n<s>\n</s>\nalpha\n{entry}\nomega\n")
+    with pytest.raises(FormatError, match=f"{path.name}:5: "):
+        Vocabulary.load(path)
+
+
 def test_checksum_tracks_content():
     assert Vocabulary(["a"]).checksum() != Vocabulary(["b"]).checksum()
 
@@ -147,6 +163,11 @@ def test_count_table_round_trip(tmp_path):
     assert loaded.vocab_size == counts.vocab_size
     assert loaded.total_tokens == counts.total_tokens
     assert loaded.rows == counts.rows
+    # the same row order at both levels, however the table was built
+    assert list(loaded.rows) == list(counts.rows)
+    assert [list(row) for row in loaded.rows.values()] == [
+        list(row) for row in counts.rows.values()
+    ]
     assert np.array_equal(loaded.unigram, counts.unigram)
 
 

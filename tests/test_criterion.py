@@ -136,9 +136,7 @@ def test_aggregate_marginals_consistent():
 
 
 def test_aggregate_single_cluster_collects_everything():
-    counts = CountTable(5)
-    counts.add_bigram(1, 2, 4)
-    counts.add_bigram(3, 4, 2)
+    counts = CountTable(5, {1: {2: 4}, 3: {4: 2}})
     cm = ClusterMap([0] * 5, [0] * 5, 1, 1)
     t = aggregate_class_counts(counts, cm)
     assert t.pairs[0, 0] == 6
@@ -188,12 +186,8 @@ def test_combined_marginals_rounded_independently():
 
 
 def test_combine_word_counts_endpoints_and_rounding():
-    a = CountTable(5)
-    a.add_bigram(1, 2, 3)
-    a.add_bigram(3, 4, 1)
-    b = CountTable(5)
-    b.add_bigram(1, 2, 2)
-    b.add_bigram(4, 2, 6)
+    a = CountTable(5, {1: {2: 3}, 3: {4: 1}})
+    b = CountTable(5, {1: {2: 2}, 4: {2: 6}})
     at_one = combine_word_counts(a, b, 1.0)
     assert at_one.rows == a.rows
     assert np.array_equal(at_one.unigram, a.unigram)
@@ -210,8 +204,7 @@ def test_combine_word_counts_endpoints_and_rounding():
 
 
 def test_combine_word_counts_drops_zero_cells():
-    a = CountTable(4)
-    a.add_bigram(1, 2, 1)
+    a = CountTable(4, {1: {2: 1}})
     b = CountTable(4)
     out = combine_word_counts(a, b, 0.3)  # 0.3 -> 0
     assert out.rows == {}
@@ -414,12 +407,7 @@ def test_maintained_state_survives_many_moves(adaptive):
 
 
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
-    counts = CountTable(4)
-    counts.add_bigram(3, 1, 5)
-    counts.add_bigram(3, 2, 5)
-    counts.add_bigram(3, 0, 4)
-    counts.add_bigram(0, 1, 1)
-    counts.add_bigram(0, 2, 1)
+    counts = CountTable(4, {3: {1: 5, 2: 5, 0: 4}, 0: {1: 1, 2: 1}})
     cm = ClusterMap([0, 0, 0, 0], [0, 1, 2, 0], 1, 3)
     eng = StandardObjective(counts, cm, Discount(0.5))
     targets, deltas = eng.candidate_deltas(0, CATEGORY_SIDE)
@@ -431,8 +419,7 @@ def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
 
 
 def test_word_with_no_counts_has_no_moves():
-    counts = CountTable(6)
-    counts.add_bigram(3, 4, 3)
+    counts = CountTable(6, {3: {4: 3}})
     cm = ClusterMap([0] * 6, [0, 1, 0, 1, 0, 1], 2, 2)
     eng = StandardObjective(counts, cm, Discount(0.5))
     assert eng.candidate_deltas(5, CATEGORY_SIDE) is None
@@ -463,13 +450,9 @@ def test_invalid_moves_are_rejected():
 
 
 def test_singleton_donor_cluster_delta_matches_recompute():
-    counts = CountTable(5)
-    counts.add_bigram(0, 1, 2)
-    counts.add_bigram(1, 2, 3)
-    counts.add_bigram(2, 3, 4)
+    counts = CountTable(5, {0: {1: 2}, 1: {2: 3}, 2: {3: 4}, 4: {1: 2}})
     # word 4 alone in state 2; moving it empties that cluster
     cm = ClusterMap([0, 1, 0, 1, 2], [0, 1, 1, 0, 1], 3, 2)
-    counts.add_bigram(4, 1, 2)
     eng = StandardObjective(counts, cm, Discount(0.5))
     before = eng.score()
     delta = eng.move_delta(4, STATE_SIDE, 0)
