@@ -71,28 +71,25 @@ class BackoffModel:
         self._uni = self.p_uni.tolist()
         self.fill_mass = float(self.p_uni[sorted(self.fill_words)].sum())
         self.rest_mass = 1.0 - self.fill_mass
-        self._tail_z: dict[int, float] = {}
-        self._fill_z: dict[int, float] = {}
+        self._tail_masses: dict[int, tuple[float, float]] = {}
 
-    def tail_z(self, v: int) -> float:
-        """Unigram mass of the tail words after v outside ``fill_words``."""
-        return self._tail_mass(v, False, self._tail_z, self.rest_mass)
+    def tail_masses(self, v: int) -> tuple[float, float]:
+        """Lazy, cached (Z(v), F(v)): the unigram mass of the tail words after
+        v outside and in ``fill_words``, each group's total minus its
+        explicit words after v.
 
-    def fill_z(self, v: int) -> float:
-        """Unigram mass of the tail words after v in ``fill_words``."""
-        return self._tail_mass(v, True, self._fill_z, self.fill_mass)
-
-    def _tail_mass(self, v: int, in_fill: bool, cache: dict, total: float) -> float:
-        """Lazy, cached: ``total`` minus the group's explicit words after v.
-
-        The sum runs in word order, which a saved and reloaded model shares,
+        The sums run in word order, which a saved and reloaded model shares,
         so that the two agree bit for bit."""
-        z = cache.get(v)
+        z = self._tail_masses.get(v)
         if z is None:
-            fill, uni = self.fill_words, self._uni
-            row = sorted(self.explicit_lp.get(v, ()))
-            z = max(total - sum(uni[w] for w in row if (w in fill) == in_fill), 0.0)
-            cache[v] = z
+            rest = fill = 0
+            for w in sorted(self.explicit_lp.get(v, ())):
+                if w in self.fill_words:
+                    fill += self._uni[w]
+                else:
+                    rest += self._uni[w]
+            z = max(self.rest_mass - rest, 0.0), max(self.fill_mass - fill, 0.0)
+            self._tail_masses[v] = z
         return z
 
     def prob(self, v: int, w: int) -> float:
@@ -101,14 +98,14 @@ class BackoffModel:
             lp = row.get(w)
             if lp is not None:
                 return 10.0 ** lp
+        tail_z, fill_z = self.tail_masses(v)
         if w in self.fill_words:
-            return self.beta.get(v, self.fill_mass) * self._uni[w] / self.fill_z(v)
-        return self.alpha.get(v, self.rest_mass) * self._uni[w] / self.tail_z(v)
+            return self.beta.get(v, self.fill_mass) * self._uni[w] / fill_z
+        return self.alpha.get(v, self.rest_mass) * self._uni[w] / tail_z
 
     def set_explicit(self, v: int, w: int, p: float) -> None:
         self.explicit_lp.setdefault(v, {})[w] = math.log10(p)
-        self._tail_z.pop(v, None)
-        self._fill_z.pop(v, None)
+        self._tail_masses.pop(v, None)
 
     def _share_values(self) -> "BackoffModel":
         """Make equal explicit values one float object, to save memory: a
@@ -208,7 +205,7 @@ def train_backoff(
         vocab_md5=vocab_md5,
         unseen=frozenset(int(w) for w in np.flatnonzero(counts.unigram == 0)),
     )
-    for v, row in counts.rows.items():
+    for v, row in counts.row_items():
         total = sum(row.values())
         retained = {w: c for w, c in row.items() if c > cutoff}
         if not retained:
@@ -263,22 +260,17 @@ def fillup(
     fill = frozenset(w for w in background.unseen if seen[w])
     bg_uni = background.p_uni
     fill_ids = sorted(fill)
-    # Q, and the background unigram's mass on the adaptation-only words.
-    if fill:
-        adapt_uni_lp = _unigram_lp(adapt_counts, discount)
-        adapt_uni = np.power(10.0, adapt_uni_lp)
-        q_all = float(adapt_uni[fill_ids].sum())
-        bg_fill = float(bg_uni[fill_ids].sum())
-        # The unigram of the filled model: the fill of a context that
-        # neither corpus saw.
-        rest_scale = (1.0 - q_all) / (1.0 - bg_fill)
-        uni_lp = background.uni_lp + math.log10(rest_scale)
-        uni_lp[fill_ids] = adapt_uni_lp[fill_ids]
-    else:
-        adapt_uni = None
-        q_all = bg_fill = 0.0
-        rest_scale = 1.0
-        uni_lp = background.uni_lp.copy()
+    # Q, and the background unigram's mass on the adaptation-only words:
+    # with none, both are 0.0 and the unigram is the background's.
+    adapt_uni_lp = _unigram_lp(adapt_counts, discount)
+    adapt_uni = np.power(10.0, adapt_uni_lp)
+    q_all = float(adapt_uni[fill_ids].sum())
+    bg_fill = float(bg_uni[fill_ids].sum())
+    # The unigram of the filled model: the fill of a context that
+    # neither corpus saw.
+    rest_scale = (1.0 - q_all) / (1.0 - bg_fill)
+    uni_lp = background.uni_lp + math.log10(rest_scale)
+    uni_lp[fill_ids] = adapt_uni_lp[fill_ids]
     model = BackoffModel(
         background.vocab_size,
         b,
@@ -293,10 +285,10 @@ def fillup(
     def bg_tail(v: int) -> float:
         """Background probability per unit unigram mass on v's tail words."""
         a = background.alpha.get(v, 1.0)
-        return a / background.tail_z(v) if a > 0.0 else 0.0
+        return a / background.tail_masses(v)[0] if a > 0.0 else 0.0
 
     filled = set()
-    for v, row in adapt_counts.rows.items():
+    for v, row in adapt_counts.row_items():
         retained = {w: c for w, c in row.items() if c > background.cutoff}
         if not retained:
             continue
@@ -337,7 +329,7 @@ def fillup(
         for w, lp in background.explicit_lp.get(v, {}).items():
             if w not in retained:
                 model.set_explicit(v, w, scale * 10.0 ** lp)
-        model.alpha[v] = scale * bg_tail(v) * model.tail_z(v) / rest_scale
+        model.alpha[v] = scale * bg_tail(v) * model.tail_masses(v)[0] / rest_scale
 
     for v, a in background.alpha.items():
         if v in filled:

@@ -130,7 +130,7 @@ def cmd_counts(args, cfg: SuiteConfig) -> int:
     sentences = read_sentences(args.corpus)
     table = count_events(sentences, vocab)
     table.save(args.out, vocab_md5=vocab.checksum())
-    n_bigrams = sum(1 for _ in table.nonzero_bigrams())
+    n_bigrams = len(table.cells()[2])
     print(f"wrote {n_bigrams} bigrams ({table.total_tokens} events) to {args.out}")
     return 0
 

@@ -8,8 +8,8 @@ out-of-vocabulary tokens map to a reserved unknown token.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import Counter
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -32,10 +32,21 @@ def tokenize_line(text: str) -> list[str]:
 
 
 def read_sentences(path: str | Path) -> Iterator[list[str]]:
-    """Yield the token sequence of each nonblank line of a corpus file."""
+    """Yield the token sequence of each nonblank line of a corpus file.
+
+    Counting frames every sentence with the begin and end markers itself, so
+    a line that holds one is rejected: it would be counted twice."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             toks = tokenize_line(line)
+            # the substring test is cheap; only a line that passes it needs the token test
+            if BOS_TOKEN in line or EOS_TOKEN in line:
+                for tok in toks:
+                    if tok in (BOS_TOKEN, EOS_TOKEN):
+                        raise FormatError(
+                            f"{path}:{lineno}: corpus token {tok!r} is a sentence "
+                            "marker, which counting adds itself"
+                        )
             if toks:
                 yield toks
 
@@ -162,63 +173,66 @@ def build_vocabulary(
 class CountTable:
     """Sparse unigram/bigram event counts over a fixed vocabulary.
 
-    ``rows[v][w]`` is the number of times word ``w`` followed context ``v``.
-    ``unigram[w]`` counts predicted positions (every token including the end
-    marker, never the begin marker).  A table is built once, by a constructor
-    that takes a rows dict over, puts it in (context, word) order (rebuilding
-    only what is out of order) and derives ``unigram``, the column sums that
-    estimation reads, and ``total_tokens``: tables with the same cells are
-    equal however they were built.  ``cells()`` is the one array form: every
-    class-level and numeric consumer reads it; only ingestion, the file
-    format and per-context model building walk ``rows``.
+    A table stores its cells: three read-only int64 arrays (context, word,
+    count), sorted by (context, word), with positive counts only, which
+    ``cells()`` hands out.  Derived from them once: ``unigram[w]``, the
+    column sums, which count predicted positions (every token including the
+    end marker, never the begin marker), and ``total_tokens``.
+    ``row_items()`` walks the cells per context; ``rows`` is a
+    ``{context: {word: count}}`` dict rebuilt from it on every access.
     """
 
     def __init__(self, vocab_size: int, rows: dict[int, dict[int, int]] | None = None):
-        rows = {} if rows is None else rows
-        if list(rows) != sorted(rows):
-            for v in sorted(rows):
-                rows[v] = rows.pop(v)
-        unigram = [0] * vocab_size
-        for v, row in rows.items():
-            if list(row) != sorted(row):
-                rows[v] = row = {w: row[w] for w in sorted(row)}
-            for w, c in row.items():
-                unigram[w] += c
-        self.vocab_size = vocab_size
-        self.rows = rows
-        self.unigram = np.array(unigram, dtype=np.int64)
-        self.total_tokens = sum(unigram)
+        """Pack the rows dict that counting and loading gather.  It is emptied
+        row by row, so it is never held whole beside a copy of the cells."""
+        cells = tuple(array("q") for _ in range(3))
+        context, word, count = cells
+        for v in sorted(rows or ()):
+            row = rows.pop(v)
+            ws = sorted(row)
+            context.fromlist([v] * len(ws))
+            word.fromlist(ws)
+            count.fromlist([row[w] for w in ws])
+        self._store(vocab_size, *(np.frombuffer(a, dtype=np.int64) for a in cells))
+
+    def _store(self, vocab_size: int, *cells: np.ndarray) -> None:
+        for a in cells:
+            a.flags.writeable = False
+        self.vocab_size, self._cells = vocab_size, cells
+        self.unigram = np.zeros(vocab_size, dtype=np.int64)
+        np.add.at(self.unigram, cells[1], cells[2])
+        self.total_tokens = int(self.unigram.sum())
 
     def bigram(self, v: int, w: int) -> int:
-        return self.rows.get(v, {}).get(w, 0)
+        context, word, count = self._cells
+        lo, hi = np.searchsorted(context, [v, v + 1]).tolist()
+        at = lo + int(np.searchsorted(word[lo:hi], w))
+        return int(count[at]) if at < hi and word[at] == w else 0
 
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(context, word, count) int64 arrays of the bigrams, row by row.
-
-        Counting, loading and combining store positive counts only."""
-        rows = self.rows.values()
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        n = int(lengths.sum())
-        context = np.repeat(np.fromiter(self.rows, dtype=np.int64, count=len(rows)), lengths)
-        word = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n)
-        count = np.fromiter(
-            chain.from_iterable(row.values() for row in rows), dtype=np.int64, count=n
-        )
-        return context, word, count
+        """The stored (context, word, count) arrays, not copies."""
+        return self._cells
 
     @classmethod
     def from_cells(cls, vocab_size: int, context, word, count) -> "CountTable":
         """The table of the given bigrams, the inverse of ``cells``: each
-        (context, word) pair appears at most once."""
-        rows: dict[int, dict[int, int]] = {}
-        for v, w, c in zip(context.tolist(), word.tolist(), count.tolist()):
-            rows.setdefault(v, {})[w] = c
-        return cls(vocab_size, rows)
+        (context, word) pair appears at most once, in any order."""
+        context, word, count = (np.asarray(a, dtype=np.int64) for a in (context, word, count))
+        order = np.argsort(context * vocab_size + word, kind="stable")
+        table = cls.__new__(cls)
+        table._store(vocab_size, context[order], word[order], count[order])
+        return table
 
-    def nonzero_bigrams(self) -> Iterator[tuple[int, int, int]]:
-        for v, row in self.rows.items():
-            for w, c in row.items():
-                yield v, w, c
+    def row_items(self) -> Iterator[tuple[int, dict[int, int]]]:
+        """(context, {word: count}) for each context with cells, in order."""
+        context, word, count = self._cells
+        starts = np.flatnonzero(np.diff(context, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(context)]):
+            yield int(context[lo]), dict(zip(word[lo:hi].tolist(), count[lo:hi].tolist()))
+
+    @property
+    def rows(self) -> dict[int, dict[int, int]]:
+        return dict(self.row_items())
 
     def save(self, path: str | Path, vocab_md5: str) -> None:
         """Header line, then ``v w count`` lines sorted by (v, w)."""
@@ -227,8 +241,9 @@ class CountTable:
                 f"{COUNTS_MAGIC} vocab_size={self.vocab_size} "
                 f"total_tokens={self.total_tokens} vocab_md5={vocab_md5}\n"
             )
-            for v, w, c in self.nonzero_bigrams():
-                fh.write(f"{v} {w} {c}\n")
+            for v, row in self.row_items():
+                for w, c in row.items():
+                    fh.write(f"{v} {w} {c}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["CountTable", str]:

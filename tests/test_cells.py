@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,28 @@ def test_cells_match_rows_and_unigram_is_the_column_sums(setup):
         assert all(a.dtype == np.int64 for a in (context, word, count))
         assert list(zip(context.tolist(), word.tolist(), count.tolist())) == walk(table)
         assert np.array_equal(table.unigram, column_sums(table))
+
+
+@CASES
+@given(setups())
+def test_cells_are_the_stored_read_only_arrays(setup):
+    for table in setup[:2]:
+        first, again = table.cells(), table.cells()
+        assert all(a is b for a, b in zip(first, again))
+        for a in first:
+            with pytest.raises(ValueError):
+                a[:1] = 7
+
+
+@CASES
+@given(setups())
+def test_row_items_are_the_rows_in_order(setup):
+    for table in setup[:2]:
+        items = list(table.row_items())
+        rows = table.rows
+        assert dict(items) == rows
+        assert [v for v, _ in items] == list(rows)
+        assert [list(row) for _, row in items] == [list(row) for row in rows.values()]
 
 
 def stored(table):

@@ -20,7 +20,7 @@ def write_corpus(path, sentences):
 
 def histogram(counts):
     hist = {}
-    for _, _, c in counts.nonzero_bigrams():
+    for c in counts.cells()[2].tolist():
         hist[c] = hist.get(c, 0) + 1
     return hist
 
@@ -195,6 +195,18 @@ def test_counts_rejects_a_vocabulary_entry_holding_whitespace(workdir, tmp_path,
     ])
     assert rc == 2
     assert "v.txt:5: " in capsys.readouterr().err
+    assert not (tmp_path / "c.counts").exists()
+
+
+def test_counts_rejects_a_corpus_holding_sentence_markers(workdir, tmp_path, capsys):
+    corpus = tmp_path / "marked.txt"
+    corpus.write_text("<s> a b a </s>\n<s> b a b </s>\n")
+    rc = main([
+        "counts", "--vocab", str(workdir / "words.txt"),
+        "--corpus", str(corpus), "--out", str(tmp_path / "c.counts"),
+    ])
+    assert rc == 2
+    assert "marked.txt:1: corpus token '<s>'" in capsys.readouterr().err
     assert not (tmp_path / "c.counts").exists()
 
 

@@ -91,6 +91,18 @@ def test_read_sentences_skips_blank_lines(tmp_path):
     assert list(read_sentences(path)) == [["a", "b"], ["c"]]
 
 
+def test_read_sentences_rejects_sentence_markers(tmp_path):
+    """Counting adds the markers, so a corpus that carries them would count
+    them twice and predict the begin marker; ``<unk>`` stays a token."""
+    path = tmp_path / "corpus.txt"
+    for marker in ("<s>", "</s>"):
+        path.write_text(f"a <unk> b</s> <s>b\n\nb a {marker} a\n")
+        sentences = read_sentences(path)
+        assert next(sentences) == ["a", "<unk>", "b</s>", "<s>b"]
+        with pytest.raises(FormatError, match=f"corpus.txt:3: corpus token '{marker}'"):
+            next(sentences)
+
+
 def test_build_vocabulary_prefers_adaptation_words():
     adapt = [["rare", "shared"]]
     back = [["shared"] * 5, ["common"] * 9, ["filler"] * 2]
