@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import Artifact, finite, id_list, put, size, word_id
+from .artifact import Artifact, finite, id_list, size, word_id
 from .corpus import CountTable, Vocabulary
 from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
@@ -239,18 +239,19 @@ def load_clusters(
 class ClassModel:
     """Estimated class bigram model over a fixed clustering.
 
-    p(g|s) is stored as a sparse discounted component per state plus a
-    per-state weight on the shared category fallback distribution; p(w|g) is
-    stored densely per word.  Log10 values are canonical, mirroring the file
-    format, and linear probabilities are derived from them.
+    It stores the file's numbers: log10 state-bigram cells ``pair_lp`` (-inf
+    if unseen), state weights ``state_alpha`` on the log10 category fallback
+    ``cat_lp`` (-inf on empty categories), and log10 p(w|g) ``word_lp``.  It
+    derives p(g|s) = 10**pair_lp + state_alpha * 10**cat_lp once, with
+    Python's pow per value, which ``np.power`` does not match in every bit.
     """
 
     def __init__(
         self,
         cm: ClusterMap,
-        state_disc_lp: dict[int, dict[int, float]],
+        pair_lp: np.ndarray,
         state_alpha: np.ndarray,
-        cat_fallback_lp: dict[int, float],
+        cat_lp: np.ndarray,
         word_lp: np.ndarray,
         b_pairs: float,
         b_cats: float,
@@ -259,18 +260,20 @@ class ClassModel:
         label: str = "class",
     ):
         self.cm = cm
-        self.state_disc_lp = state_disc_lp
+        self.pair_lp = pair_lp
         self.state_alpha = state_alpha
-        self.cat_fallback_lp = cat_fallback_lp
+        self.cat_lp = cat_lp
         self.word_lp = word_lp
         self.b_pairs = b_pairs
         self.b_cats = b_cats
         self.b_words = b_words
         self.vocab_md5 = vocab_md5
         self.label = label
-        self.q = np.zeros(cm.n_cats)
-        for g, lp in cat_fallback_lp.items():
-            self.q[g] = 10.0 ** lp
+        seen, nonempty = pair_lp > -np.inf, cat_lp > -np.inf
+        q = np.zeros(cat_lp.shape)
+        q[nonempty] = [10.0 ** x for x in cat_lp[nonempty].tolist()]
+        self.class_p = np.multiply.outer(state_alpha, q)
+        self.class_p[seen] += [10.0 ** x for x in pair_lp[seen].tolist()]
         self.word_p = np.power(10.0, word_lp)
 
     @property
@@ -278,14 +281,10 @@ class ClassModel:
         return self.cm.vocab_size
 
     def class_given_state(self, s: int, g: int) -> float:
-        row = self.state_disc_lp.get(s)
-        disc = 10.0 ** row[g] if row is not None and g in row else 0.0
-        return disc + self.state_alpha[s] * self.q[g]
+        return self.class_p[s, g]
 
     def prob(self, context: int, w: int) -> float:
-        s = self.cm.state_of[context]
-        g = self.cm.category_of[w]
-        return self.class_given_state(s, g) * self.word_p[w]
+        return self.class_p[self.cm.state_of[context], self.cm.category_of[w]] * self.word_p[w]
 
     def save(self, path: str | Path) -> None:
         cm = self.cm
@@ -299,19 +298,19 @@ class ClassModel:
             for w in range(cm.vocab_size):
                 fh.write(f"{w} {int(cm.state_of[w])} {int(cm.category_of[w])}\n")
             fh.write("\\state-bigrams:\n")
-            for s in sorted(self.state_disc_lp):
-                row = self.state_disc_lp[s]
-                for g in sorted(row):
-                    fh.write(f"{s} {g} {row[g]!r}\n")
+            s_ids, g_ids = np.nonzero(self.pair_lp > -np.inf)
+            lps = self.pair_lp[s_ids, g_ids].tolist()
+            for s, g, lp in zip(s_ids.tolist(), g_ids.tolist(), lps):
+                fh.write(f"{s} {g} {lp!r}\n")
             fh.write("\\state-alphas:\n")
-            for s in range(cm.n_states):
-                fh.write(f"{s} {float(self.state_alpha[s])!r}\n")
+            for s, alpha in enumerate(self.state_alpha.tolist()):
+                fh.write(f"{s} {alpha!r}\n")
             fh.write("\\category-unigrams:\n")
-            for g in sorted(self.cat_fallback_lp):
-                fh.write(f"{g} {self.cat_fallback_lp[g]!r}\n")
+            for g in np.flatnonzero(self.cat_lp > -np.inf).tolist():
+                fh.write(f"{g} {float(self.cat_lp[g])!r}\n")
             fh.write("\\word-unigrams:\n")
-            for w in range(cm.vocab_size):
-                fh.write(f"{w} {float(self.word_lp[w])!r}\n")
+            for w, lp in enumerate(self.word_lp.tolist()):
+                fh.write(f"{w} {lp!r}\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassModel":
@@ -322,39 +321,49 @@ class ClassModel:
                 art.field(k, size) for k in ("vocab_size", "n_states", "n_cats")
             )
             clusters = []
-            state_disc_lp: dict[int, dict[int, float]] = {}
-            alphas: dict[int, float] = {}
-            cat_fallback_lp: dict[int, float] = {}
-            word_lps: dict[int, float] = {}
+            s_ids, g_ids, pair_lps = [], [], []
             keyed = {
-                "\\state-alphas:": (alphas, n_states),
-                "\\category-unigrams:": (cat_fallback_lp, n_cats),
-                "\\word-unigrams:": (word_lps, n),
+                "\\state-alphas:": ([], [], n_states),
+                "\\category-unigrams:": ([], [], n_cats),
+                "\\word-unigrams:": ([], [], n),
             }
             for section, parts in art:
                 if section == "\\clusters:":
                     clusters.append((word_id(parts[0], n), parts[1], parts[2]))
                 elif section == "\\state-bigrams:":
-                    row = state_disc_lp.setdefault(word_id(parts[0], n_states), {})
-                    put(row, word_id(parts[1], n_cats), finite(parts[2]))
+                    s_ids.append(word_id(parts[0], n_states))
+                    g_ids.append(word_id(parts[1], n_cats))
+                    pair_lps.append(finite(parts[2]))
                 else:
-                    table, bound = keyed[section]
-                    put(table, word_id(parts[0], bound), finite(parts[1]))
-            if len(alphas) != n_states or len(word_lps) != n:
+                    ids, values, bound = keyed[section]
+                    ids.append(word_id(parts[0], bound))
+                    values.append(finite(parts[1]))
+            pair_lp = _dense((n_states, n_cats), (s_ids, g_ids), pair_lps)
+            alphas, cat_lp, word_lp = (
+                _dense(bound, ids, values) for ids, values, bound in keyed.values()
+            )
+            if not ((alphas > -np.inf).all() and (word_lp > -np.inf).all()):
                 raise ValueError("state alphas or word unigrams incomplete")
             cm = _read_map(art, clusters)
-            if set(cat_fallback_lp) != set(cm.category_of.tolist()):
+            nonempty = np.bincount(cm.category_of, minlength=n_cats) > 0
+            if not np.array_equal(cat_lp > -np.inf, nonempty):
                 raise ValueError("category unigrams do not match the nonempty categories")
             return cls(
-                cm, state_disc_lp,
-                np.array([alphas[s] for s in range(n_states)]),
-                cat_fallback_lp,
-                np.array([word_lps[w] for w in range(n)]),
+                cm, pair_lp, alphas, cat_lp, word_lp,
                 art.field("b_pairs", finite), art.field("b_cats", finite),
                 art.field("b_words", finite),
                 vocab_md5=art.field("vocab_md5", default=""),
                 label=art.field("label", default="class"),
             )
+
+
+def _dense(shape, ids, values: list[float]) -> np.ndarray:
+    """The -inf array of ``shape`` holding finite ``values`` at distinct ``ids``."""
+    a = np.full(shape, -np.inf)
+    a[ids] = values
+    if np.count_nonzero(a > -np.inf) != len(values):
+        raise ValueError("duplicate entry")
+    return a
 
 
 def estimate_class_model(
@@ -372,20 +381,16 @@ def estimate_class_model(
     ``discount`` unset, separate discounts are estimated for the class
     transition cells, the category totals, and the word counts.
     """
-    G = cm.category_of
     n_states, n_cats = cm.n_states, cm.n_cats
     pairs = class_bigrams(counts, cm)
     word_weight = counts.unigram
     cat_tot = pairs.sum(axis=0)
-
-    members: list[list[int]] = [[] for _ in range(n_cats)]
-    for w in range(cm.vocab_size):
-        members[G[w]].append(w)
-    nonempty = [g for g in range(n_cats) if members[g]]
-    if not nonempty:
+    cat_size = np.bincount(cm.category_of, minlength=n_cats)
+    nonempty = np.flatnonzero(cat_size)
+    if not nonempty.size:
         raise ConfigError("cannot estimate a model over an empty vocabulary")
 
-    b_pairs = discount or estimate_discount(count_of_counts(pairs.ravel()))
+    b_pairs = discount or estimate_discount(count_of_counts(pairs))
     b_cats = discount or estimate_discount(count_of_counts(cat_tot))
     b_words = discount or estimate_discount(count_of_counts(word_weight))
 
@@ -393,31 +398,25 @@ def estimate_class_model(
     uniform_cats = np.zeros(n_cats)
     uniform_cats[nonempty] = 1.0 / len(nonempty)
     q = discounted_distribution(cat_tot, b_cats, uniform_cats)
-    cat_fallback_lp = {g: math.log10(q[g]) for g in nonempty}
+    # math.log10 per value, which np.log10 does not match in the last bit
+    cat_lp = _dense(n_cats, nonempty, [math.log10(x) for x in q[nonempty].tolist()])
 
-    state_disc_lp: dict[int, dict[int, float]] = {}
-    state_alpha = np.zeros(n_states)
-    for s in range(n_states):
-        row = pairs[s]
-        total = int(row.sum())
-        if total == 0:
-            state_alpha[s] = 1.0
-            continue
-        seen = np.nonzero(row)[0]
-        state_alpha[s] = b_pairs.b * len(seen) / total
-        state_disc_lp[s] = {
-            int(g): math.log10((row[g] - b_pairs.b) / total) for g in seen
-        }
+    # State cells, and the mass they leave to the fallback: all for no counts.
+    total = pairs.sum(axis=1)
+    s_ids, g_ids = np.nonzero(pairs)
+    cells = (pairs[s_ids, g_ids] - b_pairs.b) / total[s_ids]
+    pair_lp = _dense(pairs.shape, (s_ids, g_ids), [math.log10(x) for x in cells.tolist()])
+    state_alpha = np.ones(n_states)
+    np.divide(b_pairs.b * np.count_nonzero(pairs, axis=1), total,
+              out=state_alpha, where=total > 0)
 
     word_lp = np.zeros(cm.vocab_size)
-    for g in nonempty:
-        ids = np.array(members[g], dtype=np.int64)
-        dist = discounted_distribution(
-            word_weight[ids], b_words, np.full(len(ids), 1.0 / len(ids))
-        )
-        word_lp[ids] = np.log10(dist)
+    for ids in np.split(np.argsort(cm.category_of, kind="stable"), np.cumsum(cat_size)[:-1]):
+        if ids.size:
+            uniform = np.full(ids.size, 1.0 / ids.size)
+            word_lp[ids] = np.log10(discounted_distribution(word_weight[ids], b_words, uniform))
 
     return ClassModel(
-        cm, state_disc_lp, state_alpha, cat_fallback_lp, word_lp,
+        cm, pair_lp, state_alpha, cat_lp, word_lp,
         b_pairs.b, b_cats.b, b_words.b, vocab_md5=vocab_md5, label=label,
     )

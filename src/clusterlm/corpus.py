@@ -280,9 +280,14 @@ def count_events(
 ) -> CountTable:
     """Count framed bigram and unigram events for every sentence of a corpus."""
     rows: dict[int, dict[int, int]] = {}
-    for sent in corpus:
+    sentences = 0
+    for sentences, sent in enumerate(corpus, start=1):
         ids = sentence_ids(sent, vocab)
         for v, w in zip(ids, ids[1:]):
             row = rows.setdefault(v, {})
             row[w] = row.get(w, 0) + 1
-    return CountTable(len(vocab), rows)
+    table = CountTable(len(vocab), rows)
+    # Framing predicts one end marker per sentence and never the begin marker.
+    if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
+        raise ConfigError("a sentence holds a marker, which counting adds itself")
+    return table

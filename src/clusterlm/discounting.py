@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,11 +43,10 @@ def estimate_discount(histogram: Mapping[int, int]) -> Discount:
     return Discount(min(CLAMP_HI, max(CLAMP_LO, r1 / denom)))
 
 
-def count_of_counts(counts) -> Counter:
-    """Number of events seen exactly r times, for every r > 0, from an array
-    of event counts."""
-    values, freq = np.unique(counts, return_counts=True)
-    return Counter({r: n for r, n in zip(values.tolist(), freq.tolist()) if r > 0})
+def count_of_counts(*arrays) -> dict[int, int]:
+    """The numbers of events seen once and twice, over arrays of event
+    counts: the part of the histogram ``estimate_discount`` reads."""
+    return {r: sum(int(np.count_nonzero(a == r)) for a in arrays) for r in (1, 2)}
 
 
 def bigram_discount(forced: float | None, *tables) -> Discount:
@@ -56,9 +54,7 @@ def bigram_discount(forced: float | None, *tables) -> Discount:
     count-of-counts of the given count tables."""
     if forced is not None:
         return Discount(forced)
-    return estimate_discount(
-        count_of_counts(np.concatenate([table.cells()[2] for table in tables]))
-    )
+    return estimate_discount(count_of_counts(*(table.cells()[2] for table in tables)))
 
 
 def discounted_distribution(

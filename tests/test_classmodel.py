@@ -219,6 +219,77 @@ def test_model_file_round_trip(tmp_path):
             assert loaded.prob(v, w) == model.prob(v, w)
 
 
+def empty_cluster_model():
+    """A model whose map leaves state 2 and category 3 empty."""
+    vocab, counts = small_setup()
+    words = range(len(vocab))
+    cm = ClusterMap([w % 2 for w in words], [w % 3 for w in words], 3, 4)
+    return vocab, estimate_class_model(counts, cm, vocab_md5=vocab.checksum())
+
+
+def test_model_with_empty_clusters_round_trips(tmp_path):
+    vocab, model = empty_cluster_model()
+    p1, p2 = tmp_path / "m1.lm", tmp_path / "m2.lm"
+    model.save(p1)
+    loaded = ClassModel.load(p1)
+    loaded.save(p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    for m in (model, loaded):
+        for v in range(len(vocab)):
+            assert sum(m.prob(v, w) for w in range(len(vocab))) == pytest.approx(1.0, abs=1e-12)
+            for w in range(len(vocab)):
+                assert loaded.prob(v, w) == model.prob(v, w)
+    # the empty category has no fallback entry, and the loader accepts none
+    p1.write_text(p1.read_text().replace("\\category-unigrams:\n", "\\category-unigrams:\n3 -1.0\n"))
+    with pytest.raises(FormatError):
+        ClassModel.load(p1)
+
+
+def read_model_text(text):
+    """The cluster map and the ``ids -> value`` entries of every other
+    section of a saved class model, parsed without package code."""
+    state_of, category_of, sections = {}, {}, {}
+    for line in text.splitlines()[1:]:
+        if line.startswith("\\"):
+            name = line
+            sections[name] = {}
+        elif name == "\\clusters:":
+            w, s, g = map(int, line.split())
+            state_of[w], category_of[w] = s, g
+        else:
+            *ids, value = line.split()
+            sections[name][tuple(map(int, ids))] = float(value)
+    return state_of, category_of, sections
+
+
+def init_cluster_model():
+    vocab, counts = small_setup()
+    return vocab, estimate_class_model(counts, init_clustering(counts, 3, 2, vocab))
+
+
+@pytest.mark.parametrize("build", [init_cluster_model, empty_cluster_model])
+def test_model_scores_are_its_file_numbers(tmp_path, build):
+    """p(w|v) = (10**lp(g|s) or 0 unseen + alpha(s) * 10**lp(g)) * 10**lp(w),
+    bit for bit, from the log10 numbers of the saved file."""
+    vocab, model = build()
+    path = tmp_path / "m.lm"
+    model.save(path)
+    state_of, category_of, sec = read_model_text(path.read_text())
+    pairs, alphas = sec["\\state-bigrams:"], sec["\\state-alphas:"]
+    cats, words = sec["\\category-unigrams:"], sec["\\word-unigrams:"]
+    word_p = np.power(10.0, np.array([words[(w,)] for w in range(len(vocab))]))
+    for m in (model, ClassModel.load(path)):
+        for v in range(len(vocab)):
+            s = state_of[v]
+            for w in range(len(vocab)):
+                g = category_of[w]
+                disc = 10.0 ** pairs[(s, g)] if (s, g) in pairs else 0.0
+                q = 10.0 ** cats[(g,)] if (g,) in cats else 0.0
+                class_p = disc + alphas[(s,)] * q
+                assert m.class_given_state(s, g) == class_p
+                assert m.prob(v, w) == class_p * word_p[w]
+
+
 def test_estimate_rejects_size_mismatch():
     vocab, counts = small_setup()
     cm = init_clustering(counts, 2, 2, vocab)
@@ -264,6 +335,12 @@ def _repeat_first_line(section):
             id="state-out-of-range",
         ),
         pytest.param(lambda t: t[: t.index("\\word-unigrams:")], id="no-word-unigrams"),
+        pytest.param(lambda t: re.sub(r"(\\state-bigrams:\n\d+ \d+ )\S+", r"\1-inf", t),
+                     id="unseen-state-bigram-value"),
+        pytest.param(lambda t: re.sub(r"(\\state-bigrams:\n\d+ )\d+", r"\g<1>99", t),
+                     id="state-bigram-category-out-of-range"),
+        pytest.param(lambda t: re.sub(r"(\\category-unigrams:\n)[^\n]*\n", r"\1", t),
+                     id="missing-category"),
         pytest.param(_repeat_first_line("\\clusters:"), id="duplicate-cluster"),
         pytest.param(_repeat_first_line("\\state-bigrams:"), id="duplicate-state-bigram"),
         pytest.param(_repeat_first_line("\\state-alphas:"), id="duplicate-state-alpha"),

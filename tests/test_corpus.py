@@ -165,6 +165,21 @@ def test_count_events_bigram_values():
     assert sum(counts.rows[a].values()) == 2
 
 
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        [["<s>", "a", "b", "a", "</s>"], ["<s>", "b", "a", "b", "</s>"]],
+        [["a", "b"], ["b", "<s>"]],
+        [["a", "</s>", "b"]],
+    ],
+)
+def test_count_events_rejects_sentence_markers(corpus):
+    """Counting frames every sentence itself, so a marker in the corpus
+    would be counted twice or predicted."""
+    with pytest.raises(ConfigError, match="marker"):
+        count_events(corpus, Vocabulary(["a", "b"]))
+
+
 def test_count_table_round_trip(tmp_path):
     vocab = Vocabulary(["a", "b"])
     counts = count_events([["a", "b", "a"]], vocab)
