@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError
 
 _CONVERTED = (ValueError, IndexError, OverflowError)
@@ -50,6 +52,15 @@ def put(table: dict, key, value) -> None:
     if key in table:
         raise ValueError(f"duplicate entry {key}")
     table[key] = value
+
+
+def dense(shape, ids, values: list[float]) -> np.ndarray:
+    """The -inf array of ``shape`` holding finite ``values`` at distinct ``ids``."""
+    a = np.full(shape, -np.inf)
+    a[ids] = values
+    if np.count_nonzero(a > -np.inf) != len(values):
+        raise ValueError("duplicate entry")
+    return a
 
 
 def id_list(text: str) -> frozenset[int]:

@@ -1,19 +1,21 @@
 """Backoff bigram model with absolute discounting, plus fill-up adaptation.
 
-A trained model keeps log10 probabilities as its canonical values (the same
-numbers its file format stores); linear probabilities are derived via 10**lp
-so that a model and its saved file always agree bit for bit.
+A model keeps log10 probabilities as its canonical values (the same numbers
+its file format stores); linear probabilities are derived with Python's
+``10.0 ** x`` per value, so that a model and its saved file always agree bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .artifact import Artifact, finite, put, size, word_id
-from .corpus import CountTable
+from .artifact import Artifact, dense, finite, size
+from .corpus import CountTable, cell_rows, row_tuples
 from .discounting import Discount, discounted_distribution
 from .errors import ConfigError
 
@@ -25,11 +27,21 @@ BACKOFF_SECTIONS = {
 }
 
 
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` of each value as a Python float: numpy's pow and log10 differ."""
+    return np.fromiter((fn(x) for (x,) in row_tuples(a)), float, a.size)
+
+
 class BackoffModel:
     """Explicit discounted bigrams, per-context backoff masses, unigram tail.
 
-    A query returns the explicit probability when one is stored.  Otherwise
-    the word lies in the tail of context v, which has two parts:
+    A model stores the numbers of its file as arrays: the explicit bigrams
+    as (``context``, ``word``) cells sorted like ``CountTable.cells()`` with
+    their log10 values ``lp``, the mask ``listed`` of the contexts the file
+    lists, dense per-context masses ``alpha`` and ``beta``, and the log10
+    unigram ``uni_lp``.  ``probs(contexts, words)`` gives p(w|v) for each
+    pair of two id arrays: the explicit probability when one is stored.
+    Otherwise the word lies in the tail of context v, which has two parts:
 
     * a word outside ``fill_words`` gets alpha(v) * p_uni(w) / Z(v), where
       Z(v) renormalizes the unigram over the tail words outside
@@ -39,104 +51,76 @@ class BackoffModel:
 
     A trained backoff model has no fill words, so its whole tail is the
     first part.  A fill-up model puts the words that only its adaptation
-    data saw in the second part (see ``fillup``).  A context without stored
-    masses gives the unigram itself.  ``unseen`` records the words the
-    training counts never saw, so that fill-up can tell them apart.
+    data saw in the second part (see ``fillup``).  A context the file does
+    not list has no explicit bigrams, and its masses give the unigram
+    itself.  ``unseen`` records the words the training counts never saw, so
+    that fill-up can tell them apart.  ``prob(v, w)`` is the one-pair case
+    of ``probs``; ``explicit_lp`` is a ``{context: {word: lp}}`` view.
     """
 
-    def __init__(
-        self,
-        vocab_size: int,
-        b: float,
-        cutoff: int,
-        uni_lp: np.ndarray,
-        kind: str = "backoff",
-        vocab_md5: str = "",
-        unseen: frozenset[int] = frozenset(),
-        fill_words: frozenset[int] = frozenset(),
-    ):
-        self.vocab_size = vocab_size
-        self.b = b
-        self.cutoff = cutoff
-        self.kind = kind
-        self.vocab_md5 = vocab_md5
-        self.explicit_lp: dict[int, dict[int, float]] = {}
-        self.alpha: dict[int, float] = {}
-        self.beta: dict[int, float] = {}
-        self.unseen = frozenset(unseen)
-        self.fill_words = frozenset(fill_words)
-        self.uni_lp = uni_lp
-        self.p_uni = np.power(10.0, uni_lp)
-        # Plain floats for ``prob``: indexing an array costs more per query.
-        self._uni = self.p_uni.tolist()
-        self.fill_mass = float(self.p_uni[sorted(self.fill_words)].sum())
-        self.rest_mass = 1.0 - self.fill_mass
-        self._tail_masses: dict[int, tuple[float, float]] = {}
+    def __init__(self, vocab_size: int, b: float, cutoff: int, uni_lp: np.ndarray,
+                 cells: tuple, listed: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                 kind: str = "backoff", vocab_md5: str = "",
+                 unseen: frozenset[int] = frozenset(), fill_words: frozenset[int] = frozenset()):
+        """``cells`` are (context, word, lp) arrays in any order; the contexts
+        outside ``listed`` get their masses here."""
+        self.vocab_size, self.b, self.cutoff = vocab_size, b, cutoff
+        self.kind, self.vocab_md5 = kind, vocab_md5
+        self.unseen, self.fill_words = frozenset(unseen), frozenset(fill_words)
+        self.uni_lp, self.p_uni = uni_lp, np.power(10.0, uni_lp)
+        self.is_fill = np.isin(np.arange(vocab_size), sorted(self.fill_words))
+        fill_mass = float(self.p_uni[self.is_fill].sum())
+        key = cells[0] * vocab_size + cells[1]
+        order = slice(None) if (np.diff(key) > 0).all() else np.argsort(key, kind="stable")
+        self._keys = key[order]
+        self.context, self.word, self.lp = (a[order] for a in cells)
+        self.p = _each(lambda x: 10.0 ** x, self.lp)
+        alpha[~listed], beta[~listed] = 1.0 - fill_mass, fill_mass
+        self.listed, self.alpha, self.beta = listed, alpha, beta
+        # Z(v), F(v): the group's total minus its explicit words' unigram after v, added
+        # in word order (bincount adds in index order; the other group adds exact 0.0s).
+        in_fill, uni = self.is_fill[self.word], self.p_uni[self.word]
+        self.tail, self.fill_tail = (
+            np.maximum(mass - np.bincount(self.context, np.where(g, uni, 0.0), vocab_size), 0.0)
+            for mass, g in ((1.0 - fill_mass, ~in_fill), (fill_mass, in_fill))
+        )
 
-    def tail_masses(self, v: int) -> tuple[float, float]:
-        """Lazy, cached (Z(v), F(v)): the unigram mass of the tail words after
-        v outside and in ``fill_words``, each group's total minus its
-        explicit words after v.
+    @property
+    def explicit_lp(self) -> dict[int, dict[int, float]]:
+        return cell_rows(self.context, self.word, self.lp)
 
-        The sums run in word order, which a saved and reloaded model shares,
-        so that the two agree bit for bit."""
-        z = self._tail_masses.get(v)
-        if z is None:
-            rest = fill = 0
-            for w in sorted(self.explicit_lp.get(v, ())):
-                if w in self.fill_words:
-                    fill += self._uni[w]
-                else:
-                    rest += self._uni[w]
-            z = max(self.rest_mass - rest, 0.0), max(self.fill_mass - fill, 0.0)
-            self._tail_masses[v] = z
-        return z
+    def probs(self, contexts: np.ndarray, words: np.ndarray) -> np.ndarray:
+        key = contexts * self.vocab_size + words
+        at = np.searchsorted(self._keys, key)
+        explicit = at < self._keys.size
+        explicit[explicit] = self._keys[at[explicit]] == key[explicit]
+        p = np.empty(key.shape)
+        p[explicit] = self.p[at[explicit]]
+        v, w = contexts[~explicit], words[~explicit]
+        fill = self.is_fill[w]
+        mass = np.where(fill, self.beta[v], self.alpha[v])
+        p[~explicit] = mass * self.p_uni[w] / np.where(fill, self.fill_tail[v], self.tail[v])
+        return p
 
     def prob(self, v: int, w: int) -> float:
-        row = self.explicit_lp.get(v)
-        if row is not None:
-            lp = row.get(w)
-            if lp is not None:
-                return 10.0 ** lp
-        tail_z, fill_z = self.tail_masses(v)
-        if w in self.fill_words:
-            return self.beta.get(v, self.fill_mass) * self._uni[w] / fill_z
-        return self.alpha.get(v, self.rest_mass) * self._uni[w] / tail_z
-
-    def set_explicit(self, v: int, w: int, p: float) -> None:
-        self.explicit_lp.setdefault(v, {})[w] = math.log10(p)
-        self._tail_masses.pop(v, None)
-
-    def _share_values(self) -> "BackoffModel":
-        """Make equal explicit values one float object, to save memory: a
-        row repeats the value of each count it holds more than once."""
-        shared: dict[float, float] = {}
-        for row in self.explicit_lp.values():
-            for w, lp in row.items():
-                row[w] = shared.setdefault(lp, lp)
-        return self
+        return float(self.probs(np.array([v]), np.array([w]))[0])
 
     def save(self, path: str | Path) -> None:
+        listed = np.flatnonzero(self.listed).tolist()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(
                 f"{BACKOFF_MAGIC} kind={self.kind} vocab_size={self.vocab_size} "
                 f"b={self.b!r} cutoff={self.cutoff} vocab_md5={self.vocab_md5}\n"
             )
             fh.write("\\bigrams:\n")
-            for v in sorted(self.explicit_lp):
-                row = self.explicit_lp[v]
-                for w in sorted(row):
-                    fh.write(f"{v} {w} {row[w]!r}\n")
-            fh.write("\\contexts:\n")
-            for v in sorted(self.alpha):
-                fh.write(f"{v} {float(self.alpha[v])!r}\n")
-            if self.fill_words:
-                fh.write("\\fill-contexts:\n")
-                for v in sorted(self.beta):
-                    fh.write(f"{v} {float(self.beta[v])!r}\n")
+            for v, w, lp in row_tuples(self.context, self.word, self.lp):
+                fh.write(f"{v} {w} {lp!r}\n")
+            for name, mass in (("contexts", self.alpha), ("fill-contexts", self.beta)):
+                if name == "contexts" or self.fill_words:
+                    fh.write(f"\\{name}:\n")
+                    fh.writelines(f"{v} {m!r}\n" for v, m in zip(listed, mass[listed].tolist()))
             fh.write("\\unigrams:\n")
-            for w in range(self.vocab_size):
-                fh.write(f"{w} {float(self.uni_lp[w])!r}\n")
+            fh.writelines(f"{w} {lp!r}\n" for w, lp in enumerate(self.uni_lp.tolist()))
             for name, ids in (("fill-words", self.fill_words), ("unseen", self.unseen)):
                 if ids:
                     fh.write(f"\\{name}:\n")
@@ -149,43 +133,72 @@ class BackoffModel:
             optional=("\\fill-contexts:", "\\fill-words:", "\\unseen:"),
         ) as art:
             n = art.field("vocab_size", size)
-            explicit_lp: dict[int, dict[int, float]] = {}
-            masses = {"\\contexts:": {}, "\\fill-contexts:": {}}
-            uni: dict[int, float] = {}
-            id_sets = {"\\unseen:": {}, "\\fill-words:": {}}
+            # Per section: the id that starts each line, the word of a bigram,
+            # and the value that ends a line of two or more fields.
+            ids = {section: array("q") for section in BACKOFF_SECTIONS}
+            values = {section: array("d") for section in BACKOFF_SECTIONS}
+            words = array("q")
             for section, parts in art:
-                if section == "\\bigrams:":
-                    row = explicit_lp.setdefault(word_id(parts[0], n), {})
-                    put(row, word_id(parts[1], n), finite(parts[2]))
-                elif section == "\\unigrams:":
-                    put(uni, word_id(parts[0], n), finite(parts[1]))
-                elif section in id_sets:
-                    put(id_sets[section], word_id(parts[0], n), None)
-                else:
-                    mass = finite(parts[1])
-                    if section == "\\fill-contexts:" and not 0.0 <= mass <= 1.0:
-                        raise ValueError("fill mass outside [0, 1]")
-                    put(masses[section], word_id(parts[0], n), mass)
-            if len(uni) != n:
-                raise ValueError(f"expected {n} unigram lines, got {len(uni)}")
+                ids[section].append(int(parts[0]))
+                if len(parts) > 1:
+                    values[section].append(float(parts[-1]))
+                if len(parts) > 2:
+                    words.append(int(parts[1]))
+            words = np.array(words, dtype=np.int64)
+            ids = {section: np.array(a, dtype=np.int64) for section, a in ids.items()}
+            values = {section: np.array(a) for section, a in values.items()}
+            if not all(np.isfinite(a).all() for a in values.values()):
+                raise ValueError("a value is not finite")
+            if any(((a < 0) | (a >= n)).any() for a in [words, *ids.values()]):
+                raise ValueError(f"id out of range 0..{n - 1}")
+            dense_sections = ("\\contexts:", "\\fill-contexts:", "\\unigrams:")
+            alpha, beta, uni_lp = (dense(n, ids[s], values[s]) for s in dense_sections)
+            id_sets = [ids[s] for s in ("\\unseen:", "\\fill-words:")]
+            unseen, fill_words = (frozenset(a.tolist()) for a in id_sets)
+            if len(unseen) + len(fill_words) != sum(a.size for a in id_sets):
+                raise ValueError("duplicate word id")
+            if not (uni_lp > -np.inf).all():
+                raise ValueError(f"expected {n} unigram lines")
+            listed = alpha > -np.inf
+            if not np.array_equal(beta > -np.inf, listed & bool(fill_words)):
+                raise ValueError("\\fill-contexts: must match \\contexts: and \\fill-words:")
+            beta[beta == -np.inf] = 0.0
+            mass = np.concatenate((alpha[listed], beta[listed]))
+            if ((mass < 0.0) | (mass > 1.0)).any():
+                raise ValueError("backoff mass outside [0, 1]")
             model = cls(
-                n, art.field("b", finite), art.field("cutoff", size),
-                np.array([uni[w] for w in range(n)]),
+                n, art.field("b", finite), art.field("cutoff", size), uni_lp,
+                (ids["\\bigrams:"], words, values["\\bigrams:"]), listed, alpha, beta,
                 kind=art.field("kind", default="backoff"),
                 vocab_md5=art.field("vocab_md5", default=""),
-                unseen=frozenset(id_sets["\\unseen:"]),
-                fill_words=frozenset(id_sets["\\fill-words:"]),
+                unseen=unseen, fill_words=fill_words,
             )
-        model.explicit_lp = explicit_lp
-        model.alpha = masses["\\contexts:"]
-        model.beta = masses["\\fill-contexts:"]
-        return model._share_values()
+            if (np.diff(model._keys) == 0).any():
+                raise ValueError("duplicate bigram")
+            if not listed[model.context].all():
+                raise ValueError("bigrams after a context \\contexts: does not list")
+            total = np.bincount(model.context, model.p, n) + alpha + beta
+            off = np.flatnonzero(listed & ~(np.abs(total - 1.0) <= 1e-9))
+            if off.size:
+                raise ValueError(f"context {off[0]} sums to {float(total[off[0]])!r}, not 1")
+        return model
 
 
 def _unigram_lp(counts: CountTable, discount: Discount) -> np.ndarray:
     uniform = np.full(counts.vocab_size, 1.0 / counts.vocab_size)
-    p = discounted_distribution(counts.unigram, discount, uniform)
-    return np.log10(p)
+    return np.log10(discounted_distribution(counts.unigram, discount, uniform))
+
+
+def _retained(counts: CountTable, cutoff: int, b: float):
+    """The bigrams with count c > cutoff as (context, word, (c - b) / N(v)) arrays, with
+    N(v) the count of all bigrams after v; and per context N(v), the number kept, their count."""
+    n = counts.vocab_size
+    context, word, count = counts.cells()
+    total = np.bincount(context, count, n)
+    keep = count > cutoff
+    context, word, count = context[keep], word[keep], count[keep]
+    kept, kept_count = np.bincount(context, minlength=n), np.bincount(context, count, n)
+    return (context, word, (count - b) / total[context]), total, kept, kept_count
 
 
 def train_backoff(
@@ -199,30 +212,19 @@ def train_backoff(
     """
     if counts.total_tokens == 0:
         raise ConfigError("cannot train a backoff model from empty counts")
-    b = discount.b
-    model = BackoffModel(
-        counts.vocab_size, b, cutoff, _unigram_lp(counts, discount),
-        vocab_md5=vocab_md5,
-        unseen=frozenset(int(w) for w in np.flatnonzero(counts.unigram == 0)),
+    n, b = counts.vocab_size, discount.b
+    (context, word, p), total, kept, kept_count = _retained(counts, cutoff, b)
+    listed = total > 0
+    reserve = np.divide(b * kept + (total - kept_count), total, out=np.zeros(n), where=listed)
+    # No tail word left: scale the reserve back into the explicits.
+    at_full = (kept == n)[context]
+    p[at_full] /= 1.0 - reserve[context[at_full]]
+    reserve[kept == n] = 0.0
+    return BackoffModel(
+        n, b, cutoff, _unigram_lp(counts, discount), (context, word, _each(math.log10, p)),
+        listed, reserve, np.zeros(n), vocab_md5=vocab_md5,
+        unseen=frozenset(np.flatnonzero(counts.unigram == 0).tolist()),
     )
-    for v, row in counts.row_items():
-        total = sum(row.values())
-        retained = {w: c for w, c in row.items() if c > cutoff}
-        if not retained:
-            model.alpha[v] = 1.0
-            continue
-        dropped = total - sum(retained.values())
-        reserve = (b * len(retained) + dropped) / total
-        if len(retained) == model.vocab_size:
-            # No tail word left; scale the reserve back into the explicits.
-            for w, c in retained.items():
-                model.set_explicit(v, w, (c - b) / total / (1.0 - reserve))
-            model.alpha[v] = 0.0
-            continue
-        for w, c in retained.items():
-            model.set_explicit(v, w, (c - b) / total)
-        model.alpha[v] = reserve
-    return model._share_values()
 
 
 def fillup(
@@ -255,95 +257,72 @@ def fillup(
         raise ConfigError("fill-up requires a shared vocabulary")
     if background.fill_words:
         raise ConfigError("fill-up needs a background model without fill words")
-    b = discount.b
-    seen = adapt_counts.unigram > 0
-    fill = frozenset(w for w in background.unseen if seen[w])
-    bg_uni = background.p_uni
+    n, b = background.vocab_size, discount.b
+    fill = frozenset(w for w in background.unseen if adapt_counts.unigram[w] > 0)
     fill_ids = sorted(fill)
     # Q, and the background unigram's mass on the adaptation-only words:
     # with none, both are 0.0 and the unigram is the background's.
     adapt_uni_lp = _unigram_lp(adapt_counts, discount)
     adapt_uni = np.power(10.0, adapt_uni_lp)
     q_all = float(adapt_uni[fill_ids].sum())
-    bg_fill = float(bg_uni[fill_ids].sum())
+    bg_fill = float(background.p_uni[fill_ids].sum())
     # The unigram of the filled model: the fill of a context that
     # neither corpus saw.
     rest_scale = (1.0 - q_all) / (1.0 - bg_fill)
     uni_lp = background.uni_lp + math.log10(rest_scale)
     uni_lp[fill_ids] = adapt_uni_lp[fill_ids]
+    # Background probability per unit unigram mass on each context's tail words.
+    bg_alpha = background.alpha
+    bg_tail = np.divide(bg_alpha, background.tail, out=np.zeros(n), where=bg_alpha > 0.0)
+
+    (context, word, p), total, kept, kept_count = _retained(adapt_counts, background.cutoff, b)
+    filled = kept > 0
+    reserve = np.divide(b * kept + total - kept_count, total, out=np.zeros(n), where=filled)
+    # Mass each group has left after v: background mass on the other words,
+    # adaptation unigram mass on the adaptation-only words.  bincount adds
+    # each context's terms one by one in word order.
+    at_fill = np.isin(word, fill_ids)
+    bg_left = 1.0 - np.bincount(context, background.probs(context, word), n)
+    ctx_fill, word_fill = context[at_fill], word[at_fill]
+    bg_left -= bg_tail * (bg_fill - np.bincount(ctx_fill, background.p_uni[word_fill], n))
+    fill_left = q_all - np.bincount(ctx_fill, adapt_uni[word_fill], n)
+    has_fill, has_bg = fill_left > 0.0, bg_left > 0.0
+    # q(v): the adaptation backoff's share for the adaptation-only words, or
+    # all to the one group with mass left.
+    q = np.where(has_fill, 1.0, 0.0)
+    both = has_fill & has_bg
+    adapt_z = 1.0 - np.bincount(context, adapt_uni[word], n)
+    q[both] = np.minimum(fill_left[both] / adapt_z[both], 1.0)
+    # Nothing left to shape the fill: renormalize instead.
+    renorm = filled & ~has_fill & ~has_bg
+    at_renorm = renorm[context]
+    p[at_renorm] *= 1.0 / (1.0 - reserve[context[at_renorm]])
+    beta = np.where(renorm, 0.0, reserve * q)
+    # The scale of the background bigrams a context keeps, 0 where it keeps none.
+    spread = filled & ~renorm & (q < 1.0)
+    scale, alpha = np.zeros(n), np.zeros(n)
+    scale[spread] = reserve[spread] * (1.0 - q[spread]) / bg_left[spread]
+
+    # Every other context the background lists gives Q to the adaptation-only words.
+    copied = background.listed & ~filled
+    scale[copied] = (1.0 - q_all) / (1.0 - bg_tail[copied] * bg_fill)
+    alpha[copied] = scale[copied] * np.maximum(bg_alpha[copied] - bg_tail[copied] * bg_fill, 0.0)
+    beta[copied] = q_all
+    # The background bigrams kept: all but those the adaptation retained,
+    # scaled, or as they are after a context copied with no fill words (a
+    # scale of 1); the adaptation's bigrams go in between, in cell order.
+    key = context * n + word
+    keep = (scale[background.context] > 0.0) & ~np.isin(background._keys, key, assume_unique=True)
+    bg_context, lp = background.context[keep], background.lp[keep]
+    scaled = ~(copied & (not fill))[bg_context]
+    lp[scaled] = _each(math.log10, scale[bg_context[scaled]] * background.p[keep][scaled])
+    at = np.searchsorted(background._keys[keep], key)
+    cells = (np.insert(bg_context, at, context), np.insert(background.word[keep], at, word),
+             np.insert(lp, at, _each(math.log10, p)))
     model = BackoffModel(
-        background.vocab_size,
-        b,
-        background.cutoff,
-        uni_lp,
-        kind="fillup",
-        vocab_md5=background.vocab_md5,
-        unseen=background.unseen - fill,
-        fill_words=fill,
+        n, b, background.cutoff, uni_lp, cells, filled | background.listed, alpha, beta,
+        kind="fillup", vocab_md5=background.vocab_md5,
+        unseen=background.unseen - fill, fill_words=fill,
     )
-
-    def bg_tail(v: int) -> float:
-        """Background probability per unit unigram mass on v's tail words."""
-        a = background.alpha.get(v, 1.0)
-        return a / background.tail_masses(v)[0] if a > 0.0 else 0.0
-
-    filled = set()
-    for v, row in adapt_counts.row_items():
-        retained = {w: c for w, c in row.items() if c > background.cutoff}
-        if not retained:
-            continue
-        filled.add(v)
-        total = sum(row.values())
-        reserve = (b * len(retained) + total - sum(retained.values())) / total
-        for w, c in retained.items():
-            model.set_explicit(v, w, (c - b) / total)
-
-        # Mass each group has left after v: background mass on the other
-        # words, adaptation unigram mass on the adaptation-only words.
-        ret_fill = [w for w in retained if w in fill]
-        bg_remaining = 1.0 - sum(background.prob(v, w) for w in retained)
-        bg_remaining -= bg_tail(v) * (bg_fill - sum(bg_uni[w] for w in ret_fill))
-        fill_remaining = q_all - sum(adapt_uni[w] for w in ret_fill)
-        if fill_remaining > 0.0 and bg_remaining > 0.0:
-            adapt_z = 1.0 - sum(adapt_uni[w] for w in retained)
-            q = min(fill_remaining / adapt_z, 1.0)
-        elif fill_remaining > 0.0:
-            q = 1.0
-        elif bg_remaining > 0.0:
-            q = 0.0
-        else:
-            # Nothing left to shape the fill; renormalize instead.
-            scale = 1.0 / (1.0 - reserve)
-            for w, c in retained.items():
-                model.set_explicit(v, w, (c - b) / total * scale)
-            model.alpha[v] = 0.0
-            if fill:
-                model.beta[v] = 0.0
-            continue
-        if fill:
-            model.beta[v] = reserve * q
-        if q == 1.0:
-            model.alpha[v] = 0.0
-            continue
-        scale = reserve * (1.0 - q) / bg_remaining
-        for w, lp in background.explicit_lp.get(v, {}).items():
-            if w not in retained:
-                model.set_explicit(v, w, scale * 10.0 ** lp)
-        model.alpha[v] = scale * bg_tail(v) * model.tail_masses(v)[0] / rest_scale
-
-    for v, a in background.alpha.items():
-        if v in filled:
-            continue
-        bg_row = background.explicit_lp.get(v)
-        if not fill:
-            if bg_row is not None:
-                model.explicit_lp[v] = dict(bg_row)
-            model.alpha[v] = a
-            continue
-        tail = bg_tail(v)
-        scale = (1.0 - q_all) / (1.0 - tail * bg_fill)
-        for w, lp in (bg_row or {}).items():
-            model.set_explicit(v, w, scale * 10.0 ** lp)
-        model.alpha[v] = scale * (a - tail * bg_fill)
-        model.beta[v] = q_all
-    return model._share_values()
+    model.alpha[filled] = scale[filled] * bg_tail[filled] * model.tail[filled] / rest_scale
+    return model

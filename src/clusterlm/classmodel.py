@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import Artifact, finite, id_list, size, word_id
+from .artifact import Artifact, dense, finite, id_list, size, word_id
 from .corpus import CountTable, Vocabulary
 from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
@@ -244,6 +244,8 @@ class ClassModel:
     ``cat_lp`` (-inf on empty categories), and log10 p(w|g) ``word_lp``.  It
     derives p(g|s) = 10**pair_lp + state_alpha * 10**cat_lp once, with
     Python's pow per value, which ``np.power`` does not match in every bit.
+    ``probs(contexts, words)`` gives p(w|v) for each pair of two id arrays;
+    ``prob`` is the same lookup, named for one pair of ids.
     """
 
     def __init__(
@@ -283,8 +285,11 @@ class ClassModel:
     def class_given_state(self, s: int, g: int) -> float:
         return self.class_p[s, g]
 
-    def prob(self, context: int, w: int) -> float:
-        return self.class_p[self.cm.state_of[context], self.cm.category_of[w]] * self.word_p[w]
+    def probs(self, contexts: np.ndarray, words: np.ndarray) -> np.ndarray:
+        states, cats = self.cm.state_of[contexts], self.cm.category_of[words]
+        return self.class_p[states, cats] * self.word_p[words]
+
+    prob = probs
 
     def save(self, path: str | Path) -> None:
         cm = self.cm
@@ -338,9 +343,9 @@ class ClassModel:
                     ids, values, bound = keyed[section]
                     ids.append(word_id(parts[0], bound))
                     values.append(finite(parts[1]))
-            pair_lp = _dense((n_states, n_cats), (s_ids, g_ids), pair_lps)
+            pair_lp = dense((n_states, n_cats), (s_ids, g_ids), pair_lps)
             alphas, cat_lp, word_lp = (
-                _dense(bound, ids, values) for ids, values, bound in keyed.values()
+                dense(bound, ids, values) for ids, values, bound in keyed.values()
             )
             if not ((alphas > -np.inf).all() and (word_lp > -np.inf).all()):
                 raise ValueError("state alphas or word unigrams incomplete")
@@ -355,15 +360,6 @@ class ClassModel:
                 vocab_md5=art.field("vocab_md5", default=""),
                 label=art.field("label", default="class"),
             )
-
-
-def _dense(shape, ids, values: list[float]) -> np.ndarray:
-    """The -inf array of ``shape`` holding finite ``values`` at distinct ``ids``."""
-    a = np.full(shape, -np.inf)
-    a[ids] = values
-    if np.count_nonzero(a > -np.inf) != len(values):
-        raise ValueError("duplicate entry")
-    return a
 
 
 def estimate_class_model(
@@ -399,13 +395,13 @@ def estimate_class_model(
     uniform_cats[nonempty] = 1.0 / len(nonempty)
     q = discounted_distribution(cat_tot, b_cats, uniform_cats)
     # math.log10 per value, which np.log10 does not match in the last bit
-    cat_lp = _dense(n_cats, nonempty, [math.log10(x) for x in q[nonempty].tolist()])
+    cat_lp = dense(n_cats, nonempty, [math.log10(x) for x in q[nonempty].tolist()])
 
     # State cells, and the mass they leave to the fallback: all for no counts.
     total = pairs.sum(axis=1)
     s_ids, g_ids = np.nonzero(pairs)
     cells = (pairs[s_ids, g_ids] - b_pairs.b) / total[s_ids]
-    pair_lp = _dense(pairs.shape, (s_ids, g_ids), [math.log10(x) for x in cells.tolist()])
+    pair_lp = dense(pairs.shape, (s_ids, g_ids), [math.log10(x) for x in cells.tolist()])
     state_alpha = np.ones(n_states)
     np.divide(b_pairs.b * np.count_nonzero(pairs, axis=1), total,
               out=state_alpha, where=total > 0)

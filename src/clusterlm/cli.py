@@ -189,7 +189,7 @@ def cmd_eval(args, cfg: SuiteConfig) -> int:
     sentences = read_sentences(args.heldout)
     label = getattr(model, "label", None) or getattr(model, "kind", "model")
     report = perplexity(
-        model.prob, sentences, vocab,
+        model.probs, sentences, vocab,
         score_oov=args.score_oov,
         model_id=args.model_id or label,
         vocab_md5=vocab.checksum(),

@@ -170,6 +170,21 @@ def build_vocabulary(
     return vocab
 
 
+def row_tuples(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length arrays as tuples of Python values, converted a
+    few thousand at a time: a long table never becomes one list of objects."""
+    for lo in range(0, len(columns[0]), 4096):
+        yield from zip(*(c[lo:lo + 4096].tolist() for c in columns))
+
+
+def cell_rows(context: np.ndarray, word: np.ndarray, values: np.ndarray) -> dict:
+    """``{context: {word: value}}`` of cells sorted by (context, word)."""
+    rows: dict = {}
+    for v, w, x in row_tuples(context, word, values):
+        rows.setdefault(v, {})[w] = x
+    return rows
+
+
 class CountTable:
     """Sparse unigram/bigram event counts over a fixed vocabulary.
 
@@ -178,8 +193,8 @@ class CountTable:
     ``cells()`` hands out.  Derived from them once: ``unigram[w]``, the
     column sums, which count predicted positions (every token including the
     end marker, never the begin marker), and ``total_tokens``.
-    ``row_items()`` walks the cells per context; ``rows`` is a
-    ``{context: {word: count}}`` dict rebuilt from it on every access.
+    ``rows`` is a ``{context: {word: count}}`` view of the cells, built on
+    each access.
     """
 
     def __init__(self, vocab_size: int, rows: dict[int, dict[int, int]] | None = None):
@@ -223,16 +238,9 @@ class CountTable:
         table._store(vocab_size, context[order], word[order], count[order])
         return table
 
-    def row_items(self) -> Iterator[tuple[int, dict[int, int]]]:
-        """(context, {word: count}) for each context with cells, in order."""
-        context, word, count = self._cells
-        starts = np.flatnonzero(np.diff(context, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(context)]):
-            yield int(context[lo]), dict(zip(word[lo:hi].tolist(), count[lo:hi].tolist()))
-
     @property
     def rows(self) -> dict[int, dict[int, int]]:
-        return dict(self.row_items())
+        return cell_rows(*self._cells)
 
     def save(self, path: str | Path, vocab_md5: str) -> None:
         """Header line, then ``v w count`` lines sorted by (v, w)."""
@@ -241,9 +249,7 @@ class CountTable:
                 f"{COUNTS_MAGIC} vocab_size={self.vocab_size} "
                 f"total_tokens={self.total_tokens} vocab_md5={vocab_md5}\n"
             )
-            for v, row in self.row_items():
-                for w, c in row.items():
-                    fh.write(f"{v} {w} {c}\n")
+            fh.writelines(f"{v} {w} {c}\n" for v, w, c in row_tuples(*self._cells))
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["CountTable", str]:

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from itertools import islice
+
+import numpy as np
 
 from .backoff import BackoffModel, fillup, train_backoff
 from .classmodel import ClassModel, ClusterMap, estimate_class_model, init_clustering
@@ -24,6 +29,7 @@ from .errors import ConfigError, ModelIntegrityError
 from .exchange import DEFAULT_LAMBDA_GRID, ExchangeConfig, ExchangeResult, run_exchange
 
 METHODS = ("back_bo", "back_cl", "adapt_bo", "adapt_cl", "fillup", "clust_adapt")
+SCORE_BLOCK = 1024  # sentences per ``probs`` call: a block stays near a megabyte
 
 
 @dataclass
@@ -38,7 +44,7 @@ class EvalReport:
 
 
 def perplexity(
-    prob_fn,
+    probs_fn,
     sentences,
     vocab: Vocabulary,
     score_oov: bool = False,
@@ -46,31 +52,32 @@ def perplexity(
     adaptation_words: int = 0,
     vocab_md5: str = "",
 ) -> EvalReport:
-    """Sentence-level perplexity under ``prob_fn(context_id, word_id)``.
+    """Sentence-level perplexity under ``probs_fn(contexts, words)``, which
+    gives p(w|v) for each pair of two id arrays (a model's ``probs``).
 
     Every sentence is framed with the begin/end markers; the end marker is
     scored, the begin marker only conditions.  Out-of-vocabulary positions
     are skipped unless ``score_oov`` is set, but still serve as (unknown)
-    context for their successor.
+    context for their successor.  The corpus is scored ``SCORE_BLOCK``
+    sentences at a time, and the natural logs are added one by one in
+    corpus order, so the result does not depend on the block size.
     """
-    log_sum = 0.0
-    scored = 0
-    oov = 0
-    for sent in sentences:
-        ids = sentence_ids(sent, vocab)
-        for i in range(1, len(ids)):
-            w = ids[i]
-            if w == vocab.unk_id:
-                oov += 1
-                if not score_oov:
-                    continue
-            p = prob_fn(ids[i - 1], w)
-            if not p > 0.0:
-                raise ModelIntegrityError(
-                    f"model returned p={p!r} for id pair ({ids[i - 1]}, {w})"
-                )
-            log_sum += math.log(p)
-            scored += 1
+    log_sum, scored, oov = 0.0, 0, 0
+    sentences = iter(sentences)
+    while block := [sentence_ids(sent, vocab) for sent in islice(sentences, SCORE_BLOCK)]:
+        contexts = np.array([v for ids in block for v in ids[:-1]])
+        words = np.array([w for ids in block for w in ids[1:]])
+        unknown = words == vocab.unk_id
+        oov += int(np.count_nonzero(unknown))
+        if not score_oov:
+            contexts, words = contexts[~unknown], words[~unknown]
+        p = probs_fn(contexts, words)
+        if not (p > 0.0).all():
+            i = int(np.argmin(p > 0.0))
+            raise ModelIntegrityError(
+                f"model returned p={float(p[i])!r} for id pair ({contexts[i]}, {words[i]})")
+        log_sum = reduce(operator.add, map(math.log, p.tolist()), log_sum)
+        scored += p.size
     if scored == 0:
         raise ConfigError("no scorable positions in the evaluation corpus")
     positions = scored if score_oov else scored + oov
@@ -218,7 +225,7 @@ def experiment_suite(
 
     def ev(model, vocab, method, size, extra=0):
         rep = perplexity(
-            model.prob, heldout_sents, vocab,
+            model.probs, heldout_sents, vocab,
             score_oov=cfg.score_oov,
             model_id=method if size is None else f"{method}@{size}",
             adaptation_words=extra,

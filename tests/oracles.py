@@ -7,6 +7,8 @@ between the two is meaningful evidence of correctness.
 
 import math
 
+import numpy as np
+
 NEG_INF = float("-inf")
 
 
@@ -148,6 +150,62 @@ def backoff_probability(rows, unigram_counts, vocab_size, b, cutoff, v, w):
     reserve = (b * len(retained) + dropped) / total
     tail = 1.0 - sum(uni[x] for x in retained)
     return reserve * uni[w] / tail
+
+
+def backoff_file_probabilities(text):
+    """Every p(w|v) of a saved backoff or fill-up model, rows by context,
+    rebuilt from the file's text.
+
+    An explicit bigram gives 10**lp.  Any other pair gives
+    alpha(v) * u(w) / Z(v), or beta(v) * u(w) / F(v) for a fill word, where
+    Z and F are the unigram mass of the tail outside and inside the fill
+    words: the group's total minus its explicit words after v, added one by
+    one in word order.  A context without masses takes the group totals.
+    The unigram u is 10**lp as numpy raises it (``np.power``), whose last bit
+    can differ from Python's pow; the fill total is summed in word order,
+    as numpy sums fewer than eight values.
+    """
+    lines = text.splitlines()
+    n = int(dict(tok.split("=", 1) for tok in lines[0].split()[1:])["vocab_size"])
+    sections = {}
+    for line in lines[1:]:
+        if line.startswith("\\"):
+            rows = sections.setdefault(line, [])
+        else:
+            rows.append(line.split())
+    explicit = {(int(v), int(w)): float(lp) for v, w, lp in sections["\\bigrams:"]}
+    alpha = {int(v): float(m) for v, m in sections["\\contexts:"]}
+    beta = {int(v): float(m) for v, m in sections.get("\\fill-contexts:", [])}
+    uni_lp = [0.0] * n
+    for w, lp in sections["\\unigrams:"]:
+        uni_lp[int(w)] = float(lp)
+    u = np.power(10.0, np.array(uni_lp)).tolist()
+    fill = sorted(int(w) for (w,) in sections.get("\\fill-words:", []))
+    assert len(fill) < 8
+    fill_total = 0.0
+    for w in fill:
+        fill_total += u[w]
+    rest_total = 1.0 - fill_total
+    out = []
+    for v in range(n):
+        rest, in_fill = 0.0, 0.0
+        for w in range(n):
+            if (v, w) in explicit:
+                if w in fill:
+                    in_fill += u[w]
+                else:
+                    rest += u[w]
+        z, f = max(rest_total - rest, 0.0), max(fill_total - in_fill, 0.0)
+        row = []
+        for w in range(n):
+            if (v, w) in explicit:
+                row.append(10.0 ** explicit[(v, w)])
+            elif w in fill:
+                row.append(beta.get(v, fill_total) * u[w] / f)
+            else:
+                row.append(alpha.get(v, rest_total) * u[w] / z)
+        out.append(row)
+    return out
 
 
 def class_model_probability(rows, state_of, category_of, n_states, n_cats,

@@ -16,8 +16,16 @@ from clusterlm.errors import ConfigError, FormatError
 from clusterlm.evaluate import SuiteConfig, fillup_model, train_backoff_model
 
 
+def table(model):
+    """p(w|v) for every pair, one row per context, from one ``probs`` call."""
+    n = model.vocab_size
+    contexts, words = np.divmod(np.arange(n * n), n)
+    return model.probs(contexts, words).reshape(n, n)
+
+
 def row_sum(model, v):
-    return sum(model.prob(v, w) for w in range(model.vocab_size))
+    n = model.vocab_size
+    return model.probs(np.full(n, v), np.arange(n)).sum()
 
 
 def test_training_rejects_empty_counts():
@@ -95,20 +103,7 @@ def test_round_trip_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.vocab_md5 == "cafe"
     assert loaded.kind == model.kind
-    for v in range(10):
-        for w in range(10):
-            assert loaded.prob(v, w) == model.prob(v, w)
-
-
-def test_equal_explicit_values_share_one_float(tmp_path):
-    counts = CountTable(6, {0: {1: 4, 2: 4, 3: 4}})
-    model = train_backoff(counts, Discount(0.5))
-    path = tmp_path / "m.lm"
-    model.save(path)
-    for m in (model, BackoffModel.load(path), fillup(counts, model, Discount(0.5))):
-        row = m.explicit_lp[0]
-        assert row[1] == row[2] == row[3]
-        assert row[1] is row[2] is row[3]
+    assert np.array_equal(table(loaded), table(model))
 
 
 def test_fillup_of_empty_adaptation_copies_background():
@@ -117,9 +112,7 @@ def test_fillup_of_empty_adaptation_copies_background():
     background = train_backoff(back_counts, Discount(0.5))
     adapted = fillup(CountTable(10), background, Discount(0.5))
     assert adapted.kind == "fillup"
-    for v in range(10):
-        for w in range(10):
-            assert adapted.prob(v, w) == background.prob(v, w)
+    assert np.array_equal(table(adapted), table(background))
 
 
 def test_fillup_rows_sum_to_one():
@@ -142,11 +135,7 @@ def test_fillup_fixpoint_when_adaptation_retrains_background():
     disc = Discount(0.5)
     background = train_backoff(counts, disc, cutoff=0)
     adapted = fillup(counts, background, disc)
-    for v in range(len(vocab)):
-        for w in range(len(vocab)):
-            assert adapted.prob(v, w) == pytest.approx(
-                background.prob(v, w), rel=1e-9
-            )
+    assert np.allclose(table(adapted), table(background), rtol=1e-9, atol=1e-12)
 
 
 def test_fillup_spreads_reserve_proportionally_to_background():
@@ -275,7 +264,7 @@ def test_fillup_rows_sum_to_one_when_background_misses_words():
 def test_fillup_round_trip_is_byte_stable(tmp_path):
     adapt_counts, background = adaptation_only_setup(cutoff=1)
     adapted = fillup(adapt_counts, background, Discount(0.45))
-    assert adapted.fill_words and adapted.beta
+    assert adapted.fill_words and adapted.beta.any()
     p1, p2 = tmp_path / "f1.lm", tmp_path / "f2.lm"
     adapted.save(p1)
     loaded = BackoffModel.load(p1)
@@ -283,9 +272,7 @@ def test_fillup_round_trip_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.fill_words == adapted.fill_words
     assert loaded.unseen == adapted.unseen
-    for v in range(10):
-        for w in range(10):
-            assert loaded.prob(v, w) == adapted.prob(v, w)
+    assert np.array_equal(table(loaded), table(adapted))
 
 
 def test_trend_models_and_their_reloaded_copies_agree_bit_for_bit(tmp_path):
@@ -304,9 +291,7 @@ def test_trend_models_and_their_reloaded_copies_agree_bit_for_bit(tmp_path):
         path = tmp_path / f"{name}.lm"
         model.save(path)
         loaded = BackoffModel.load(path)
-        differ = sum(
-            model.prob(v, w) != loaded.prob(v, w) for v in range(n) for w in range(n)
-        )
+        differ = np.count_nonzero(table(model) != table(loaded))
         assert differ == 0, f"{name}: {differ} of {n * n} probabilities differ"
 
 
@@ -327,12 +312,9 @@ def test_fillup_does_not_depend_on_where_its_counts_came_from(tmp_path):
     reloaded, _ = CountTable.load(path)
     filled = fillup_model(counted, background, cfg)
     refilled = fillup_model(reloaded, background, cfg)
-    assert filled.explicit_lp == refilled.explicit_lp
-    assert filled.alpha == refilled.alpha
-    assert filled.beta == refilled.beta
-    differ = sum(
-        filled.prob(v, w) != refilled.prob(v, w) for v in range(n) for w in range(n)
-    )
+    for name in ("context", "word", "lp", "listed", "alpha", "beta"):
+        assert np.array_equal(getattr(filled, name), getattr(refilled, name)), name
+    differ = np.count_nonzero(table(filled) != table(refilled))
     assert differ == 0, f"{differ} of {n * n} probabilities differ"
 
 
@@ -345,38 +327,45 @@ def test_file_without_the_new_sections_loads_as_before(tmp_path):
     path.write_text(text[: text.index("\\unseen:\n")])
     loaded = BackoffModel.load(path)
     assert loaded.unseen == frozenset() and loaded.fill_words == frozenset()
-    for v in range(10):
-        for w in range(10):
-            assert loaded.prob(v, w) == background.prob(v, w)
+    assert np.array_equal(table(loaded), table(background))
+
+
+def added(section, line):
+    """The case that adds ``line`` at the top of ``section``."""
+    marker = f"\\{section}:\n"
+    return pytest.param(marker, marker + line + "\n", id=f"{section}-{line}")
 
 
 @pytest.mark.parametrize(
-    "section, line",
+    "old, new",
     [
-        ("unseen", "3"),           # duplicate id
-        ("unseen", "10"),          # out of range
-        ("unseen", "-1"),
-        ("unseen", "x"),
-        ("unseen", "4 5"),
-        ("fill-words", "7"),       # duplicate id
-        ("fill-words", "12"),
-        ("fill-contexts", "3 0.1"),  # duplicate context
-        ("fill-contexts", "11 0.1"),
-        ("fill-contexts", "4 1.5"),
-        ("fill-contexts", "4 nan"),
-        ("fill-contexts", "4 abc"),
-        ("fill-contexts", "4"),
+        added("unseen", "3"),           # duplicate id
+        added("unseen", "10"),          # out of range
+        added("unseen", "-1"),
+        added("unseen", "x"),
+        added("unseen", "4 5"),
+        added("fill-words", "7"),       # duplicate id
+        added("fill-words", "12"),
+        added("fill-contexts", "3 0.1"),  # duplicate context
+        added("fill-contexts", "11 0.1"),
+        added("fill-contexts", "4 1.5"),
+        added("fill-contexts", "4 nan"),
+        added("fill-contexts", "4 abc"),
+        added("fill-contexts", "4"),
+        # the mass sections must list the same contexts, and only with fill words
+        added("fill-contexts", "6 0.1"),
+        added("contexts", "6 1.0"),
+        pytest.param("\\fill-words:\n6\n7\n8\n", "", id="fill-contexts-without-fill-words"),
     ],
 )
-def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, section, line):
+def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
     adapt_counts, background = adaptation_only_setup()
     adapted = fillup(adapt_counts, background, Discount(0.45))
     path = tmp_path / "m.lm"
     adapted.save(path)
-    marker = f"\\{section}:\n"
     text = path.read_text()
-    assert marker in text
-    path.write_text(text.replace(marker, marker + line + "\n"))
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
     with pytest.raises(FormatError):
         BackoffModel.load(path)
 
@@ -390,6 +379,12 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, section, line):
         pytest.param("\\contexts:\n", "\\contexts:\n999 0.5\n", id="context-out-of-range"),
         pytest.param("\\contexts:\n", "\\contexts:\n3 0.5\n", id="duplicate-context"),
         pytest.param("\\contexts:\n", "\\contexts:\n4 nan\n", id="context-mass-nan"),
+        # context 3 holds 10/11 in explicit bigrams and 1/11 in its mass
+        pytest.param("\\contexts:\n3 0.09090909090909091\n", "\\contexts:\n3 -5.0\n",
+                     id="context-mass-negative"),
+        pytest.param("\\contexts:\n3 0.09090909090909091\n", "\\contexts:\n3 0.7\n",
+                     id="context-row-sum"),
+        pytest.param("\\bigrams:\n", "\\bigrams:\n6 4 -0.5\n", id="bigram-unlisted-context"),
         pytest.param("\\contexts:\n", "", id="missing-section"),
         pytest.param("\\bigrams:\n", "\\bigrams:\n3 5 -0.5\n", id="duplicate-bigram"),
         pytest.param("\\bigrams:\n", "\\bigrams:\n3 10 -0.5\n", id="bigram-out-of-range"),
@@ -406,3 +401,19 @@ def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new):
     path.write_text(text.replace(old, new, 1))
     with pytest.raises(FormatError):
         BackoffModel.load(path)
+
+
+def test_backoff_scores_are_its_file_numbers(tmp_path):
+    # The file's numbers are the model: every probability, of the trained
+    # model and of its reloaded copy, is rebuilt bit for bit from the text.
+    adapt_counts, background = adaptation_only_setup(cutoff=1)
+    filled = fillup(adapt_counts, background, Discount(0.45))
+    assert filled.fill_words
+    rng = random.Random(3)
+    trained = train_backoff(random_table(rng, 12), Discount(0.35), cutoff=0)
+    for name, model in (("background", background), ("fillup", filled), ("random", trained)):
+        path = tmp_path / f"{name}.lm"
+        model.save(path)
+        want = np.array(oracles.backoff_file_probabilities(path.read_text()))
+        for m in (model, BackoffModel.load(path)):
+            assert np.array_equal(table(m), want), name

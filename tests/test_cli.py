@@ -276,7 +276,7 @@ def test_cli_fillup_matches_library_fillup(workdir, capsys, tmp_path):
     assert BackoffModel.load(workdir / "fillup.lm").fill_words == library.fill_words
 
     heldout = list(read_sentences(workdir / "heldout.txt"))
-    want = perplexity(library.prob, heldout, vocab).perplexity
+    want = perplexity(library.probs, heldout, vocab).perplexity
     out = tmp_path / "fillup.json"
     rc = main([
         "eval", "--model", str(workdir / "fillup.lm"), "--vocab", str(workdir / "words.txt"),
@@ -306,7 +306,7 @@ def test_eval_score_oov_scores_the_unknown_positions(workdir, capsys, tmp_path):
     assert scored["oov_tokens"] == skipped["oov_tokens"] >= 3
     assert scored["tokens_scored"] == skipped["tokens_scored"] + scored["oov_tokens"]
     model = BackoffModel.load(workdir / "back_bo.lm")
-    want = perplexity(model.prob, heldout, vocab, score_oov=True)
+    want = perplexity(model.probs, heldout, vocab, score_oov=True)
     assert scored["tokens_scored"] == want.tokens_scored
     assert scored["perplexity"] == pytest.approx(want.perplexity, rel=1e-12)
     assert scored["perplexity"] != pytest.approx(skipped["perplexity"], rel=1e-6)

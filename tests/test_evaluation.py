@@ -2,7 +2,9 @@
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,6 +14,7 @@ from clusterlm.corpus import Vocabulary
 from clusterlm.errors import ConfigError, ModelIntegrityError
 from clusterlm.evaluate import (
     METHODS,
+    SCORE_BLOCK,
     SuiteConfig,
     _fmt_pp,
     _take_words,
@@ -30,7 +33,7 @@ from clusterlm.evaluate import (
 def test_uniform_model_scores_vocab_size():
     vocab = Vocabulary(["a", "b", "c", "d", "e"])
     v = len(vocab)
-    rep = perplexity(lambda s, w: 1.0 / v, [["a", "b"], ["c"]], vocab)
+    rep = perplexity(lambda s, w: np.full(w.shape, 1.0 / v), [["a", "b"], ["c"]], vocab)
     assert rep.perplexity == pytest.approx(v, abs=1e-9)
     assert rep.oov_tokens == 0
 
@@ -43,7 +46,10 @@ def test_hand_computed_perplexity():
         (a, b): 0.25,
         (b, vocab.eos_id): 0.125,
     }
-    rep = perplexity(lambda s, w: table[(s, w)], [["a", "b"]], vocab)
+    rep = perplexity(
+        lambda s, w: np.array([table[pair] for pair in zip(s.tolist(), w.tolist())]),
+        [["a", "b"]], vocab,
+    )
     assert rep.perplexity == pytest.approx(
         oracles.perplexity_by_hand([0.5, 0.25, 0.125]), rel=1e-12
     )
@@ -55,8 +61,8 @@ def test_end_marker_scored_begin_marker_conditions_only():
     queries = []
 
     def spy(s, w):
-        queries.append((s, w))
-        return 0.5
+        queries.extend(zip(s.tolist(), w.tolist()))
+        return np.full(w.shape, 0.5)
 
     rep = perplexity(spy, [["a"], ["a"]], vocab)
     a = vocab.lookup("a")
@@ -74,8 +80,8 @@ def test_oov_skipped_but_still_conditions():
     queries = []
 
     def spy(s, w):
-        queries.append((s, w))
-        return 0.25
+        queries.extend(zip(s.tolist(), w.tolist()))
+        return np.full(w.shape, 0.25)
 
     rep = perplexity(spy, [["a", "zzz", "a"]], vocab)
     # the unknown position is skipped, but the next word sees unk as context
@@ -87,21 +93,46 @@ def test_oov_skipped_but_still_conditions():
 
 def test_oov_scored_when_requested():
     vocab = Vocabulary(["a"])
-    rep = perplexity(lambda s, w: 0.25, [["a", "zzz", "a"]], vocab, score_oov=True)
+    rep = perplexity(
+        lambda s, w: np.full(w.shape, 0.25), [["a", "zzz", "a"]], vocab, score_oov=True
+    )
     assert rep.tokens_scored == 4
     assert rep.oov_tokens == 1
 
 
 def test_nonpositive_probability_is_an_integrity_error():
     vocab = Vocabulary(["a"])
-    with pytest.raises(ModelIntegrityError):
-        perplexity(lambda s, w: 0.0, [["a"]], vocab)
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(ModelIntegrityError):
+            perplexity(lambda s, w: np.full(w.shape, bad), [["a"]], vocab)
+
+
+def test_blocks_score_like_one_sum_in_corpus_order():
+    # More positions than one scoring block, unknown words included: the
+    # blocks add the same logs in the same order as a per-token loop.
+    rng = random.Random(7)
+    vocab = Vocabulary("abcde")
+    table = np.array([[rng.uniform(0.01, 1.0) for _ in range(len(vocab))]
+                      for _ in range(len(vocab))])
+    sentences = [rng.choices("abcdez", k=rng.randint(1, 30)) for _ in range(5000)]
+    want = 0.0
+    scored = 0
+    for sent in sentences:
+        ids = [vocab.bos_id] + [vocab.lookup(t) for t in sent] + [vocab.eos_id]
+        for v, w in zip(ids, ids[1:]):
+            if w != vocab.unk_id:
+                want += math.log(table[v, w])
+                scored += 1
+    assert len(sentences) > SCORE_BLOCK
+    rep = perplexity(lambda s, w: table[s, w], sentences, vocab)
+    assert rep.tokens_scored == scored
+    assert rep.perplexity == math.exp(-want / scored)
 
 
 def test_nothing_scorable_is_a_config_error():
     vocab = Vocabulary(["a"])
     with pytest.raises(ConfigError):
-        perplexity(lambda s, w: 0.5, [], vocab)
+        perplexity(lambda s, w: np.full(w.shape, 0.5), [], vocab)
 
 
 # ------------------------------------------------- relative improvement
