@@ -26,11 +26,11 @@ from .criterion import (
     ClassCounts,
     CombinedClassCounts,
     StandardObjective,
-    adaptive_score,
+    Terms,
     aggregate_class_counts,
-    combine_counts,
+    clustering_score,
+    clustering_terms,
     combine_word_counts,
-    loo_score,
 )
 from .discounting import Discount, discounted_distribution, estimate_discount
 from .errors import (

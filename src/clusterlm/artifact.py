@@ -47,13 +47,6 @@ def finite(text: str) -> float:
     return x
 
 
-def put(table: dict, key, value) -> None:
-    """``table[key] = value`` for a key not yet present."""
-    if key in table:
-        raise ValueError(f"duplicate entry {key}")
-    table[key] = value
-
-
 def dense(shape, ids, values: list[float]) -> np.ndarray:
     """The -inf array of ``shape`` holding finite ``values`` at distinct ``ids``."""
     a = np.full(shape, -np.inf)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifact import Artifact, put, size, word_id
+from .artifact import Artifact, size
 from .errors import ConfigError, FormatError
 
 UNK_TOKEN = "<unk>"
@@ -198,7 +198,7 @@ class CountTable:
     """
 
     def __init__(self, vocab_size: int, rows: dict[int, dict[int, int]] | None = None):
-        """Pack the rows dict that counting and loading gather.  It is emptied
+        """Pack the rows dict that counting gathers.  It is emptied
         row by row, so it is never held whole beside a copy of the cells."""
         cells = tuple(array("q") for _ in range(3))
         context, word, count = cells
@@ -231,11 +231,17 @@ class CountTable:
     @classmethod
     def from_cells(cls, vocab_size: int, context, word, count) -> "CountTable":
         """The table of the given bigrams, the inverse of ``cells``: each
-        (context, word) pair appears at most once, in any order."""
+        (context, word) pair appears at most once (else ``ValueError``), in
+        any order.  Arrays already in order are stored as they are, read-only."""
         context, word, count = (np.asarray(a, dtype=np.int64) for a in (context, word, count))
-        order = np.argsort(context * vocab_size + word, kind="stable")
+        key = context * vocab_size + word
+        if not (np.diff(key) > 0).all():
+            order = np.argsort(key, kind="stable")
+            if not np.diff(key[order]).all():
+                raise ValueError("duplicate bigram")
+            context, word, count = context[order], word[order], count[order]
         table = cls.__new__(cls)
-        table._store(vocab_size, context[order], word[order], count[order])
+        table._store(vocab_size, context, word, count)
         return table
 
     @property
@@ -258,13 +264,18 @@ class CountTable:
             n = art.field("vocab_size", size)
             declared_total = art.field("total_tokens", size)
             vocab_md5 = art.field("vocab_md5")
-            rows: dict[int, dict[int, int]] = {}
+            cells = tuple(array("q") for _ in range(3))
+            context, word, count = cells
             for _, (v, w, c) in art:
-                c = int(c)
-                if c <= 0:
-                    raise ValueError("nonpositive count")
-                put(rows.setdefault(word_id(v, n), {}), word_id(w, n), c)
-            table = cls(n, rows)
+                context.append(int(v))
+                word.append(int(w))
+                count.append(int(c))
+            context, word, count = (np.frombuffer(a, dtype=np.int64) for a in cells)
+            if ((context < 0) | (context >= n) | (word < 0) | (word >= n)).any():
+                raise ValueError(f"id out of range 0..{n - 1}")
+            if (count <= 0).any():
+                raise ValueError("nonpositive count")
+            table = cls.from_cells(n, context, word, count)
             if table.total_tokens != declared_total:
                 raise ValueError(
                     f"header total_tokens={declared_total} but counts sum "

@@ -1,25 +1,22 @@
-"""Clustering objectives and the one engine that evaluates and applies moves.
+"""The clustering criterion and the one engine that evaluates and applies moves.
 
-Both scores sum over three *families* of class-level counts: the cells
-(family ``"cell"``) and the two marginals, each named after its side.  A
+There is one criterion.  It sums over three *families* of class-level
+counts: the cells and the two marginals, each named after its side.  A
 family with weights ``w`` and combined counts ``c`` contributes
-``Σ w·ln(c−1−b)`` over its members with ``c > 1``.  A family that keeps
-*tallies* (its numbers of count-one and positive members) also contributes
-the singleton mass term ``n1·ln(b (n+ − 1) / (n0 + 1))``, n0 being its
-number of empty members.  A score is the cells minus the two marginals.
+``Σ w·ln(c−1−b)`` over its members with ``c > 1``; the cells take the
+discount ``b``, the marginals ``b = 0``.  Only the cells keep
+*tallies* (their numbers of count-one and positive members) and add the
+singleton mass term ``n1·ln(b (n+ − 1) / (n0 + 1))``, n0 being the number of
+empty cells.  A score is the cells minus the two marginals.
 
-* Leave-one-out, for training-set clustering (Kneser & Ney 1993), is the
-  special case ``c = w`` = the training counts; its marginals take ``b = 0``
-  and keep no tallies.
-* The adaptive score weights by the adaptation counts and combines the
-  rounded interpolation ``c = round(λ·a + (1−λ)·b)`` of adaptation and
-  background counts, with the discount and tallies on every family.
+The weights are the adaptation counts; the combined counts are their
+rounded interpolation ``c = round(λ·a + (1−λ)·b)`` with the background
+counts.  Leave-one-out, for training-set clustering (Kneser & Ney 1993), is
+the case with no background table, as at λ = 1: the training counts are
+both the weights and the combined counts.
 
-One engine, ``_Objective``, evaluates and applies moves for both.  A
-criterion declares its class-count tables, one word-profile index per table,
-one log table per family, how its per-table counts combine, and its tallies,
-kept exactly on the families with a singleton term (the fact that both the
-full score and the engine read).
+One engine, ``_Objective``, evaluates and applies moves with or without a
+background table.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from .errors import ConfigError, InvalidMoveError
 
 NEG_INF = float("-inf")
 
-# The families: the cells, and a marginal named after its side.
-CELL_FAMILY = "cell"
+# The two sides; each names its marginal family.
 CATEGORY_SIDE = "category"
 STATE_SIDE = "state"
 
@@ -54,32 +50,15 @@ def _tallies(c) -> tuple[int, int]:
 
 
 class ClassCounts:
-    """Dense class-level bigram table with marginals and its cell tallies."""
+    """Dense class-level bigram table, states as rows, with its marginals."""
 
-    def __init__(self, n_states: int, n_cats: int):
-        self.n_states = n_states
-        self.n_cats = n_cats
-        self.pairs = np.zeros((n_states, n_cats), dtype=np.int64)
-        self.state_tot = np.zeros(n_states, dtype=np.int64)
-        self.cat_tot = np.zeros(n_cats, dtype=np.int64)
-        self.tallies = {CELL_FAMILY: (0, 0)}
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_states * self.n_cats
-
-    def recount(self) -> None:
-        self.state_tot = self.pairs.sum(axis=1)
-        self.cat_tot = self.pairs.sum(axis=0)
-        self.tallies[CELL_FAMILY] = _tallies(self.pairs)
+    def __init__(self, pairs: np.ndarray, state_tot: np.ndarray, cat_tot: np.ndarray):
+        self.pairs, self.state_tot, self.cat_tot = pairs, state_tot, cat_tot
 
     @classmethod
     def from_matrix(cls, pairs) -> "ClassCounts":
-        pairs = np.asarray(pairs, dtype=np.int64)
-        t = cls(pairs.shape[0], pairs.shape[1])
-        t.pairs = pairs.copy()
-        t.recount()
-        return t
+        pairs = np.array(pairs, dtype=np.int64)
+        return cls(pairs, pairs.sum(axis=1), pairs.sum(axis=0))
 
 
 def aggregate_class_counts(counts: CountTable, cm: ClusterMap) -> ClassCounts:
@@ -152,99 +131,94 @@ def _move_counts(matrix, rows, add, src: int, k: int):
     return old, new
 
 
-def _family_delta(c, at: int, look, w, tallies: bool):
+def _family_delta(c, at: int, look, w):
     """One family's change under a move, from the (old, new) ``_move_counts``
     combined counts ``c`` and their weights ``w``: without ``w`` the weights
     are ``c`` and the log table ``look`` holds ``c ln(c-1-b)``, else
-    ``ln(c-1-b)``.  Returns the removal's change of ``Σ w ln(c-1-b)``, the
-    insertion's change of it per column, and per column the change of the
-    numbers of positive and count-one members, removal included (0 unless
-    ``tallies``)."""
+    ``ln(c-1-b)``.  Returns the removal's change of ``Σ w ln(c-1-b)`` and
+    the insertion's change of it per column."""
     old, new = c
-    d_pos = d_one = 0
-    if tallies:
-        # insertion only raises counts: a member turns positive or stays
-        d_pos = ((new > 0) > (old > 0)).sum(axis=0)
-        d_one = (new == 1).sum(axis=0) - (old == 1).sum(axis=0)
-        d_pos = d_pos - d_pos[at]
-        d_one = d_one - d_one[at]
     if w is None:
         t_old, t_new = look[old], look[new]
     else:
         t_old, t_new = w[0] * look[old], w[1] * look[new]
     rem = t_old[:, at].sum() - t_new[:, at].sum()
     ins = t_new.sum(axis=0) - t_old.sum(axis=0)
-    return rem, ins, d_pos, d_one
+    return rem, ins
 
 
-def _singleton_change(n_one: int, n_pos: int, d_one, d_pos, size: int, b: float, cells: bool):
-    """Per-target change of a family's singleton term, and the targets that
-    leave the family degenerate: a singleton term of -inf or, for the cell
-    family, at most one positive cell (such a table scores -inf)."""
+def _tally_change(c, at: int):
+    """Per column, the change of the numbers of count-one and positive members
+    under a move, removal at column ``at`` included, from the (old, new)
+    ``_move_counts`` combined counts ``c``."""
+    old, new = c
+    # insertion only raises counts: a member turns positive or stays
+    d_pos = ((new > 0) > (old > 0)).sum(axis=0)
+    d_one = (new == 1).sum(axis=0) - (old == 1).sum(axis=0)
+    return d_one - d_one[at], d_pos - d_pos[at]
+
+
+def _singleton_change(n_one: int, n_pos: int, d_one, d_pos, size: int, b: float):
+    """Per-target change of the cells' singleton term, and the targets that
+    leave at most one positive cell (such a table scores -inf)."""
     one = n_one + d_one
     pos = n_pos + d_pos
     # both logs take positive arguments: pos never exceeds the family size
     ln_ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log((size + 1.0) - pos)
     new = one * ln_ratio
     new[one == 0] = 0.0
-    bad = (pos <= 1) if cells else (pos <= 1) & (one > 0)
-    return new - _singleton_term(n_one, n_pos, size, b), bad
+    return new - _singleton_term(n_one, n_pos, size, b), pos <= 1
 
 
 @dataclass
 class Terms:
-    """A score's three families: weighted log sums and singleton terms."""
+    """The criterion's families: the cells' weighted log sum and singleton
+    term, and the weighted log sums of the two marginals."""
 
     pair_term: float
     pair_singleton: float
     state_term: float
-    state_singleton: float
     cat_term: float
-    cat_singleton: float
 
     @property
     def score(self) -> float:
-        # A degenerate singleton family (log of a nonpositive argument) marks
-        # the whole configuration as invalid, whichever side it sits on.
-        if NEG_INF in (self.pair_singleton, self.state_singleton, self.cat_singleton):
-            return NEG_INF
-        return (self.pair_term + self.pair_singleton - self.state_term
-                - self.state_singleton - self.cat_term - self.cat_singleton)
+        return self.pair_term + self.pair_singleton - self.state_term - self.cat_term
 
 
-def _family_term(w, c, b: float, tallies=None) -> tuple[float, float]:
-    """(Σ w ln(c-1-b) over members with c > 1, singleton term); the family
-    has no singleton term when ``tallies`` (count-one, positive) is None."""
+def _family_term(w, c, b: float) -> float:
+    """Σ w ln(c-1-b) over the members with c > 1."""
     mask = c > 1
-    term = float((w[mask] * np.log(c[mask] - 1.0 - b)).sum())
-    return term, 0.0 if tallies is None else _singleton_term(*tallies, c.size, b)
+    return float((w[mask] * np.log(c[mask] - 1.0 - b)).sum())
 
 
-def loo_terms(t: ClassCounts, discount: Discount) -> Terms:
-    tallies = t.tallies.get
+def clustering_terms(weights: ClassCounts, combined: ClassCounts, b: float) -> Terms:
+    """The families of the criterion of ``weights`` on ``combined`` counts
+    with discount ``b``.  A table with at most one positive combined cell is
+    degenerate: its singleton term, and so its score, is -inf."""
+    n_one, n_pos = _tallies(combined.pairs)
     return Terms(
-        *_family_term(t.pairs, t.pairs, discount.b, tallies(CELL_FAMILY)),
-        *_family_term(t.state_tot, t.state_tot, 0.0, tallies(STATE_SIDE)),
-        *_family_term(t.cat_tot, t.cat_tot, 0.0, tallies(CATEGORY_SIDE)),
+        _family_term(weights.pairs, combined.pairs, b),
+        NEG_INF if n_pos <= 1 else _singleton_term(n_one, n_pos, combined.pairs.size, b),
+        _family_term(weights.state_tot, combined.state_tot, 0.0),
+        _family_term(weights.cat_tot, combined.cat_tot, 0.0),
     )
 
 
-def loo_score(t: ClassCounts, discount: Discount) -> float:
-    """Leave-one-out clustering score; degenerate tables score -inf."""
-    if t.tallies[CELL_FAMILY][1] <= 1:
-        return NEG_INF
-    return loo_terms(t, discount).score
+def clustering_score(weights: ClassCounts, combined: ClassCounts, b: float) -> float:
+    """The criterion's value; leave-one-out is ``clustering_score(t, t, b)``."""
+    return clustering_terms(weights, combined, b).score
 
 
 class CombinedClassCounts:
-    """Adaptation and background aggregates plus their rounded interpolation.
+    """Adaptation aggregates, optional background aggregates, and their
+    rounded interpolation, with the combined cells' tallies kept exactly.
 
-    Only the singleton tallies of the combined table are materialized
-    permanently; dense combined matrices are recomputed on demand.
+    Without a background the adaptation counts are the combined counts,
+    whatever the weight.  Dense combined matrices are recomputed on demand.
     """
 
-    def __init__(self, adapt: ClassCounts, back: ClassCounts, lam: float):
-        if adapt.n_states != back.n_states or adapt.n_cats != back.n_cats:
+    def __init__(self, adapt: ClassCounts, back: ClassCounts | None = None, lam: float = 1.0):
+        if back is not None and adapt.pairs.shape != back.pairs.shape:
             raise ConfigError("aggregate tables have mismatched cluster ranges")
         self.adapt = adapt
         self.back = back
@@ -255,43 +229,18 @@ class CombinedClassCounts:
         with the current weight and rounded."""
         return round_combined(self.lam * a + (1.0 - self.lam) * b)
 
-    def combined_pairs(self) -> np.ndarray:
-        return self.combine(self.adapt.pairs, self.back.pairs)
-
-    def combined_state_tot(self) -> np.ndarray:
-        return self.combine(self.adapt.state_tot, self.back.state_tot)
-
-    def combined_cat_tot(self) -> np.ndarray:
-        return self.combine(self.adapt.cat_tot, self.back.cat_tot)
+    def combined(self) -> ClassCounts:
+        """The combined cells and marginals, each rounded on its own."""
+        a, b = self.adapt, self.back
+        if b is None:
+            return a
+        return ClassCounts(self.combine(a.pairs, b.pairs), self.combine(a.state_tot, b.state_tot),
+                           self.combine(a.cat_tot, b.cat_tot))
 
     def set_lambda(self, lam: float) -> None:
-        """Set the weight and recount the combined tallies of every family."""
+        """Set the weight and recount the combined cells' tallies."""
         self.lam = float(lam)
-        self.tallies = {
-            CELL_FAMILY: _tallies(self.combined_pairs()),
-            STATE_SIDE: _tallies(self.combined_state_tot()),
-            CATEGORY_SIDE: _tallies(self.combined_cat_tot()),
-        }
-
-
-def combine_counts(adapt: ClassCounts, back: ClassCounts, lam: float) -> CombinedClassCounts:
-    return CombinedClassCounts(adapt, back, lam)
-
-
-def adaptive_terms(cc: CombinedClassCounts, discount: Discount) -> Terms:
-    b, a, tallies = discount.b, cc.adapt, cc.tallies.get
-    return Terms(
-        *_family_term(a.pairs, cc.combined_pairs(), b, tallies(CELL_FAMILY)),
-        *_family_term(a.state_tot, cc.combined_state_tot(), b, tallies(STATE_SIDE)),
-        *_family_term(a.cat_tot, cc.combined_cat_tot(), b, tallies(CATEGORY_SIDE)),
-    )
-
-
-def adaptive_score(cc: CombinedClassCounts, discount: Discount) -> float:
-    """Adaptive clustering score; -inf when the combined table is degenerate."""
-    if cc.tallies[CELL_FAMILY][1] <= 1:
-        return NEG_INF
-    return adaptive_terms(cc, discount).score
+        self.tallies = _tallies(self.combined().pairs)
 
 
 def _word_profiles(counts: CountTable):
@@ -323,20 +272,29 @@ def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Objective:
-    """The move engine of both criteria, set up by ``_declare``.
-    ``perfbench/tracing.py`` wraps ``__init__``, ``best_move`` and
-    ``apply_move`` from each class's own ``__dict__``, so each criterion
-    aliases the last two in its class body: ``best_move = _Objective.best_move``."""
+    """The move engine of the criterion, over the counts being clustered
+    and an optional background table.  ``perfbench/tracing.py`` wraps
+    ``__init__``, ``best_move`` and ``apply_move`` from each class's own
+    ``__dict__``, so each subclass defines its constructor and aliases the
+    other two in its class body: ``best_move = _Objective.best_move``."""
 
-    def _declare(self, cm, discount, tables, profiles, logs, combine, tallies_of) -> None:
-        """A criterion's map, discount and class-count ``tables``, one
-        ``_word_profiles`` pair per table, one ``log_table`` per family, and
-        ``combine``: per-table counts to combined counts weighted by the first
-        table's, with ``ln(N-1-b)`` logs; or None for one table, whose counts
-        are both, with ``N ln(N-1-b)`` logs.  ``tallies_of.tallies`` always
-        holds the cells' tallies."""
+    def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount,
+                 back: CountTable | None = None, lam: float = 1.0):
         self.cm, self.discount = cm, discount
-        self._combine, self._tallies_of, self._logs = combine, tallies_of, logs
+        self.a = aggregate_class_counts(counts, cm)
+        self.bg = None if back is None else aggregate_class_counts(back, cm)
+        self.cc = CombinedClassCounts(self.a, self.bg, lam)
+        given = [t for t in (counts, back) if t is not None]
+        tables = [t for t in (self.a, self.bg) if t is not None]
+        profiles = [_word_profiles(t) for t in given]
+        # One table's counts are both its weights and its combined counts, so
+        # its log tables hold N ln(N-1-b) and a move needs no multiply; the
+        # combined counts of two tables are weighted by the first's counts.
+        one = back is None
+        self._combine = None if one else self.cc.combine
+        # counts stay below the largest total
+        largest = max(int(t.total_tokens) for t in given) + 2
+        self._logs = (log_table(discount.b, largest, one), log_table(0.0, largest, one))
         # per side: the other side's assignment and range, then per table the
         # profile index, each word's total in it, the cell matrix and the
         # one-row marginal, with the moving side's clusters as columns
@@ -348,6 +306,16 @@ class _Objective:
             cells = [t.pairs.T if state else t.pairs for t in tables]
             margs = [(t.state_tot if state else t.cat_tot)[None] for t in tables]
             self._sides[side] = (other, n, index, [_totals(i) for i in index], cells, margs)
+
+    @property
+    def lam(self) -> float:
+        return self.cc.lam
+
+    def set_lambda(self, lam: float) -> None:
+        self.cc.set_lambda(lam)
+
+    def score(self) -> float:
+        return clustering_score(self.a, self.cc.combined(), self.discount.b)
 
     def assignment(self, side: str):
         """(assignment array, movable cluster count, frozen words) of a side."""
@@ -371,20 +339,17 @@ class _Objective:
             raise InvalidMoveError("target equals current cluster")
 
     def _side(self, word: int, side: str):
-        """The cell and marginal families a move of ``word`` on ``side``
-        changes, each as (name, per-table matrices, rows, per-table counts of
-        the word at those rows, log table); None if the word has none."""
+        """The cells and the marginal a move of ``word`` on ``side`` changes,
+        each as (per-table matrices, rows, per-table counts of the word at
+        those rows); None if the word has no counts on that side."""
         other, n, index, totals, cells, margs = self._sides[side]
         profiles = [_class_profile(i, word, other, n) for i in index]
         # the rows any table touches; the start value spares one table an add
         rows = sum(profiles[1:], profiles[0]).nonzero()[0]
         if not len(rows):
             return None
-        xs = [p[rows] for p in profiles]
-        return (
-            (CELL_FAMILY, cells, rows, xs, self._logs[CELL_FAMILY]),
-            (side, margs, _ROW, [t[word:word + 1] for t in totals], self._logs[side]),
-        )
+        return ((cells, rows, [p[rows] for p in profiles]),
+                (margs, _ROW, [t[word:word + 1] for t in totals]))
 
     def candidate_deltas(self, word: int, side: str):
         """Score deltas for moving ``word`` to each regular cluster.
@@ -397,24 +362,19 @@ class _Objective:
             return None
         assign, k, _ = self.assignment(side)
         src = int(assign[word])
-        changes = []
-        for name, mats, rows, xs, look in families:
+        # per family: the (old, new) weights (None for one table) and combined counts
+        moved = []
+        for mats, rows, xs in families:
             per = [_move_counts(m, rows, x, src, k) for m, x in zip(mats, xs)]
-            if self._combine is None:
-                w, c = None, per[0]
-            else:
-                w, c = per[0], [self._combine(*counts) for counts in zip(*per)]
-            tallies = self._tallies_of.tallies.get(name)
-            rem, ins, d_pos, d_one = _family_delta(c, src, look, w, tallies is not None)
-            changes.append((rem, ins, None if tallies is None else _singleton_change(
-                *tallies, d_one, d_pos, mats[0].size, self.discount.b, name == CELL_FAMILY
-            )))
-        (c_rem, c_ins, (single, bad)), (m_rem, m_ins, m_single) = changes
+            moved.append((None, per[0]) if self._combine is None
+                         else (per[0], [self._combine(*counts) for counts in zip(*per)]))
+        (c_w, c), (m_w, m) = moved
+        c_rem, c_ins = _family_delta(c, src, self._logs[0], c_w)
+        m_rem, m_ins = _family_delta(m, src, self._logs[1], m_w)
+        single, bad = _singleton_change(*self.cc.tallies, *_tally_change(c, src),
+                                        families[0][0][0].size, self.discount.b)
         deltas = c_rem + c_ins - m_rem - m_ins
         deltas += single
-        if m_single is not None:
-            deltas -= m_single[0]
-            bad = bad | m_single[1]
         # moves into a degenerate configuration are invalid, not attractive
         deltas[bad] = NEG_INF
         deltas[src] = NEG_INF
@@ -445,53 +405,38 @@ class _Objective:
         src = int(assign[word])
         families = self._side(word, side)
         if families is not None:
-            tallies = self._tallies_of.tallies
-            for name, mats, rows, xs, _ in families:
-                if name not in tallies:
-                    # a marginal without tallies: a scalar move of the word's count
-                    for m, x in zip(mats, xs):
-                        m[0, src] -= x[0]
-                        m[0, dst] += x[0]
-                    continue
-                # the members the move changes, at rows x (source, target)
-                at = rows[:, None], [src, dst]
-                before = [m[at] for m in mats]
-                after = [b + x[:, None] * _SHIFT for b, x in zip(before, xs)]
-                (one0, pos0), (one1, pos1) = (
-                    _tallies(per[0] if self._combine is None else self._combine(*per))
-                    for per in (before, after)
-                )
-                n_one, n_pos = tallies[name]
-                tallies[name] = (n_one + one1 - one0, n_pos + pos1 - pos0)
-                for m, counts in zip(mats, after):
-                    m[at] = counts
+            (cells, rows, xs), (margs, _, totals) = families
+            # the cells the move changes, at rows x (source, target)
+            at = rows[:, None], [src, dst]
+            before = [m[at] for m in cells]
+            after = [b + x[:, None] * _SHIFT for b, x in zip(before, xs)]
+            (one0, pos0), (one1, pos1) = (
+                _tallies(per[0] if self._combine is None else self._combine(*per))
+                for per in (before, after)
+            )
+            n_one, n_pos = self.cc.tallies
+            self.cc.tallies = (n_one + one1 - one0, n_pos + pos1 - pos0)
+            for m, counts in zip(cells, after):
+                m[at] = counts
+            # each marginal moves the word's total from the source to the target
+            for m, x in zip(margs, totals):
+                m[0, src] -= x[0]
+                m[0, dst] += x[0]
         assign[word] = dst
 
 
 class StandardObjective(_Objective):
-    """Leave-one-out objective with O(profile x clusters) move evaluation."""
+    """Leave-one-out: the criterion on one table, with no background."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount):
-        self.t = aggregate_class_counts(counts, cm)
-        # cells take the discount, marginals b = 0; counts stay below the total
-        largest = int(counts.total_tokens) + 2
-        marg = log_table(0.0, largest, times_n=True)
-        self._declare(
-            cm, discount, [self.t], [_word_profiles(counts)],
-            {CELL_FAMILY: log_table(discount.b, largest, times_n=True),
-             STATE_SIDE: marg, CATEGORY_SIDE: marg},
-            None, self.t,
-        )
+        super().__init__(counts, cm, discount)
 
     best_move = _Objective.best_move
     apply_move = _Objective.apply_move
 
-    def score(self) -> float:
-        return loo_score(self.t, self.discount)
-
 
 class AdaptiveObjective(_Objective):
-    """Adaptive objective over paired adaptation/background aggregates."""
+    """The criterion on adaptation counts combined with background counts."""
 
     def __init__(
         self,
@@ -501,29 +446,7 @@ class AdaptiveObjective(_Objective):
         discount: Discount,
         lam: float = 0.5,
     ):
-        self.a = aggregate_class_counts(adapt_counts, cm)
-        self.bg = aggregate_class_counts(back_counts, cm)
-        self.cc = CombinedClassCounts(self.a, self.bg, lam)
-        log = log_table(
-            discount.b, max(int(adapt_counts.total_tokens), int(back_counts.total_tokens)) + 2,
-            times_n=False,
-        )
-        self._declare(
-            cm, discount, [self.a, self.bg],
-            [_word_profiles(adapt_counts), _word_profiles(back_counts)],
-            dict.fromkeys((CELL_FAMILY, STATE_SIDE, CATEGORY_SIDE), log),
-            self.cc.combine, self.cc,
-        )
+        super().__init__(adapt_counts, cm, discount, back_counts, lam)
 
     best_move = _Objective.best_move
     apply_move = _Objective.apply_move
-
-    @property
-    def lam(self) -> float:
-        return self.cc.lam
-
-    def set_lambda(self, lam: float) -> None:
-        self.cc.set_lambda(lam)
-
-    def score(self) -> float:
-        return adaptive_score(self.cc, self.discount)

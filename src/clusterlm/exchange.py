@@ -25,7 +25,7 @@ from .criterion import (
     AdaptiveObjective,
     CombinedClassCounts,
     StandardObjective,
-    adaptive_score,
+    clustering_score,
 )
 from .discounting import Discount, bigram_discount
 from .errors import ConfigError
@@ -78,7 +78,7 @@ class ExchangeResult:
 def optimize_lambda(
     cc: CombinedClassCounts, grid, discount: Discount
 ) -> tuple[float, float]:
-    """Grid argmax of the adaptive score; ties go to the larger weight.
+    """Grid argmax of the criterion over ``cc``; ties go to the larger weight.
 
     Leaves ``cc`` set to the winning weight.  If every grid point is
     degenerate the largest weight is returned with score -inf.
@@ -87,7 +87,7 @@ def optimize_lambda(
     best_score = NEG_INF
     for lam in grid:
         cc.set_lambda(lam)
-        s = adaptive_score(cc, discount)
+        s = clustering_score(cc.adapt, cc.combined(), discount.b)
         if best_lam is None or s >= best_score:
             best_lam, best_score = lam, s
     cc.set_lambda(best_lam)
@@ -126,9 +126,9 @@ def run_exchange(
     """Run exchange clustering from ``init`` until convergence or the
     iteration cap.
 
-    With ``back_counts`` the criterion is the adaptive one over the
-    adaptation counts ``train_counts`` and the background counts, else
-    leave-one-out over ``train_counts``.  Under either criterion, words with
+    With ``back_counts`` the criterion combines the adaptation counts
+    ``train_counts`` with the background counts; without, it is
+    leave-one-out over ``train_counts``.  Either way, words with
     at most ``RARE_EVENTS`` events in ``train_counts`` (the table being
     clustered) keep their state and category from ``init``.  The returned
     map is a copy; ``init`` is left untouched.

@@ -73,26 +73,15 @@ def adaptation_score(a_cells, b_cells, lam, n_states, n_cats, b):
             total += na * math.log(nc - 1 - b)
     if n_one:
         total += n_one * math.log(b * (n_pos - 1) / (n_zero + 1))
-    for axis, n_axis in ((0, n_states), (1, n_cats)):
+    # the marginals take no discount and have no singleton term
+    for axis in (0, 1):
         ma = _marginals(a_cells, axis)
         mb = _marginals(b_cells, axis)
-        mkeys = set(ma) | set(mb)
-        mc = {
-            k: round_nearest(lam * ma.get(k, 0) + (1 - lam) * mb.get(k, 0))
-            for k in mkeys
-        }
-        for k in mkeys:
+        for k in set(ma) | set(mb):
             na = ma.get(k, 0)
-            nc = mc[k]
+            nc = round_nearest(lam * na + (1 - lam) * mb.get(k, 0))
             if na >= 1 and nc > 1:
-                total -= na * math.log(nc - 1 - b)
-        m_pos = sum(1 for c in mc.values() if c > 0)
-        m_one = sum(1 for c in mc.values() if c == 1)
-        m_zero = n_axis - m_pos
-        if m_one:
-            if m_pos <= 1:
-                return NEG_INF
-            total -= m_one * math.log(b * (m_pos - 1) / (m_zero + 1))
+                total -= na * math.log(nc - 1)
     return total
 
 

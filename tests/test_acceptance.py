@@ -24,14 +24,11 @@ from clusterlm.criterion import (
     STATE_SIDE,
     AdaptiveObjective,
     ClassCounts,
+    CombinedClassCounts,
     StandardObjective,
-    adaptive_terms,
     aggregate_class_counts,
-    adaptive_score,
-    combine_counts,
+    clustering_score,
     combine_word_counts,
-    loo_score,
-    loo_terms,
 )
 from clusterlm.discounting import Discount
 from clusterlm.evaluate import (
@@ -57,12 +54,7 @@ def close(got, want, rel):
 
 
 def cells_of(t):
-    out = {}
-    for s in range(t.n_states):
-        for g in range(t.n_cats):
-            if t.pairs[s, g]:
-                out[(s, g)] = int(t.pairs[s, g])
-    return out
+    return {(s, g): int(c) for (s, g), c in np.ndenumerate(t.pairs) if c}
 
 
 def random_maps(rng, vocab_size, k_s, k_c):
@@ -88,14 +80,14 @@ def test_criterion_values_match_independent_references(capsys):
         lam = rng.choice([0.0, 0.3, 0.5, 0.7, 1.0])
 
         agg = aggregate_class_counts(train, cm)
-        got = loo_score(agg, Discount(b))
+        got = clustering_score(agg, agg, b)
         want = oracles.training_score(cells_of(agg), k_s, k_c, b)
         assert close(got, want, 1e-10), (got, want)
         if math.isfinite(want):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
         agg_b = aggregate_class_counts(back, cm)
-        got_a = adaptive_score(combine_counts(agg, agg_b, lam), Discount(b))
+        got_a = clustering_score(agg, CombinedClassCounts(agg, agg_b, lam).combined(), b)
         want_a = oracles.adaptation_score(
             cells_of(agg), cells_of(agg_b), lam, k_s, k_c, b
         )
@@ -249,7 +241,7 @@ def test_every_model_type_normalizes(capsys):
 def test_interpolation_endpoints_are_exact(capsys):
     rng = random.Random(5005)
     cells_exact = True
-    term_exact = True
+    score_exact = True
     for _ in range(25):
         n_s, n_c = rng.randint(2, 6), rng.randint(2, 6)
         mk = lambda: [
@@ -258,23 +250,20 @@ def test_interpolation_endpoints_are_exact(capsys):
         ]
         a = ClassCounts.from_matrix(mk())
         b = ClassCounts.from_matrix(mk())
-        disc = Discount(rng.uniform(0.1, 0.9))
+        disc = rng.uniform(0.1, 0.9)
 
-        cc = combine_counts(a, b, 1.0)
-        cells_exact &= bool(np.array_equal(cc.combined_pairs(), a.pairs))
-        cells_exact &= bool(np.array_equal(cc.combined_state_tot(), a.state_tot))
-        cells_exact &= bool(np.array_equal(cc.combined_cat_tot(), a.cat_tot))
-        term_exact &= adaptive_terms(cc, disc).pair_term == loo_terms(a, disc).pair_term
-
-        cc.set_lambda(0.0)
-        cells_exact &= bool(np.array_equal(cc.combined_pairs(), b.pairs))
-        cells_exact &= bool(np.array_equal(cc.combined_state_tot(), b.state_tot))
-        cells_exact &= bool(np.array_equal(cc.combined_cat_tot(), b.cat_tot))
+        cc = CombinedClassCounts(a, b, 1.0)
+        for got, want in ((cc.combined(), a), (CombinedClassCounts(a, b, 0.0).combined(), b)):
+            cells_exact &= bool(np.array_equal(got.pairs, want.pairs))
+            cells_exact &= bool(np.array_equal(got.state_tot, want.state_tot))
+            cells_exact &= bool(np.array_equal(got.cat_tot, want.cat_tot))
+        # leave-one-out is the criterion with no background table
+        score_exact &= clustering_score(a, cc.combined(), disc) == clustering_score(a, a, disc)
     verdict(
         capsys, 5,
-        "interpolation endpoints cell-exact; bigram term at full adaptation "
-        "weight equals the training criterion's bigram term bit-for-bit",
-        cells_exact and term_exact,
+        "interpolation endpoints cell-exact; the adaptive score at full adaptation "
+        "weight equals the leave-one-out score bit-for-bit",
+        cells_exact and score_exact,
     )
 
 
@@ -311,7 +300,8 @@ def test_exchange_attains_enumerated_optimum_on_block_corpus(capsys):
             C = np.zeros((V, init.n_cats), dtype=np.int64)
             C[np.arange(V), G] = 1
             pairs = half @ C
-            score = loo_score(ClassCounts.from_matrix(pairs), disc)
+            t = ClassCounts.from_matrix(pairs)
+            score = clustering_score(t, t, disc.b)
             best = max(best, score)
             n_evaluated += 1
     elapsed = time.monotonic() - start

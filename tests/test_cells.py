@@ -112,10 +112,12 @@ def test_one_table_per_set_of_cells(setup):
             table.save(path, "cafe")
             loaded, _ = CountTable.load(path)
         rebuilt = CountTable.from_cells(table.vocab_size, *table.cells())
+        # cells out of order are sorted
+        reversed_ = CountTable.from_cells(table.vocab_size, *(a[::-1] for a in table.cells()))
         want = stored(table)
         assert [v for v, _ in want] == sorted(v for v, _ in want)
         assert all([w for w, _ in row] == sorted(w for w, _ in row) for _, row in want)
-        for other in (rebuilt, loaded):
+        for other in (rebuilt, reversed_, loaded):
             assert stored(other) == want
             assert np.array_equal(other.unigram, table.unigram)
             assert other.total_tokens == table.total_tokens

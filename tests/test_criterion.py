@@ -1,4 +1,4 @@
-"""Both clustering criteria: closed-form values, oracle agreement, deltas."""
+"""The clustering criterion: closed-form values, oracle agreement, deltas."""
 
 import math
 import random
@@ -19,11 +19,9 @@ from clusterlm.criterion import (
     CombinedClassCounts,
     StandardObjective,
     aggregate_class_counts,
-    adaptive_score,
-    combine_counts,
+    clustering_score,
     combine_word_counts,
     log_table,
-    loo_score,
     round_combined,
 )
 from clusterlm.corpus import CountTable
@@ -32,13 +30,16 @@ from clusterlm.errors import InvalidMoveError
 
 
 def cells_of(t):
-    out = {}
-    for s in range(t.n_states):
-        for g in range(t.n_cats):
-            c = int(t.pairs[s, g])
-            if c:
-                out[(s, g)] = c
-    return out
+    return {(s, g): int(c) for (s, g), c in np.ndenumerate(t.pairs) if c}
+
+
+def loo_score(t, b):
+    """Leave-one-out: the criterion with no background."""
+    return clustering_score(t, t, b)
+
+
+def adaptive_score(a, bg, lam, b):
+    return clustering_score(a, CombinedClassCounts(a, bg, lam).combined(), b)
 
 
 def random_instance(rng, vocab_size=None, k_s=None, k_c=None):
@@ -70,7 +71,7 @@ def test_round_half_up():
 
 def test_training_score_hand_example():
     t = ClassCounts.from_matrix([[3, 0], [0, 2]])
-    got = loo_score(t, Discount(0.5))
+    got = loo_score(t, 0.5)
     want = 3 * math.log(1.5) + 2 * math.log(0.5) - 6 * math.log(2)
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -78,15 +79,15 @@ def test_training_score_hand_example():
 def test_training_score_singleton_cell_term():
     t = ClassCounts.from_matrix([[1, 0], [0, 3]])
     b = 0.4
-    got = loo_score(t, Discount(b))
+    got = loo_score(t, b)
     # one singleton cell, two positive cells, two empty cells
     want = 3 * math.log(3 - 1 - b) + math.log(b * 1 / 3) - 2 * (3 * math.log(2))
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_training_score_degenerate_is_negative_infinity():
-    assert loo_score(ClassCounts.from_matrix([[5, 0], [0, 0]]), Discount(0.5)) == NEG_INF
-    assert loo_score(ClassCounts.from_matrix([[0, 0], [0, 0]]), Discount(0.5)) == NEG_INF
+    assert loo_score(ClassCounts.from_matrix([[5, 0], [0, 0]]), 0.5) == NEG_INF
+    assert loo_score(ClassCounts.from_matrix([[0, 0], [0, 0]]), 0.5) == NEG_INF
 
 
 def test_training_score_matches_reference_on_random_tables():
@@ -99,7 +100,7 @@ def test_training_score_matches_reference_on_random_tables():
         ]
         b = rng.uniform(0.1, 0.9)
         t = ClassCounts.from_matrix(pairs)
-        got = loo_score(t, Discount(b))
+        got = loo_score(t, b)
         want = oracles.training_score(cells_of(t), n_s, n_c, b)
         if math.isinf(want):
             assert got == want
@@ -113,9 +114,8 @@ def test_training_score_invariant_under_relabeling():
     perm_s = rng.sample(range(5), 5)
     perm_c = rng.sample(range(4), 4)
     permuted = pairs[np.ix_(perm_s, perm_c)]
-    b = Discount(0.5)
-    s1 = loo_score(ClassCounts.from_matrix(pairs), b)
-    s2 = loo_score(ClassCounts.from_matrix(permuted), b)
+    s1 = loo_score(ClassCounts.from_matrix(pairs), 0.5)
+    s2 = loo_score(ClassCounts.from_matrix(permuted), 0.5)
     assert s1 == pytest.approx(s2, rel=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_aggregate_marginals_consistent():
     t = aggregate_class_counts(counts, cm)
     assert np.array_equal(t.state_tot, t.pairs.sum(axis=1))
     assert np.array_equal(t.cat_tot, t.pairs.sum(axis=0))
-    assert t.tallies["cell"][1] + int((t.pairs == 0).sum()) == t.n_cells
+    assert CombinedClassCounts(t).tallies[1] + int((t.pairs == 0).sum()) == t.pairs.size
     # brute-force double loop
     want = oracles.cells_from_table(counts.rows, cm.state_of, cm.category_of)
     assert cells_of(t) == want
@@ -159,30 +159,31 @@ def test_combine_counts_endpoints_exact():
     rng = random.Random(12)
     a = ClassCounts.from_matrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
     b = ClassCounts.from_matrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
-    cc = combine_counts(a, b, 1.0)
-    assert np.array_equal(cc.combined_pairs(), a.pairs)
-    assert np.array_equal(cc.combined_state_tot(), a.state_tot)
+    cc = CombinedClassCounts(a, b, 1.0)
+    assert np.array_equal(cc.combined().pairs, a.pairs)
+    assert np.array_equal(cc.combined().state_tot, a.state_tot)
     cc.set_lambda(0.0)
-    assert np.array_equal(cc.combined_pairs(), b.pairs)
-    assert np.array_equal(cc.combined_cat_tot(), b.cat_tot)
+    assert np.array_equal(cc.combined().pairs, b.pairs)
+    assert np.array_equal(cc.combined().cat_tot, b.cat_tot)
+    # without a background the adaptation counts are the combined counts
+    assert CombinedClassCounts(a, None, 0.3).combined() is a
 
 
 def test_combine_counts_rounds_ties_up():
     a = ClassCounts.from_matrix([[2]])
     b = ClassCounts.from_matrix([[5]])
-    cc = combine_counts(a, b, 0.5)
-    assert cc.combined_pairs()[0, 0] == 4  # 3.5 rounds away from zero
+    cc = CombinedClassCounts(a, b, 0.5)
+    assert cc.combined().pairs[0, 0] == 4  # 3.5 rounds away from zero
 
 
 def test_combined_marginals_rounded_independently():
     # cells round down to zero but the marginal rounds up from its own sum
     a = ClassCounts.from_matrix([[1, 1, 1], [0, 0, 0]])
     b = ClassCounts.from_matrix([[0, 0, 0], [0, 0, 5]])
-    cc = combine_counts(a, b, 0.4)
-    assert list(cc.combined_pairs()[0]) == [0, 0, 0]  # each 0.4 -> 0
+    combined = CombinedClassCounts(a, b, 0.4).combined()
+    assert list(combined.pairs[0]) == [0, 0, 0]  # each 0.4 -> 0
     # state margin: 0.4 * 3 = 1.2 -> 1, not the sum of rounded cells
-    assert cc.combined_state_tot()[0] == 1
-    assert cc.tallies["state"][0] == 1
+    assert combined.state_tot[0] == 1
 
 
 def test_combine_word_counts_endpoints_and_rounding():
@@ -225,8 +226,7 @@ def test_adaptive_score_matches_reference_on_random_pairs():
         bg = ClassCounts.from_matrix(mk())
         lam = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
         b = rng.uniform(0.1, 0.9)
-        cc = combine_counts(a, bg, lam)
-        got = adaptive_score(cc, Discount(b))
+        got = adaptive_score(a, bg, lam, b)
         want = oracles.adaptation_score(
             cells_of(a), cells_of(bg), lam, n_s, n_c, b
         )
@@ -240,21 +240,21 @@ def test_adaptive_score_empty_adaptation_counts():
     a = ClassCounts.from_matrix([[0, 0], [0, 0]])
     bg = ClassCounts.from_matrix([[4, 0], [0, 3]])
     b = 0.5
-    got = adaptive_score(combine_counts(a, bg, 0.0), Discount(b))
+    got = adaptive_score(a, bg, 0.0, b)
     want = oracles.adaptation_score({}, cells_of(bg), 0.0, 2, 2, b)
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_adaptive_score_degenerate_marginal_family_is_negative_infinity():
-    # combined cells both positive, but the single active state's combined
-    # marginal rounds to exactly one -> marginal family degenerates
-    a = ClassCounts.from_matrix([[1, 1], [0, 0]])
+def test_adaptive_score_degenerate_combined_cells_is_negative_infinity():
+    # two positive adaptation cells, but only one combined cell rounds above
+    # zero (1.2 -> 1, 0.4 -> 0) -> the combined cell family degenerates
+    a = ClassCounts.from_matrix([[3, 1], [0, 0]])
     bg = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    cc = combine_counts(a, bg, 0.7)
-    assert cc.tallies["cell"][1] == 2
-    assert cc.tallies["state"] == (1, 1)
-    assert adaptive_score(cc, Discount(0.5)) == NEG_INF
-    assert oracles.adaptation_score(cells_of(a), {}, 0.7, 2, 2, 0.5) == NEG_INF
+    cc = CombinedClassCounts(a, bg, 0.4)
+    assert cc.tallies == (1, 1)
+    assert adaptive_score(a, bg, 0.4, 0.5) == NEG_INF
+    assert oracles.adaptation_score(cells_of(a), {}, 0.4, 2, 2, 0.5) == NEG_INF
+    assert math.isfinite(loo_score(a, 0.5))
 
 
 def test_adaptive_equals_lambda_independent_when_tables_match():
@@ -264,9 +264,8 @@ def test_adaptive_equals_lambda_independent_when_tables_match():
     bg = ClassCounts.from_matrix(pairs)
     vals = []
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        cc = combine_counts(a, bg, lam)
-        assert np.array_equal(cc.combined_pairs(), a.pairs)
-        vals.append(adaptive_score(cc, Discount(0.6)))
+        assert np.array_equal(CombinedClassCounts(a, bg, lam).combined().pairs, a.pairs)
+        vals.append(adaptive_score(a, bg, lam, 0.6))
     assert max(vals) - min(vals) < 1e-12
 
 
@@ -389,21 +388,39 @@ def test_maintained_state_survives_many_moves(adaptive):
     for _ in range(40):
         w, side, src, dst = legal_random_move(rng, eng)
         eng.apply_move(w, side, dst)
-    if adaptive:
-        fresh_a = ClassCounts(eng.a.n_states, eng.a.n_cats)
-        fresh_a.pairs = eng.a.pairs.copy()
-        fresh_a.recount()
-        assert np.array_equal(fresh_a.state_tot, eng.a.state_tot)
-        assert np.array_equal(fresh_a.cat_tot, eng.a.cat_tot)
-        fresh = CombinedClassCounts(eng.a, eng.bg, eng.lam)
-        assert fresh.tallies == eng.cc.tallies
-    else:
-        fresh = ClassCounts(eng.t.n_states, eng.t.n_cats)
-        fresh.pairs = eng.t.pairs.copy()
-        fresh.recount()
-        assert np.array_equal(fresh.state_tot, eng.t.state_tot)
-        assert np.array_equal(fresh.cat_tot, eng.t.cat_tot)
-        assert fresh.tallies == eng.t.tallies
+    for t in (eng.a, eng.bg) if adaptive else (eng.a,):
+        fresh = ClassCounts.from_matrix(t.pairs)
+        assert np.array_equal(fresh.state_tot, t.state_tot)
+        assert np.array_equal(fresh.cat_tot, t.cat_tot)
+    assert CombinedClassCounts(eng.a, eng.bg, eng.lam).tallies == eng.cc.tallies
+
+
+def test_adaptive_engine_at_full_weight_is_leave_one_out():
+    # at lambda = 1 the background drops out of every family: the adaptive
+    # engine's candidate deltas are the standard engine's
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(15):
+        counts, cm = random_instance(rng)
+        back = random_table(rng, counts.vocab_size)
+        disc = Discount(rng.uniform(0.2, 0.8))
+        std = StandardObjective(counts, cm.copy(), disc)
+        ada = AdaptiveObjective(counts, back, cm.copy(), disc, lam=1.0)
+        assert ada.score() == std.score()
+        for w in range(counts.vocab_size):
+            for side in (CATEGORY_SIDE, STATE_SIDE):
+                got, want = ada.candidate_deltas(w, side), std.candidate_deltas(w, side)
+                if want is None:
+                    # a word with only background counts moves nothing at full weight
+                    assert got is None or (np.abs(got[1][np.isfinite(got[1])]) <= 1e-12).all()
+                    continue
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(np.isinf(got[1]), np.isinf(want[1]))
+                finite = np.isfinite(want[1])
+                assert np.array_equal(got[1][~finite], want[1][~finite])
+                assert got[1][finite] == pytest.approx(want[1][finite], rel=0, abs=1e-12)
+                checked += 1
+    assert checked > 100
 
 
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
@@ -457,7 +474,7 @@ def test_singleton_donor_cluster_delta_matches_recompute():
     before = eng.score()
     delta = eng.move_delta(4, STATE_SIDE, 0)
     eng.apply_move(4, STATE_SIDE, 0)
-    assert eng.t.state_tot[2] == 0
+    assert eng.a.state_tot[2] == 0
     assert delta == pytest.approx(eng.score() - before, rel=1e-10, abs=1e-10)
 
 

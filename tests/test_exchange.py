@@ -9,7 +9,7 @@ from corpusgen import block_corpus, domain_corpus, table_from_sentences
 
 from clusterlm.classmodel import init_clustering
 from clusterlm.corpus import Vocabulary, build_vocabulary, count_events
-from clusterlm.criterion import ClassCounts, combine_counts
+from clusterlm.criterion import ClassCounts, CombinedClassCounts
 from clusterlm.discounting import Discount, estimate_discount
 from clusterlm.errors import ConfigError
 from clusterlm.exchange import (
@@ -179,7 +179,7 @@ def test_optimize_lambda_breaks_ties_toward_larger_weight():
     pairs = [[rng.randint(0, 6) for _ in range(3)] for _ in range(3)]
     a = ClassCounts.from_matrix(pairs)
     b = ClassCounts.from_matrix(pairs)
-    cc = combine_counts(a, b, 0.0)
+    cc = CombinedClassCounts(a, b, 0.0)
     lam, score = optimize_lambda(cc, (0.0, 0.5, 1.0), Discount(0.5))
     assert lam == 1.0
     assert cc.lam == 1.0
@@ -189,7 +189,7 @@ def test_optimize_lambda_breaks_ties_toward_larger_weight():
 def test_optimize_lambda_all_degenerate():
     a = ClassCounts.from_matrix([[0, 0], [0, 0]])
     b = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    cc = combine_counts(a, b, 0.0)
+    cc = CombinedClassCounts(a, b, 0.0)
     lam, score = optimize_lambda(cc, (0.0, 0.5, 1.0), Discount(0.5))
     assert lam == 1.0
     assert score == -math.inf
