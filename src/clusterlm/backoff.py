@@ -9,7 +9,6 @@ for bit.
 from __future__ import annotations
 
 import math
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +19,6 @@ from .discounting import Discount, discounted_distribution
 from .errors import ConfigError
 
 BACKOFF_MAGIC = "clusterlm-backoff"
-# Section name -> fields per line.
-BACKOFF_SECTIONS = {
-    "\\bigrams:": 3, "\\contexts:": 2, "\\fill-contexts:": 2,
-    "\\unigrams:": 2, "\\fill-words:": 1, "\\unseen:": 1,
-}
 
 
 def _each(fn, a: np.ndarray) -> np.ndarray:
@@ -128,37 +122,24 @@ class BackoffModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "BackoffModel":
-        with Artifact(
-            path, BACKOFF_MAGIC, "backoff model", sections=BACKOFF_SECTIONS,
-            optional=("\\fill-contexts:", "\\fill-words:", "\\unseen:"),
-        ) as art:
+        with Artifact(path, BACKOFF_MAGIC, "backoff model") as art:
             n = art.field("vocab_size", size)
-            # Per section: the id that starts each line, the word of a bigram,
-            # and the value that ends a line of two or more fields.
-            ids = {section: array("q") for section in BACKOFF_SECTIONS}
-            values = {section: array("d") for section in BACKOFF_SECTIONS}
-            words = array("q")
-            for section, parts in art:
-                ids[section].append(int(parts[0]))
-                if len(parts) > 1:
-                    values[section].append(float(parts[-1]))
-                if len(parts) > 2:
-                    words.append(int(parts[1]))
-            words = np.array(words, dtype=np.int64)
-            ids = {section: np.array(a, dtype=np.int64) for section, a in ids.items()}
-            values = {section: np.array(a) for section, a in values.items()}
-            if not all(np.isfinite(a).all() for a in values.values()):
-                raise ValueError("a value is not finite")
-            if any(((a < 0) | (a >= n)).any() for a in [words, *ids.values()]):
-                raise ValueError(f"id out of range 0..{n - 1}")
-            dense_sections = ("\\contexts:", "\\fill-contexts:", "\\unigrams:")
-            alpha, beta, uni_lp = (dense(n, ids[s], values[s]) for s in dense_sections)
-            id_sets = [ids[s] for s in ("\\unseen:", "\\fill-words:")]
+            s = art.sections(
+                {"\\bigrams:": (n, n, float), "\\contexts:": (n, float),
+                 "\\fill-contexts:": (n, float), "\\unigrams:": (n, float),
+                 "\\fill-words:": (n,), "\\unseen:": (n,)},
+                optional=("\\fill-contexts:", "\\fill-words:", "\\unseen:"),
+            )
+            alpha, beta, uni_lp = (
+                dense(n, *s[name], what=f"id in {name}")
+                for name in ("\\contexts:", "\\fill-contexts:", "\\unigrams:")
+            )
+            id_sets = [s[name][0] for name in ("\\unseen:", "\\fill-words:")]
             unseen, fill_words = (frozenset(a.tolist()) for a in id_sets)
             if len(unseen) + len(fill_words) != sum(a.size for a in id_sets):
-                raise ValueError("duplicate word id")
+                raise ValueError("duplicate word id in \\unseen: or \\fill-words:")
             if not (uni_lp > -np.inf).all():
-                raise ValueError(f"expected {n} unigram lines")
+                raise ValueError(f"expected {n} lines in \\unigrams:")
             listed = alpha > -np.inf
             if not np.array_equal(beta > -np.inf, listed & bool(fill_words)):
                 raise ValueError("\\fill-contexts: must match \\contexts: and \\fill-words:")
@@ -168,13 +149,13 @@ class BackoffModel:
                 raise ValueError("backoff mass outside [0, 1]")
             model = cls(
                 n, art.field("b", finite), art.field("cutoff", size), uni_lp,
-                (ids["\\bigrams:"], words, values["\\bigrams:"]), listed, alpha, beta,
+                s["\\bigrams:"], listed, alpha, beta,
                 kind=art.field("kind", default="backoff"),
                 vocab_md5=art.field("vocab_md5", default=""),
                 unseen=unseen, fill_words=fill_words,
             )
             if (np.diff(model._keys) == 0).any():
-                raise ValueError("duplicate bigram")
+                raise ValueError("duplicate bigram in \\bigrams:")
             if not listed[model.context].all():
                 raise ValueError("bigrams after a context \\contexts: does not list")
             total = np.bincount(model.context, model.p, n) + alpha + beta

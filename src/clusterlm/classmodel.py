@@ -14,18 +14,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import Artifact, dense, finite, id_list, size, word_id
+from .artifact import Artifact, dense, finite, id_list, size
 from .corpus import CountTable, Vocabulary
 from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
 
 CLUSTERS_MAGIC = "clusterlm-clusters"
 CLASSMODEL_MAGIC = "clusterlm-classmodel"
-# Section name -> fields per line.
-CLASSMODEL_SECTIONS = {
-    "\\clusters:": 3, "\\state-bigrams:": 3, "\\state-alphas:": 2,
-    "\\category-unigrams:": 2, "\\word-unigrams:": 2,
-}
 
 
 class ClusterMap:
@@ -192,19 +187,19 @@ def _map_header(cm: ClusterMap) -> str:
     )
 
 
-def _read_map(art: Artifact, lines) -> ClusterMap:
-    """The map from the header of ``art`` and ``(word id, state, category)``
-    lines, which must cover every word exactly once."""
+def _read_map(art: Artifact, words: np.ndarray, states: np.ndarray,
+              categories: np.ndarray) -> ClusterMap:
+    """The map from the header of ``art`` and the (word id, state, category)
+    columns, in range, which must cover every word exactly once."""
     n, n_states, n_cats = (art.field(k, size) for k in ("vocab_size", "n_states", "n_cats"))
-    state_of = np.full(n, -1, dtype=np.int64)
-    category_of = np.full(n, -1, dtype=np.int64)
-    for w, s, g in lines:
-        if state_of[w] >= 0:
-            raise ValueError(f"word {w} listed twice")
-        state_of[w] = word_id(s, n_states)
-        category_of[w] = word_id(g, n_cats)
-    if (state_of < 0).any():
+    listed = np.bincount(words, minlength=n)
+    if (listed > 1).any():
+        raise ValueError(f"word {int(np.argmax(listed > 1))} listed twice")
+    if (listed == 0).any():
         raise ValueError("clusters do not cover the vocabulary")
+    state_of = np.empty(n, dtype=np.int64)
+    category_of = np.empty(n, dtype=np.int64)
+    state_of[words], category_of[words] = states, categories
     try:
         return ClusterMap(
             state_of, category_of, n_states, n_cats,
@@ -219,20 +214,20 @@ def load_clusters(
     path: str | Path, vocab: Vocabulary
 ) -> tuple[ClusterMap, dict[str, str]]:
     """Read a cluster file; returns the map and the header fields."""
-
-    def wid(word: str) -> int:
-        if word not in vocab:
-            raise ValueError(f"unknown word {word!r}")
-        return vocab.ids[word]
-
-    with Artifact(path, CLUSTERS_MAGIC, "cluster", columns=3) as art:
-        vocab_size = art.field("vocab_size", size)
+    with Artifact(path, CLUSTERS_MAGIC, "cluster") as art:
+        vocab_size, n_states, n_cats = (
+            art.field(k, size) for k in ("vocab_size", "n_states", "n_cats")
+        )
         if vocab_size != len(vocab):
             raise FormatError(
                 f"{path}: cluster file is for a {vocab_size}-word vocabulary, "
                 f"got {len(vocab)} words"
             )
-        cm = _read_map(art, ((wid(w), s, g) for _, (w, s, g) in art))
+        words, states, categories = art.body((str, n_states, n_cats))
+        ids = np.array([vocab.ids.get(w, -1) for w in words.tolist()], dtype=np.int64)
+        if (ids < 0).any():
+            raise ValueError(f"unknown word {words[np.argmax(ids < 0)]!r}")
+        cm = _read_map(art, ids, states, categories)
     return cm, art.fields
 
 
@@ -319,40 +314,31 @@ class ClassModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassModel":
-        with Artifact(
-            path, CLASSMODEL_MAGIC, "class model", sections=CLASSMODEL_SECTIONS
-        ) as art:
+        with Artifact(path, CLASSMODEL_MAGIC, "class model") as art:
             n, n_states, n_cats = (
                 art.field(k, size) for k in ("vocab_size", "n_states", "n_cats")
             )
-            clusters = []
-            s_ids, g_ids, pair_lps = [], [], []
-            keyed = {
-                "\\state-alphas:": ([], [], n_states),
-                "\\category-unigrams:": ([], [], n_cats),
-                "\\word-unigrams:": ([], [], n),
-            }
-            for section, parts in art:
-                if section == "\\clusters:":
-                    clusters.append((word_id(parts[0], n), parts[1], parts[2]))
-                elif section == "\\state-bigrams:":
-                    s_ids.append(word_id(parts[0], n_states))
-                    g_ids.append(word_id(parts[1], n_cats))
-                    pair_lps.append(finite(parts[2]))
-                else:
-                    ids, values, bound = keyed[section]
-                    ids.append(word_id(parts[0], bound))
-                    values.append(finite(parts[1]))
-            pair_lp = dense((n_states, n_cats), (s_ids, g_ids), pair_lps)
+            s = art.sections({
+                "\\clusters:": (n, n_states, n_cats),
+                "\\state-bigrams:": (n_states, n_cats, float),
+                "\\state-alphas:": (n_states, float),
+                "\\category-unigrams:": (n_cats, float),
+                "\\word-unigrams:": (n, float),
+            })
+            s_ids, g_ids, values = s["\\state-bigrams:"]
+            pair_lp = dense((n_states, n_cats), (s_ids, g_ids), values,
+                            what="cell in \\state-bigrams:")
             alphas, cat_lp, word_lp = (
-                dense(bound, ids, values) for ids, values, bound in keyed.values()
+                dense(bound, *s[name], what=f"id in {name}") for name, bound in (
+                    ("\\state-alphas:", n_states), ("\\category-unigrams:", n_cats),
+                    ("\\word-unigrams:", n))
             )
             if not ((alphas > -np.inf).all() and (word_lp > -np.inf).all()):
-                raise ValueError("state alphas or word unigrams incomplete")
-            cm = _read_map(art, clusters)
+                raise ValueError("\\state-alphas: or \\word-unigrams: incomplete")
+            cm = _read_map(art, *s["\\clusters:"])
             nonempty = np.bincount(cm.category_of, minlength=n_cats) > 0
             if not np.array_equal(cat_lp > -np.inf, nonempty):
-                raise ValueError("category unigrams do not match the nonempty categories")
+                raise ValueError("\\category-unigrams: do not match the nonempty categories")
             return cls(
                 cm, pair_lp, alphas, cat_lp, word_lp,
                 art.field("b_pairs", finite), art.field("b_cats", finite),

@@ -260,19 +260,11 @@ class CountTable:
     @classmethod
     def load(cls, path: str | Path) -> tuple["CountTable", str]:
         """Read a count file; returns the table and the embedded vocab checksum."""
-        with Artifact(path, COUNTS_MAGIC, "count", columns=3) as art:
+        with Artifact(path, COUNTS_MAGIC, "count") as art:
             n = art.field("vocab_size", size)
             declared_total = art.field("total_tokens", size)
             vocab_md5 = art.field("vocab_md5")
-            cells = tuple(array("q") for _ in range(3))
-            context, word, count = cells
-            for _, (v, w, c) in art:
-                context.append(int(v))
-                word.append(int(w))
-                count.append(int(c))
-            context, word, count = (np.frombuffer(a, dtype=np.int64) for a in cells)
-            if ((context < 0) | (context >= n) | (word < 0) | (word >= n)).any():
-                raise ValueError(f"id out of range 0..{n - 1}")
+            context, word, count = art.body((n, n, int))
             if (count <= 0).any():
                 raise ValueError("nonpositive count")
             table = cls.from_cells(n, context, word, count)

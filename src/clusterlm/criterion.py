@@ -237,10 +237,13 @@ class CombinedClassCounts:
         return ClassCounts(self.combine(a.pairs, b.pairs), self.combine(a.state_tot, b.state_tot),
                            self.combine(a.cat_tot, b.cat_tot))
 
-    def set_lambda(self, lam: float) -> None:
-        """Set the weight and recount the combined cells' tallies."""
+    def set_lambda(self, lam: float) -> ClassCounts:
+        """Set the weight, recount the combined cells' tallies and return the
+        combined counts they were counted on."""
         self.lam = float(lam)
-        self.tallies = _tallies(self.combined().pairs)
+        combined = self.combined()
+        self.tallies = _tallies(combined.pairs)
+        return combined
 
 
 def _word_profiles(counts: CountTable):

@@ -86,8 +86,7 @@ def optimize_lambda(
     best_lam = None
     best_score = NEG_INF
     for lam in grid:
-        cc.set_lambda(lam)
-        s = clustering_score(cc.adapt, cc.combined(), discount.b)
+        s = clustering_score(cc.adapt, cc.set_lambda(lam), discount.b)
         if best_lam is None or s >= best_score:
             best_lam, best_score = lam, s
     cc.set_lambda(best_lam)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ def test_round_trip_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.vocab_md5 == "cafe"
     assert loaded.kind == model.kind
+    assert np.array_equal(table(loaded), table(model))
+
+
+def test_model_with_no_bigrams_loads_without_warnings(tmp_path):
+    # every bigram occurs once, so the cutoff drops them all
+    model = train_backoff(CountTable(6, {3: {4: 1, 5: 1}, 4: {5: 1}}), Discount(0.5))
+    assert model.context.size == 0
+    path = tmp_path / "m.lm"
+    model.save(path)
+    assert "\\bigrams:\n\\contexts:\n" in path.read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = BackoffModel.load(path)
     assert np.array_equal(table(loaded), table(model))
 
 
@@ -356,6 +370,7 @@ def added(section, line):
         added("fill-contexts", "6 0.1"),
         added("contexts", "6 1.0"),
         pytest.param("\\fill-words:\n6\n7\n8\n", "", id="fill-contexts-without-fill-words"),
+        pytest.param("\\unseen:\n", "\\unseen:\n\\unseen:\n", id="unseen-twice"),
     ],
 )
 def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
@@ -390,6 +405,9 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
         pytest.param("\\bigrams:\n", "\\bigrams:\n3 10 -0.5\n", id="bigram-out-of-range"),
         pytest.param("\\bigrams:\n", "\\bigrams:\n-1 4 -0.5\n", id="bigram-negative-id"),
         pytest.param("vocab_size=10", "vocab_size", id="header-token"),
+        pytest.param("\n\\contexts:\n", "\n\n\\contexts:\n", id="blank-line-in-bigrams"),
+        pytest.param("\\unigrams:\n", "\\unigrams:\n \n", id="blank-line-in-unigrams"),
+        pytest.param("\\bigrams:\n", "3 5 -0.5\n\\bigrams:\n", id="line-before-sections"),
     ],
 )
 def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new):

@@ -337,6 +337,8 @@ def _repeat_first_line(section):
         pytest.param(lambda t: t[: t.index("\\word-unigrams:")], id="no-word-unigrams"),
         pytest.param(lambda t: re.sub(r"(\\state-bigrams:\n\d+ \d+ )\S+", r"\1-inf", t),
                      id="unseen-state-bigram-value"),
+        pytest.param(lambda t: re.sub(r"(\\word-unigrams:\n\d+ )\S+", r"\1inf", t),
+                     id="infinite-word-unigram"),
         pytest.param(lambda t: re.sub(r"(\\state-bigrams:\n\d+ )\d+", r"\g<1>99", t),
                      id="state-bigram-category-out-of-range"),
         pytest.param(lambda t: re.sub(r"(\\category-unigrams:\n)[^\n]*\n", r"\1", t),
@@ -357,6 +359,10 @@ def _repeat_first_line(section):
         pytest.param(lambda t: t.replace(" b_cats=", " junk b_cats="), id="header-token"),
         pytest.param(lambda t: re.sub(r" k_cats=\d+", " k_cats=0", t, count=1),
                      id="no-movable-category"),
+        pytest.param(lambda t: t.replace("\\state-alphas:\n", "\\state-alphas:\n\n"),
+                     id="blank-line"),
+        pytest.param(lambda t: t.replace("\\clusters:\n", "0 0 0\n\\clusters:\n"),
+                     id="line-before-sections"),
     ],
 )
 def test_class_model_load_rejects_malformed_files(tmp_path, edit):
@@ -396,6 +402,7 @@ def header_field(key, value):
         pytest.param(header_field("k_states", 0), id="no-movable-state"),
         pytest.param(header_field("k_cats", 500), id="more-movable-categories-than-categories"),
         pytest.param(header_field("frozen_states", 99999), id="frozen-word-outside-vocabulary"),
+        pytest.param(lambda lines: lines[:2] + [""] + lines[2:], id="blank-line"),
     ],
 )
 def test_load_clusters_rejects_malformed_files(tmp_path, edit):

@@ -1,5 +1,7 @@
 """Vocabulary and counting behaviour."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,16 @@ def test_count_table_round_trip(tmp_path):
     assert np.array_equal(loaded.unigram, counts.unigram)
 
 
+def test_empty_count_table_round_trips_without_warnings(tmp_path):
+    path = tmp_path / "counts.txt"
+    CountTable(5).save(path, "cafe")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, _ = CountTable.load(path)
+    assert loaded.vocab_size == 5 and loaded.total_tokens == 0
+    assert all(a.size == 0 and a.dtype == np.int64 for a in loaded.cells())
+
+
 def test_count_table_load_rejects_out_of_range(tmp_path):
     path = tmp_path / "counts.txt"
     vocab = Vocabulary(["a"])
@@ -227,6 +239,8 @@ def _repeat_last_count_line(text):
         pytest.param(lambda t: t + "3 3 0\n", id="zero-count"),
         pytest.param(lambda t: t + "3 4\n", id="two-fields"),
         pytest.param(_repeat_last_count_line, id="duplicate-bigram"),
+        pytest.param(lambda t: t.replace(" 1\n", " 1\n\n", 1), id="blank-line"),
+        pytest.param(lambda t: t + " \t\n", id="whitespace-line"),
     ],
 )
 def test_count_table_load_rejects_malformed_files(tmp_path, edit):
