@@ -8,7 +8,8 @@ streams the file, parses the lines of the body or of each section in one
 array).  Each column is declared by its kind: an int ``n`` for ids in
 ``0..n-1``, ``int`` for any integer, ``float`` for finite values, ``str`` for
 words.  A blank line, a line with the wrong number of fields, a field of the
-wrong kind, an id out of range or a value that is not finite is rejected.
+wrong kind (``2.5`` or ``1e3`` for an integer, ``1_0`` for any number), an id
+out of range or a value that is not finite is rejected.
 Inside ``with Artifact(...) as art:`` a ``ValueError``, ``IndexError`` or
 ``OverflowError`` becomes a ``FormatError`` that names the file and the part
 being read: the header, the body or the section, and the line number of a
@@ -19,6 +20,7 @@ coverage, row sums) name their sections in their messages.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -145,9 +147,12 @@ class Artifact:
         dtype = np.dtype([(f"f{i}", _DTYPES.get(k, "i8")) for i, k in enumerate(kinds)])
         try:
             first = next(lines, None)
-            # np.loadtxt warns on no lines
-            rows = np.empty(0, dtype) if first is None else np.loadtxt(
-                chain((first,), lines), dtype, comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # a numpy that only warns on it reads an int field 2.5 as 2
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                # np.loadtxt warns on no lines
+                rows = np.empty(0, dtype) if first is None else np.loadtxt(
+                    chain((first,), lines), dtype, comments=None, ndmin=1)
         except ValueError as exc:  # np.loadtxt reads no further than the bad line
             raise ValueError(f"line {self.lineno}: {str(exc).split(';')[0]}") from exc
         columns = tuple(rows[name] for name in dtype.names)

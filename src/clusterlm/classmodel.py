@@ -187,11 +187,11 @@ def _map_header(cm: ClusterMap) -> str:
     )
 
 
-def _read_map(art: Artifact, words: np.ndarray, states: np.ndarray,
-              categories: np.ndarray) -> ClusterMap:
-    """The map from the header of ``art`` and the (word id, state, category)
-    columns, in range, which must cover every word exactly once."""
-    n, n_states, n_cats = (art.field(k, size) for k in ("vocab_size", "n_states", "n_cats"))
+def _read_map(art: Artifact, n: int, n_states: int, n_cats: int, words: np.ndarray,
+              states: np.ndarray, categories: np.ndarray) -> ClusterMap:
+    """The map of ``n`` words on ``n_states``/``n_cats`` clusters, the rest of
+    its header in ``art``, from the (word id, state, category) columns, in
+    range, which must cover every word exactly once."""
     listed = np.bincount(words, minlength=n)
     if (listed > 1).any():
         raise ValueError(f"word {int(np.argmax(listed > 1))} listed twice")
@@ -227,7 +227,7 @@ def load_clusters(
         ids = np.array([vocab.ids.get(w, -1) for w in words.tolist()], dtype=np.int64)
         if (ids < 0).any():
             raise ValueError(f"unknown word {words[np.argmax(ids < 0)]!r}")
-        cm = _read_map(art, ids, states, categories)
+        cm = _read_map(art, vocab_size, n_states, n_cats, ids, states, categories)
     return cm, art.fields
 
 
@@ -335,7 +335,7 @@ class ClassModel:
             )
             if not ((alphas > -np.inf).all() and (word_lp > -np.inf).all()):
                 raise ValueError("\\state-alphas: or \\word-unigrams: incomplete")
-            cm = _read_map(art, *s["\\clusters:"])
+            cm = _read_map(art, n, n_states, n_cats, *s["\\clusters:"])
             nonempty = np.bincount(cm.category_of, minlength=n_cats) > 0
             if not np.array_equal(cat_lp > -np.inf, nonempty):
                 raise ValueError("\\category-unigrams: do not match the nonempty categories")

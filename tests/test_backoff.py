@@ -385,6 +385,10 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
         BackoffModel.load(path)
 
 
+# Where a rejection is reported: the file, the section and the line.
+REPORTED = {"bigram-fractional-id": r"m\.lm: \\bigrams: line 3: "}
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -408,16 +412,18 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
         pytest.param("\n\\contexts:\n", "\n\n\\contexts:\n", id="blank-line-in-bigrams"),
         pytest.param("\\unigrams:\n", "\\unigrams:\n \n", id="blank-line-in-unigrams"),
         pytest.param("\\bigrams:\n", "3 5 -0.5\n\\bigrams:\n", id="line-before-sections"),
+        # cut to an integer, the id would load as the saved model
+        pytest.param("\\bigrams:\n3 4 ", "\\bigrams:\n3.5 4 ", id="bigram-fractional-id"),
     ],
 )
-def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new):
+def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new, request):
     _, background = adaptation_only_setup()
     path = tmp_path / "m.lm"
     background.save(path)
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new, 1))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
         BackoffModel.load(path)
 
 

@@ -320,6 +320,13 @@ def test_structured_corpus_gets_useful_classes():
     assert model.prob(q0, p0) > model.prob(p0, p0)
 
 
+# Where a rejection is reported: the file, the part of it and the line.
+REPORTED = {
+    "non-numeric-value": r"m\.lm: \\category-unigrams: line 23: ",
+    "non-integer-cluster-id": r"clusters\.txt: body: line 8: ",
+}
+
+
 def _repeat_first_line(section):
     def edit(text):
         head, body = text.split(section + "\n", 1)
@@ -365,7 +372,7 @@ def _repeat_first_line(section):
                      id="line-before-sections"),
     ],
 )
-def test_class_model_load_rejects_malformed_files(tmp_path, edit):
+def test_class_model_load_rejects_malformed_files(tmp_path, edit, request):
     vocab, counts = small_setup()
     model = estimate_class_model(counts, init_clustering(counts, 3, 2, vocab))
     path = tmp_path / "m.lm"
@@ -373,7 +380,7 @@ def test_class_model_load_rejects_malformed_files(tmp_path, edit):
     text = path.read_text()
     path.write_text(edit(text))
     assert path.read_text() != text
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
         ClassModel.load(path)
 
 
@@ -403,12 +410,15 @@ def header_field(key, value):
         pytest.param(header_field("k_cats", 500), id="more-movable-categories-than-categories"),
         pytest.param(header_field("frozen_states", 99999), id="frozen-word-outside-vocabulary"),
         pytest.param(lambda lines: lines[:2] + [""] + lines[2:], id="blank-line"),
+        # cut to an integer, the state would load as the saved map
+        pytest.param(lambda lines: lines[:-1] + ["{} {}.5 {}".format(*lines[-1].split())],
+                     id="fractional-state"),
     ],
 )
-def test_load_clusters_rejects_malformed_files(tmp_path, edit):
+def test_load_clusters_rejects_malformed_files(tmp_path, edit, request):
     vocab, counts = small_setup()
     path = tmp_path / "clusters.txt"
     save_clusters(path, vocab, init_clustering(counts, 3, 2, vocab))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
         load_clusters(path, vocab)

@@ -229,6 +229,10 @@ def _repeat_last_count_line(text):
     return "\n".join([" ".join(header)] + lines[1:] + lines[-1:]) + "\n"
 
 
+# Where a rejection is reported: the file, the part of it and the line.
+REPORTED = {"non-integer": r"counts\.txt: body: line 9: "}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -241,14 +245,17 @@ def _repeat_last_count_line(text):
         pytest.param(_repeat_last_count_line, id="duplicate-bigram"),
         pytest.param(lambda t: t.replace(" 1\n", " 1\n\n", 1), id="blank-line"),
         pytest.param(lambda t: t + " \t\n", id="whitespace-line"),
+        # cut to an integer, each of these would load as the saved table
+        pytest.param(lambda t: t.replace("\n3 3 1\n", "\n3 3 1.5\n"), id="fractional-count"),
+        pytest.param(lambda t: t.replace("\n3 4 1\n", "\n3.5 4 1\n"), id="fractional-id"),
     ],
 )
-def test_count_table_load_rejects_malformed_files(tmp_path, edit):
+def test_count_table_load_rejects_malformed_files(tmp_path, edit, request):
     vocab = Vocabulary(["a", "b"])
     path = tmp_path / "counts.txt"
     count_events([["a", "b"], ["b", "a", "a"]], vocab).save(path, vocab.checksum())
     text = path.read_text()
     path.write_text(edit(text))
     assert path.read_text() != text
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
         CountTable.load(path)
