@@ -1,7 +1,11 @@
-"""The one reader behind every artifact loader.
+"""The one module that writes and reads every artifact.
 
 An artifact is a UTF-8 text file.  Its first line is ``<magic> key=value ...``;
 the rest is plain lines, or sections that each open with a line ``\\name:``.
+``write`` takes the header fields in order and the columns of the body or of
+each section: a float is written with ``repr``, a set of ids as its sorted
+comma list (``-`` for none), anything else with ``str``, so that the reader
+gets every value back bit for bit.
 A loader declares the columns of its body or of each section, and the reader
 streams the file, parses the lines of the body or of each section in one
 ``np.loadtxt`` call and hands back one array per column (views of one record
@@ -10,11 +14,12 @@ array).  Each column is declared by its kind: an int ``n`` for ids in
 words.  A blank line, a line with the wrong number of fields, a field of the
 wrong kind (``2.5`` or ``1e3`` for an integer, ``1_0`` for any number), an id
 out of range or a value that is not finite is rejected.
-Inside ``with Artifact(...) as art:`` a ``ValueError``, ``IndexError`` or
-``OverflowError`` becomes a ``FormatError`` that names the file and the part
-being read: the header, the body or the section, and the line number of a
-line that does not parse.  The loaders' own whole-array checks (duplicates,
-coverage, row sums) name their sections in their messages.
+Inside ``with Artifact(...) as art:`` a ``ValueError``, ``IndexError``,
+``OverflowError`` or ``MemoryError`` (a header size too large to allocate)
+becomes a ``FormatError`` that names the file and the part being read: the
+header, the body or the section, and the line number of a line that does not
+parse.  The loaders' own whole-array checks (duplicates, coverage, row sums)
+name their sections in their messages.
 """
 
 from __future__ import annotations
@@ -23,15 +28,47 @@ import math
 import warnings
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import FormatError
 
-_CONVERTED = (ValueError, IndexError, OverflowError)
+_CONVERTED = (ValueError, IndexError, OverflowError, MemoryError)
 # Column kind -> dtype; an int kind is an id bound.  Never a fixed-width
 # ``U`` string dtype, which cuts longer words short without an error.
 _DTYPES = {int: "i8", float: "f8", str: "O"}
+
+
+def row_tuples(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length arrays as tuples of Python values, converted a
+    few thousand at a time: a long table never becomes one list of objects.
+    Columns of unequal length raise ``ValueError``; none is cut short."""
+    for lo in range(0, len(columns[0]), 4096):
+        yield from zip(*(c[lo:lo + 4096].tolist() for c in columns), strict=True)
+
+
+def _text(value) -> str:
+    """A header value as ``finite``, ``id_list`` and ``size`` read it back."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, frozenset):
+        return ",".join(map(str, sorted(value))) or "-"
+    return str(value)
+
+
+def write(path: str | Path, magic: str, fields: dict, parts) -> None:
+    """Write an artifact: the header ``magic`` and ``fields`` in their order,
+    then each ``(marker, columns)`` of ``parts``: a section opened by its
+    marker line ``\\name:``, or the plain body when the marker is ``None``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(" ".join([magic, *(f"{k}={_text(v)}" for k, v in fields.items())]) + "\n")
+        for marker, columns in parts:
+            if marker:
+                fh.write(marker + "\n")
+            fmt = " ".join("%r" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+            for row in row_tuples(*columns):
+                fh.write(fmt % row)
 
 
 def read_magic(path: str | Path) -> str:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import Artifact, dense, finite, size
-from .corpus import CountTable, cell_rows, row_tuples
+from .artifact import Artifact, dense, finite, row_tuples, size, write
+from .corpus import CountTable, cell_rows
 from .discounting import Discount, discounted_distribution
 from .errors import ConfigError
 
@@ -100,25 +100,18 @@ class BackoffModel:
         return float(self.probs(np.array([v]), np.array([w]))[0])
 
     def save(self, path: str | Path) -> None:
-        listed = np.flatnonzero(self.listed).tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"{BACKOFF_MAGIC} kind={self.kind} vocab_size={self.vocab_size} "
-                f"b={self.b!r} cutoff={self.cutoff} vocab_md5={self.vocab_md5}\n"
-            )
-            fh.write("\\bigrams:\n")
-            for v, w, lp in row_tuples(self.context, self.word, self.lp):
-                fh.write(f"{v} {w} {lp!r}\n")
-            for name, mass in (("contexts", self.alpha), ("fill-contexts", self.beta)):
-                if name == "contexts" or self.fill_words:
-                    fh.write(f"\\{name}:\n")
-                    fh.writelines(f"{v} {m!r}\n" for v, m in zip(listed, mass[listed].tolist()))
-            fh.write("\\unigrams:\n")
-            fh.writelines(f"{w} {lp!r}\n" for w, lp in enumerate(self.uni_lp.tolist()))
-            for name, ids in (("fill-words", self.fill_words), ("unseen", self.unseen)):
-                if ids:
-                    fh.write(f"\\{name}:\n")
-                    fh.writelines(f"{w}\n" for w in sorted(ids))
+        listed = np.flatnonzero(self.listed)
+        masses = [("\\contexts:", self.alpha)]
+        if self.fill_words:
+            masses.append(("\\fill-contexts:", self.beta))
+        write(path, BACKOFF_MAGIC,
+              {"kind": self.kind, "vocab_size": self.vocab_size, "b": self.b,
+               "cutoff": self.cutoff, "vocab_md5": self.vocab_md5},
+              [("\\bigrams:", (self.context, self.word, self.lp)),
+               *((name, (listed, mass[listed])) for name, mass in masses),
+               ("\\unigrams:", (np.arange(self.uni_lp.size), self.uni_lp)),
+               *((name, (np.array(sorted(ids)),)) for name, ids in
+                 (("\\fill-words:", self.fill_words), ("\\unseen:", self.unseen)) if ids)])
 
     @classmethod
     def load(cls, path: str | Path) -> "BackoffModel":

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import Artifact, dense, finite, id_list, size
+from .artifact import Artifact, dense, finite, id_list, size, write
 from .corpus import CountTable, Vocabulary
 from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
@@ -155,36 +155,17 @@ def save_clusters(
     metadata: dict[str, object] | None = None,
 ) -> None:
     """Write `word state_id category_id` lines under a provenance header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        head = f"{CLUSTERS_MAGIC} {_map_header(cm)} vocab_md5={vocab.checksum()}"
-        if metadata:
-            for key in sorted(metadata):
-                value = metadata[key]
-                head += (
-                    f" {key}={float(value)!r}"
-                    if isinstance(value, float)
-                    else f" {key}={value}"
-                )
-        fh.write(head + "\n")
-        for w in range(cm.vocab_size):
-            fh.write(
-                f"{vocab.word(w)} {int(cm.state_of[w])} {int(cm.category_of[w])}\n"
-            )
+    fields = {**_map_fields(cm), "vocab_md5": vocab.checksum()}
+    fields.update(sorted((metadata or {}).items()))
+    words = np.array(vocab.entries[:cm.vocab_size], dtype=object)
+    write(path, CLUSTERS_MAGIC, fields, [(None, (words, cm.state_of, cm.category_of))])
 
 
-def _id_list(ids: Iterable[int]) -> str:
-    ids = sorted(ids)
-    return ",".join(str(i) for i in ids) if ids else "-"
-
-
-def _map_header(cm: ClusterMap) -> str:
+def _map_fields(cm: ClusterMap) -> dict:
     """The header fields of a cluster map, as ``_read_map`` reads them."""
-    return (
-        f"vocab_size={cm.vocab_size} n_states={cm.n_states} n_cats={cm.n_cats} "
-        f"k_states={cm.k_states} k_cats={cm.k_cats} "
-        f"frozen_states={_id_list(cm.frozen_states)} "
-        f"frozen_cats={_id_list(cm.frozen_cats)}"
-    )
+    return {"vocab_size": cm.vocab_size, "n_states": cm.n_states, "n_cats": cm.n_cats,
+            "k_states": cm.k_states, "k_cats": cm.k_cats,
+            "frozen_states": cm.frozen_states, "frozen_cats": cm.frozen_cats}
 
 
 def _read_map(art: Artifact, n: int, n_states: int, n_cats: int, words: np.ndarray,
@@ -288,29 +269,16 @@ class ClassModel:
 
     def save(self, path: str | Path) -> None:
         cm = self.cm
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"{CLASSMODEL_MAGIC} label={self.label} {_map_header(cm)} "
-                f"b_pairs={self.b_pairs!r} b_cats={self.b_cats!r} "
-                f"b_words={self.b_words!r} vocab_md5={self.vocab_md5}\n"
-            )
-            fh.write("\\clusters:\n")
-            for w in range(cm.vocab_size):
-                fh.write(f"{w} {int(cm.state_of[w])} {int(cm.category_of[w])}\n")
-            fh.write("\\state-bigrams:\n")
-            s_ids, g_ids = np.nonzero(self.pair_lp > -np.inf)
-            lps = self.pair_lp[s_ids, g_ids].tolist()
-            for s, g, lp in zip(s_ids.tolist(), g_ids.tolist(), lps):
-                fh.write(f"{s} {g} {lp!r}\n")
-            fh.write("\\state-alphas:\n")
-            for s, alpha in enumerate(self.state_alpha.tolist()):
-                fh.write(f"{s} {alpha!r}\n")
-            fh.write("\\category-unigrams:\n")
-            for g in np.flatnonzero(self.cat_lp > -np.inf).tolist():
-                fh.write(f"{g} {float(self.cat_lp[g])!r}\n")
-            fh.write("\\word-unigrams:\n")
-            for w, lp in enumerate(self.word_lp.tolist()):
-                fh.write(f"{w} {lp!r}\n")
+        s_ids, g_ids = np.nonzero(self.pair_lp > -np.inf)
+        cats = np.flatnonzero(self.cat_lp > -np.inf)
+        write(path, CLASSMODEL_MAGIC,
+              {"label": self.label, **_map_fields(cm), "b_pairs": self.b_pairs,
+               "b_cats": self.b_cats, "b_words": self.b_words, "vocab_md5": self.vocab_md5},
+              [("\\clusters:", (np.arange(cm.vocab_size), cm.state_of, cm.category_of)),
+               ("\\state-bigrams:", (s_ids, g_ids, self.pair_lp[s_ids, g_ids])),
+               ("\\state-alphas:", (np.arange(self.state_alpha.size), self.state_alpha)),
+               ("\\category-unigrams:", (cats, self.cat_lp[cats])),
+               ("\\word-unigrams:", (np.arange(self.word_lp.size), self.word_lp))])
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassModel":

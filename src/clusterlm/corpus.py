@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifact import Artifact, size
+from .artifact import Artifact, row_tuples, size, write
 from .errors import ConfigError, FormatError
 
 UNK_TOKEN = "<unk>"
@@ -170,13 +170,6 @@ def build_vocabulary(
     return vocab
 
 
-def row_tuples(*columns: np.ndarray) -> Iterator[tuple]:
-    """The rows of equal-length arrays as tuples of Python values, converted a
-    few thousand at a time: a long table never becomes one list of objects."""
-    for lo in range(0, len(columns[0]), 4096):
-        yield from zip(*(c[lo:lo + 4096].tolist() for c in columns))
-
-
 def cell_rows(context: np.ndarray, word: np.ndarray, values: np.ndarray) -> dict:
     """``{context: {word: value}}`` of cells sorted by (context, word)."""
     rows: dict = {}
@@ -250,12 +243,10 @@ class CountTable:
 
     def save(self, path: str | Path, vocab_md5: str) -> None:
         """Header line, then ``v w count`` lines sorted by (v, w)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"{COUNTS_MAGIC} vocab_size={self.vocab_size} "
-                f"total_tokens={self.total_tokens} vocab_md5={vocab_md5}\n"
-            )
-            fh.writelines(f"{v} {w} {c}\n" for v, w, c in row_tuples(*self._cells))
+        write(path, COUNTS_MAGIC,
+              {"vocab_size": self.vocab_size, "total_tokens": self.total_tokens,
+               "vocab_md5": vocab_md5},
+              [(None, self._cells)])
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["CountTable", str]:

@@ -386,7 +386,10 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
 
 
 # Where a rejection is reported: the file, the section and the line.
-REPORTED = {"bigram-fractional-id": r"m\.lm: \\bigrams: line 3: "}
+REPORTED = {
+    "bigram-fractional-id": r"m\.lm: \\bigrams: line 3: ",
+    "huge-vocab-size": r"m\.lm: Unable to allocate ",
+}
 
 
 @pytest.mark.parametrize(
@@ -414,6 +417,8 @@ REPORTED = {"bigram-fractional-id": r"m\.lm: \\bigrams: line 3: "}
         pytest.param("\\bigrams:\n", "3 5 -0.5\n\\bigrams:\n", id="line-before-sections"),
         # cut to an integer, the id would load as the saved model
         pytest.param("\\bigrams:\n3 4 ", "\\bigrams:\n3.5 4 ", id="bigram-fractional-id"),
+        # numpy refuses 10**12 values at once; never a size it could commit lazily
+        pytest.param("vocab_size=10", "vocab_size=1000000000000", id="huge-vocab-size"),
     ],
 )
 def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new, request):

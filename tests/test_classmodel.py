@@ -324,6 +324,8 @@ def test_structured_corpus_gets_useful_classes():
 REPORTED = {
     "non-numeric-value": r"m\.lm: \\category-unigrams: line 23: ",
     "non-integer-cluster-id": r"clusters\.txt: body: line 8: ",
+    "huge-vocab-size": r"m\.lm: Unable to allocate ",
+    "huge-n-states": r"m\.lm: Unable to allocate ",
 }
 
 
@@ -370,6 +372,11 @@ def _repeat_first_line(section):
                      id="blank-line"),
         pytest.param(lambda t: t.replace("\\clusters:\n", "0 0 0\n\\clusters:\n"),
                      id="line-before-sections"),
+        # numpy refuses 10**12 values at once; never a size it could commit lazily
+        pytest.param(lambda t: re.sub(r" vocab_size=\d+", " vocab_size=1000000000000", t),
+                     id="huge-vocab-size"),
+        pytest.param(lambda t: re.sub(r" n_states=\d+", " n_states=1000000000000", t),
+                     id="huge-n-states"),
     ],
 )
 def test_class_model_load_rejects_malformed_files(tmp_path, edit, request):

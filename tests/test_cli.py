@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline plus its error paths."""
 
 import json
+import re
 
 import pytest
 
@@ -380,6 +381,21 @@ def test_bad_settings_and_missing_inputs_exit_2(
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_header_size_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):
+    # numpy refuses 10**12 counts at once; never a size it could commit lazily
+    text = (workdir / "back.counts").read_text()
+    bad = tmp_path / "bad.counts"
+    bad.write_text(re.sub(r" vocab_size=\d+ ", " vocab_size=1000000000000 ", text, count=1))
+    assert bad.read_text() != text
+    rc = main([
+        "train", "--method", "back_bo", "--vocab", str(workdir / "words.txt"),
+        "--counts", str(bad), "--out", str(tmp_path / "m.lm"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err and "bad.counts" in err
 
 
 def test_clust_adapt_with_a_malformed_init_map_exits_2(workdir, tmp_path, capsys):

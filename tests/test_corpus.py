@@ -230,7 +230,10 @@ def _repeat_last_count_line(text):
 
 
 # Where a rejection is reported: the file, the part of it and the line.
-REPORTED = {"non-integer": r"counts\.txt: body: line 9: "}
+REPORTED = {
+    "non-integer": r"counts\.txt: body: line 9: ",
+    "huge-vocab-size": r"counts\.txt: Unable to allocate ",
+}
 
 
 @pytest.mark.parametrize(
@@ -248,6 +251,9 @@ REPORTED = {"non-integer": r"counts\.txt: body: line 9: "}
         # cut to an integer, each of these would load as the saved table
         pytest.param(lambda t: t.replace("\n3 3 1\n", "\n3 3 1.5\n"), id="fractional-count"),
         pytest.param(lambda t: t.replace("\n3 4 1\n", "\n3.5 4 1\n"), id="fractional-id"),
+        # numpy refuses an array of 10**12 counts at once; never a size it could commit lazily
+        pytest.param(lambda t: t.replace("vocab_size=5", "vocab_size=1000000000000"),
+                     id="huge-vocab-size"),
     ],
 )
 def test_count_table_load_rejects_malformed_files(tmp_path, edit, request):
