@@ -24,12 +24,10 @@ from .corpus import (
 from .criterion import (
     AdaptiveObjective,
     ClassCounts,
-    CombinedClassCounts,
     StandardObjective,
-    Terms,
     aggregate_class_counts,
     clustering_score,
-    clustering_terms,
+    combine_class_counts,
     combine_word_counts,
 )
 from .discounting import Discount, discounted_distribution, estimate_discount

@@ -186,6 +186,8 @@ def train_backoff(
     """
     if counts.total_tokens == 0:
         raise ConfigError("cannot train a backoff model from empty counts")
+    if cutoff < 0:
+        raise ConfigError(f"cutoff must be nonnegative, got {cutoff}")
     n, b = counts.vocab_size, discount.b
     (context, word, p), total, kept, kept_count = _retained(counts, cutoff, b)
     listed = total > 0

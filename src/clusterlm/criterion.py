@@ -11,18 +11,18 @@ empty cells.  A score is the cells minus the two marginals.
 
 The weights are the adaptation counts; the combined counts are their
 rounded interpolation ``c = round(λ·a + (1−λ)·b)`` with the background
-counts.  Leave-one-out, for training-set clustering (Kneser & Ney 1993), is
-the case with no background table, as at λ = 1: the training counts are
-both the weights and the combined counts.
+counts, which ``combine_counts`` alone computes, for word cells, class
+tables and moves alike.  Leave-one-out, for training-set clustering (Kneser
+& Ney 1993), is the case with no background table, as at λ = 1: the
+training counts are both the weights and the combined counts.
 
 One engine, ``_Objective``, evaluates and applies moves with or without a
-background table.
+background table.  It holds the weight λ and the combined cells' tallies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,11 @@ CATEGORY_SIDE = "category"
 STATE_SIDE = "state"
 
 
-def round_combined(value):
-    """Round interpolated nonnegative counts to integers, halves up."""
+def combine_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """The interpolation ``λ·a + (1−λ)·b`` of nonnegative count arrays,
+    rounded to integers, halves up."""
     # the cast truncates, which is the floor for nonnegative values
-    return (np.asarray(value, dtype=np.float64) + 0.5).astype(np.int64)
+    return (lam * a + (1.0 - lam) * b + 0.5).astype(np.int64)
 
 
 def _tallies(c) -> tuple[int, int]:
@@ -83,7 +84,7 @@ def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> Coun
     b = np.zeros(len(keys), dtype=np.int64)
     a[at[:len(va)]] = ca
     b[at[len(va):]] = cb
-    c = round_combined(lam * a + (1.0 - lam) * b)
+    c = combine_counts(a, b, lam)
     keep = c > 0
     return CountTable.from_cells(n, keys[keep] // n, keys[keep] % n, c[keep])
 
@@ -170,80 +171,35 @@ def _singleton_change(n_one: int, n_pos: int, d_one, d_pos, size: int, b: float)
     return new - _singleton_term(n_one, n_pos, size, b), pos <= 1
 
 
-@dataclass
-class Terms:
-    """The criterion's families: the cells' weighted log sum and singleton
-    term, and the weighted log sums of the two marginals."""
-
-    pair_term: float
-    pair_singleton: float
-    state_term: float
-    cat_term: float
-
-    @property
-    def score(self) -> float:
-        return self.pair_term + self.pair_singleton - self.state_term - self.cat_term
-
-
 def _family_term(w, c, b: float) -> float:
     """Σ w ln(c-1-b) over the members with c > 1."""
     mask = c > 1
     return float((w[mask] * np.log(c[mask] - 1.0 - b)).sum())
 
 
-def clustering_terms(weights: ClassCounts, combined: ClassCounts, b: float) -> Terms:
-    """The families of the criterion of ``weights`` on ``combined`` counts
-    with discount ``b``.  A table with at most one positive combined cell is
-    degenerate: its singleton term, and so its score, is -inf."""
-    n_one, n_pos = _tallies(combined.pairs)
-    return Terms(
-        _family_term(weights.pairs, combined.pairs, b),
-        NEG_INF if n_pos <= 1 else _singleton_term(n_one, n_pos, combined.pairs.size, b),
-        _family_term(weights.state_tot, combined.state_tot, 0.0),
-        _family_term(weights.cat_tot, combined.cat_tot, 0.0),
-    )
-
-
 def clustering_score(weights: ClassCounts, combined: ClassCounts, b: float) -> float:
-    """The criterion's value; leave-one-out is ``clustering_score(t, t, b)``."""
-    return clustering_terms(weights, combined, b).score
+    """The criterion of ``weights`` on ``combined`` counts with discount
+    ``b``: the cells and their singleton term, minus the states and the
+    categories.  Leave-one-out is ``clustering_score(t, t, b)``.  A table
+    with at most one positive combined cell is degenerate and scores -inf."""
+    n_one, n_pos = _tallies(combined.pairs)
+    single = NEG_INF if n_pos <= 1 else _singleton_term(n_one, n_pos, combined.pairs.size, b)
+    return (_family_term(weights.pairs, combined.pairs, b) + single
+            - _family_term(weights.state_tot, combined.state_tot, 0.0)
+            - _family_term(weights.cat_tot, combined.cat_tot, 0.0))
 
 
-class CombinedClassCounts:
-    """Adaptation aggregates, optional background aggregates, and their
-    rounded interpolation, with the combined cells' tallies kept exactly.
-
-    Without a background the adaptation counts are the combined counts,
-    whatever the weight.  Dense combined matrices are recomputed on demand.
-    """
-
-    def __init__(self, adapt: ClassCounts, back: ClassCounts | None = None, lam: float = 1.0):
-        if back is not None and adapt.pairs.shape != back.pairs.shape:
-            raise ConfigError("aggregate tables have mismatched cluster ranges")
-        self.adapt = adapt
-        self.back = back
-        self.set_lambda(lam)
-
-    def combine(self, a, b):
-        """Adaptation counts ``a`` and background counts ``b`` interpolated
-        with the current weight and rounded."""
-        return round_combined(self.lam * a + (1.0 - self.lam) * b)
-
-    def combined(self) -> ClassCounts:
-        """The combined cells and marginals, each rounded on its own."""
-        a, b = self.adapt, self.back
-        if b is None:
-            return a
-        return ClassCounts(self.combine(a.pairs, b.pairs), self.combine(a.state_tot, b.state_tot),
-                           self.combine(a.cat_tot, b.cat_tot))
-
-    def set_lambda(self, lam: float) -> ClassCounts:
-        """Set the weight, recount the combined cells' tallies and return the
-        combined counts they were counted on."""
-        self.lam = float(lam)
-        combined = self.combined()
-        self.tallies = _tallies(combined.pairs)
-        return combined
+def combine_class_counts(adapt: ClassCounts, back: ClassCounts | None, lam: float) -> ClassCounts:
+    """The combined cells and marginals of two aggregate tables, each rounded
+    on its own.  Without a background the adaptation counts are the combined
+    counts, whatever the weight."""
+    if back is None:
+        return adapt
+    if adapt.pairs.shape != back.pairs.shape:
+        raise ConfigError("aggregate tables have mismatched cluster ranges")
+    return ClassCounts(combine_counts(adapt.pairs, back.pairs, lam),
+                       combine_counts(adapt.state_tot, back.state_tot, lam),
+                       combine_counts(adapt.cat_tot, back.cat_tot, lam))
 
 
 def _word_profiles(counts: CountTable):
@@ -276,17 +232,19 @@ def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
 
 class _Objective:
     """The move engine of the criterion, over the counts being clustered
-    and an optional background table.  ``perfbench/tracing.py`` wraps
-    ``__init__``, ``best_move`` and ``apply_move`` from each class's own
-    ``__dict__``, so each subclass defines its constructor and aliases the
-    other two in its class body: ``best_move = _Objective.best_move``."""
+    and an optional background table.  It holds the weight ``lam`` and the
+    combined cells' ``tallies``: moves keep the tallies exact and
+    ``set_lambda`` recounts them.  ``perfbench/tracing.py`` wraps ``__init__``,
+    ``best_move`` and ``apply_move`` from each class's own ``__dict__``, so
+    each subclass defines its constructor and aliases the other two in its
+    class body: ``best_move = _Objective.best_move``."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount,
                  back: CountTable | None = None, lam: float = 1.0):
         self.cm, self.discount = cm, discount
         self.a = aggregate_class_counts(counts, cm)
         self.bg = None if back is None else aggregate_class_counts(back, cm)
-        self.cc = CombinedClassCounts(self.a, self.bg, lam)
+        self.set_lambda(lam)
         given = [t for t in (counts, back) if t is not None]
         tables = [t for t in (self.a, self.bg) if t is not None]
         profiles = [_word_profiles(t) for t in given]
@@ -294,7 +252,6 @@ class _Objective:
         # its log tables hold N ln(N-1-b) and a move needs no multiply; the
         # combined counts of two tables are weighted by the first's counts.
         one = back is None
-        self._combine = None if one else self.cc.combine
         # counts stay below the largest total
         largest = max(int(t.total_tokens) for t in given) + 2
         self._logs = (log_table(discount.b, largest, one), log_table(0.0, largest, one))
@@ -310,15 +267,14 @@ class _Objective:
             margs = [(t.state_tot if state else t.cat_tot)[None] for t in tables]
             self._sides[side] = (other, n, index, [_totals(i) for i in index], cells, margs)
 
-    @property
-    def lam(self) -> float:
-        return self.cc.lam
-
     def set_lambda(self, lam: float) -> None:
-        self.cc.set_lambda(lam)
+        """Set the weight and recount the combined cells' tallies."""
+        self.lam = float(lam)
+        self.tallies = _tallies(combine_class_counts(self.a, self.bg, self.lam).pairs)
 
     def score(self) -> float:
-        return clustering_score(self.a, self.cc.combined(), self.discount.b)
+        return clustering_score(self.a, combine_class_counts(self.a, self.bg, self.lam),
+                                self.discount.b)
 
     def assignment(self, side: str):
         """(assignment array, movable cluster count, frozen words) of a side."""
@@ -369,12 +325,12 @@ class _Objective:
         moved = []
         for mats, rows, xs in families:
             per = [_move_counts(m, rows, x, src, k) for m, x in zip(mats, xs)]
-            moved.append((None, per[0]) if self._combine is None
-                         else (per[0], [self._combine(*counts) for counts in zip(*per)]))
+            moved.append((None, per[0]) if self.bg is None
+                         else (per[0], [combine_counts(*counts, self.lam) for counts in zip(*per)]))
         (c_w, c), (m_w, m) = moved
         c_rem, c_ins = _family_delta(c, src, self._logs[0], c_w)
         m_rem, m_ins = _family_delta(m, src, self._logs[1], m_w)
-        single, bad = _singleton_change(*self.cc.tallies, *_tally_change(c, src),
+        single, bad = _singleton_change(*self.tallies, *_tally_change(c, src),
                                         families[0][0][0].size, self.discount.b)
         deltas = c_rem + c_ins - m_rem - m_ins
         deltas += single
@@ -414,11 +370,11 @@ class _Objective:
             before = [m[at] for m in cells]
             after = [b + x[:, None] * _SHIFT for b, x in zip(before, xs)]
             (one0, pos0), (one1, pos1) = (
-                _tallies(per[0] if self._combine is None else self._combine(*per))
+                _tallies(per[0] if self.bg is None else combine_counts(*per, self.lam))
                 for per in (before, after)
             )
-            n_one, n_pos = self.cc.tallies
-            self.cc.tallies = (n_one + one1 - one0, n_pos + pos1 - pos0)
+            n_one, n_pos = self.tallies
+            self.tallies = (n_one + one1 - one0, n_pos + pos1 - pos0)
             for m, counts in zip(cells, after):
                 m[at] = counts
             # each marginal moves the word's total from the source to the target

@@ -23,9 +23,10 @@ from .criterion import (
     NEG_INF,
     STATE_SIDE,
     AdaptiveObjective,
-    CombinedClassCounts,
+    ClassCounts,
     StandardObjective,
     clustering_score,
+    combine_class_counts,
 )
 from .discounting import Discount, bigram_discount
 from .errors import ConfigError
@@ -76,20 +77,17 @@ class ExchangeResult:
 
 
 def optimize_lambda(
-    cc: CombinedClassCounts, grid, discount: Discount
+    adapt: ClassCounts, back: ClassCounts, grid, b: float
 ) -> tuple[float, float]:
-    """Grid argmax of the criterion over ``cc``; ties go to the larger weight.
-
-    Leaves ``cc`` set to the winning weight.  If every grid point is
-    degenerate the largest weight is returned with score -inf.
-    """
+    """Grid argmax (weight, score) of the criterion of ``adapt`` combined
+    with ``back`` at discount ``b``; ties, and a grid whose every point is
+    degenerate (score -inf), go to the largest weight."""
     best_lam = None
     best_score = NEG_INF
-    for lam in grid:
-        s = clustering_score(cc.adapt, cc.set_lambda(lam), discount.b)
+    for lam in sorted(grid):
+        s = clustering_score(adapt, combine_class_counts(adapt, back, lam), b)
         if best_lam is None or s >= best_score:
             best_lam, best_score = lam, s
-    cc.set_lambda(best_lam)
     return float(best_lam), best_score
 
 
@@ -138,7 +136,8 @@ def run_exchange(
     discount = criterion_discount(train_counts, back_counts, cfg)
     if adaptive:
         engine = AdaptiveObjective(train_counts, back_counts, cm, discount)
-        lam, score = optimize_lambda(engine.cc, cfg.lambda_grid, discount)
+        lam, score = optimize_lambda(engine.a, engine.bg, cfg.lambda_grid, discount.b)
+        engine.set_lambda(lam)
         log.info("initial lambda %.2f, score %.6f", lam, score)
     else:
         engine = StandardObjective(train_counts, cm, discount)
@@ -177,7 +176,8 @@ def run_exchange(
             sweep_score = engine.score()
             running = sweep_score
             if adaptive:
-                lam, score = optimize_lambda(engine.cc, cfg.lambda_grid, discount)
+                lam, score = optimize_lambda(engine.a, engine.bg, cfg.lambda_grid, discount.b)
+                engine.set_lambda(lam)
                 running = score
             else:
                 score = sweep_score

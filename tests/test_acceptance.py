@@ -24,10 +24,10 @@ from clusterlm.criterion import (
     STATE_SIDE,
     AdaptiveObjective,
     ClassCounts,
-    CombinedClassCounts,
     StandardObjective,
     aggregate_class_counts,
     clustering_score,
+    combine_class_counts,
     combine_word_counts,
 )
 from clusterlm.discounting import Discount
@@ -87,7 +87,7 @@ def test_criterion_values_match_independent_references(capsys):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
         agg_b = aggregate_class_counts(back, cm)
-        got_a = clustering_score(agg, CombinedClassCounts(agg, agg_b, lam).combined(), b)
+        got_a = clustering_score(agg, combine_class_counts(agg, agg_b, lam), b)
         want_a = oracles.adaptation_score(
             cells_of(agg), cells_of(agg_b), lam, k_s, k_c, b
         )
@@ -252,13 +252,13 @@ def test_interpolation_endpoints_are_exact(capsys):
         b = ClassCounts.from_matrix(mk())
         disc = rng.uniform(0.1, 0.9)
 
-        cc = CombinedClassCounts(a, b, 1.0)
-        for got, want in ((cc.combined(), a), (CombinedClassCounts(a, b, 0.0).combined(), b)):
+        at_one = combine_class_counts(a, b, 1.0)
+        for got, want in ((at_one, a), (combine_class_counts(a, b, 0.0), b)):
             cells_exact &= bool(np.array_equal(got.pairs, want.pairs))
             cells_exact &= bool(np.array_equal(got.state_tot, want.state_tot))
             cells_exact &= bool(np.array_equal(got.cat_tot, want.cat_tot))
         # leave-one-out is the criterion with no background table
-        score_exact &= clustering_score(a, cc.combined(), disc) == clustering_score(a, a, disc)
+        score_exact &= clustering_score(a, at_one, disc) == clustering_score(a, a, disc)
     verdict(
         capsys, 5,
         "interpolation endpoints cell-exact; the adaptive score at full adaptation "

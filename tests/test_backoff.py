@@ -34,6 +34,12 @@ def test_training_rejects_empty_counts():
         train_backoff(CountTable(5), Discount(0.5))
 
 
+def test_training_rejects_a_negative_cutoff():
+    counts = CountTable(5, {1: {2: 3}})
+    with pytest.raises(ConfigError, match="cutoff"):
+        train_backoff(counts, Discount(0.5), cutoff=-1)
+
+
 def test_rows_sum_to_one():
     rng = random.Random(11)
     for cutoff in (0, 1, 2):

@@ -345,6 +345,7 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
         pytest.param(None, "--discount", "abc", None, id="bad-discount"),
         pytest.param(None, "--discount", "1.5", None, id="discount-out-of-range"),
         pytest.param(None, "--cutoff", "x", None, id="bad-cutoff"),
+        pytest.param(None, "--cutoff", "-1", None, id="negative-cutoff"),
         pytest.param(None, "--config", "missing.cfg", None, id="missing-config"),
         pytest.param(None, "--vocab", "missing.txt", None, id="missing-vocab"),
         pytest.param(None, "--counts", "missing.counts", None, id="missing-counts"),

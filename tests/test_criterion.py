@@ -16,17 +16,18 @@ from clusterlm.criterion import (
     STATE_SIDE,
     AdaptiveObjective,
     ClassCounts,
-    CombinedClassCounts,
     StandardObjective,
+    _tallies,
     aggregate_class_counts,
     clustering_score,
+    combine_class_counts,
+    combine_counts,
     combine_word_counts,
     log_table,
-    round_combined,
 )
 from clusterlm.corpus import CountTable
 from clusterlm.discounting import Discount
-from clusterlm.errors import InvalidMoveError
+from clusterlm.errors import ConfigError, InvalidMoveError
 
 
 def cells_of(t):
@@ -39,7 +40,7 @@ def loo_score(t, b):
 
 
 def adaptive_score(a, bg, lam, b):
-    return clustering_score(a, CombinedClassCounts(a, bg, lam).combined(), b)
+    return clustering_score(a, combine_class_counts(a, bg, lam), b)
 
 
 def random_instance(rng, vocab_size=None, k_s=None, k_c=None):
@@ -60,10 +61,10 @@ def random_instance(rng, vocab_size=None, k_s=None, k_c=None):
 
 
 def test_round_half_up():
-    vals = [0.0, 0.49, 0.5, 1.49, 1.5, 2.5, 3.49, 3.51]
+    vals = np.array([0.0, 0.49, 0.5, 1.49, 1.5, 2.5, 3.49, 3.51])
     want = [0, 0, 1, 1, 2, 3, 3, 4]
-    assert list(round_combined(vals)) == want
-    assert round_combined(2.5).tolist() == 3
+    assert combine_counts(vals, np.zeros(len(vals)), 1.0).tolist() == want
+    assert combine_counts(np.array([2]), np.array([3]), 0.5).tolist() == [3]
 
 
 # ------------------------------------------------------------- training score
@@ -128,7 +129,7 @@ def test_aggregate_marginals_consistent():
     t = aggregate_class_counts(counts, cm)
     assert np.array_equal(t.state_tot, t.pairs.sum(axis=1))
     assert np.array_equal(t.cat_tot, t.pairs.sum(axis=0))
-    assert CombinedClassCounts(t).tallies[1] + int((t.pairs == 0).sum()) == t.pairs.size
+    assert _tallies(t.pairs)[1] + int((t.pairs == 0).sum()) == t.pairs.size
     # brute-force double loop
     want = oracles.cells_from_table(counts.rows, cm.state_of, cm.category_of)
     assert cells_of(t) == want
@@ -159,28 +160,34 @@ def test_combine_counts_endpoints_exact():
     rng = random.Random(12)
     a = ClassCounts.from_matrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
     b = ClassCounts.from_matrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
-    cc = CombinedClassCounts(a, b, 1.0)
-    assert np.array_equal(cc.combined().pairs, a.pairs)
-    assert np.array_equal(cc.combined().state_tot, a.state_tot)
-    cc.set_lambda(0.0)
-    assert np.array_equal(cc.combined().pairs, b.pairs)
-    assert np.array_equal(cc.combined().cat_tot, b.cat_tot)
+    at_one = combine_class_counts(a, b, 1.0)
+    assert np.array_equal(at_one.pairs, a.pairs)
+    assert np.array_equal(at_one.state_tot, a.state_tot)
+    at_zero = combine_class_counts(a, b, 0.0)
+    assert np.array_equal(at_zero.pairs, b.pairs)
+    assert np.array_equal(at_zero.cat_tot, b.cat_tot)
     # without a background the adaptation counts are the combined counts
-    assert CombinedClassCounts(a, None, 0.3).combined() is a
+    assert combine_class_counts(a, None, 0.3) is a
+
+
+def test_combine_class_counts_rejects_mismatched_cluster_ranges():
+    a = ClassCounts.from_matrix([[1, 2], [3, 4]])
+    b = ClassCounts.from_matrix([[1, 2, 0], [3, 4, 0]])
+    with pytest.raises(ConfigError, match="cluster ranges"):
+        combine_class_counts(a, b, 0.5)
 
 
 def test_combine_counts_rounds_ties_up():
     a = ClassCounts.from_matrix([[2]])
     b = ClassCounts.from_matrix([[5]])
-    cc = CombinedClassCounts(a, b, 0.5)
-    assert cc.combined().pairs[0, 0] == 4  # 3.5 rounds away from zero
+    assert combine_class_counts(a, b, 0.5).pairs[0, 0] == 4  # 3.5 rounds away from zero
 
 
 def test_combined_marginals_rounded_independently():
     # cells round down to zero but the marginal rounds up from its own sum
     a = ClassCounts.from_matrix([[1, 1, 1], [0, 0, 0]])
     b = ClassCounts.from_matrix([[0, 0, 0], [0, 0, 5]])
-    combined = CombinedClassCounts(a, b, 0.4).combined()
+    combined = combine_class_counts(a, b, 0.4)
     assert list(combined.pairs[0]) == [0, 0, 0]  # each 0.4 -> 0
     # state margin: 0.4 * 3 = 1.2 -> 1, not the sum of rounded cells
     assert combined.state_tot[0] == 1
@@ -250,8 +257,7 @@ def test_adaptive_score_degenerate_combined_cells_is_negative_infinity():
     # zero (1.2 -> 1, 0.4 -> 0) -> the combined cell family degenerates
     a = ClassCounts.from_matrix([[3, 1], [0, 0]])
     bg = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    cc = CombinedClassCounts(a, bg, 0.4)
-    assert cc.tallies == (1, 1)
+    assert _tallies(combine_class_counts(a, bg, 0.4).pairs) == (1, 1)
     assert adaptive_score(a, bg, 0.4, 0.5) == NEG_INF
     assert oracles.adaptation_score(cells_of(a), {}, 0.4, 2, 2, 0.5) == NEG_INF
     assert math.isfinite(loo_score(a, 0.5))
@@ -264,7 +270,7 @@ def test_adaptive_equals_lambda_independent_when_tables_match():
     bg = ClassCounts.from_matrix(pairs)
     vals = []
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert np.array_equal(CombinedClassCounts(a, bg, lam).combined().pairs, a.pairs)
+        assert np.array_equal(combine_class_counts(a, bg, lam).pairs, a.pairs)
         vals.append(adaptive_score(a, bg, lam, 0.6))
     assert max(vals) - min(vals) < 1e-12
 
@@ -392,7 +398,7 @@ def test_maintained_state_survives_many_moves(adaptive):
         fresh = ClassCounts.from_matrix(t.pairs)
         assert np.array_equal(fresh.state_tot, t.state_tot)
         assert np.array_equal(fresh.cat_tot, t.cat_tot)
-    assert CombinedClassCounts(eng.a, eng.bg, eng.lam).tallies == eng.cc.tallies
+    assert _tallies(combine_class_counts(eng.a, eng.bg, eng.lam).pairs) == eng.tallies
 
 
 def test_adaptive_engine_at_full_weight_is_leave_one_out():

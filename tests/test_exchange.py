@@ -9,8 +9,13 @@ from corpusgen import block_corpus, domain_corpus, table_from_sentences
 
 from clusterlm.classmodel import init_clustering
 from clusterlm.corpus import Vocabulary, build_vocabulary, count_events
-from clusterlm.criterion import ClassCounts, CombinedClassCounts
-from clusterlm.discounting import Discount, estimate_discount
+from clusterlm.criterion import (
+    ClassCounts,
+    aggregate_class_counts,
+    clustering_score,
+    combine_class_counts,
+)
+from clusterlm.discounting import estimate_discount
 from clusterlm.errors import ConfigError
 from clusterlm.exchange import (
     RARE_EVENTS,
@@ -179,20 +184,40 @@ def test_optimize_lambda_breaks_ties_toward_larger_weight():
     pairs = [[rng.randint(0, 6) for _ in range(3)] for _ in range(3)]
     a = ClassCounts.from_matrix(pairs)
     b = ClassCounts.from_matrix(pairs)
-    cc = CombinedClassCounts(a, b, 0.0)
-    lam, score = optimize_lambda(cc, (0.0, 0.5, 1.0), Discount(0.5))
-    assert lam == 1.0
-    assert cc.lam == 1.0
-    assert math.isfinite(score)
+    for grid in ((0.0, 0.5, 1.0), (1.0, 0.5, 0.0)):
+        lam, score = optimize_lambda(a, b, grid, 0.5)
+        assert lam == 1.0
+        assert math.isfinite(score)
 
 
 def test_optimize_lambda_all_degenerate():
     a = ClassCounts.from_matrix([[0, 0], [0, 0]])
     b = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    cc = CombinedClassCounts(a, b, 0.0)
-    lam, score = optimize_lambda(cc, (0.0, 0.5, 1.0), Discount(0.5))
+    lam, score = optimize_lambda(a, b, (0.0, 0.5, 1.0), 0.5)
     assert lam == 1.0
     assert score == -math.inf
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_run_reports_the_score_of_the_map_it_returns(tmp_path, adaptive):
+    vocab, adapt, back, cm = adaptive_setup()
+    # a grid without 1.0 keeps lambda < 1, where the background enters the score
+    cfg = ExchangeConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
+    other = back if adaptive else None
+    trace = tmp_path / "run.trace"
+    result = run_exchange(adapt, other, cm, cfg, vocab=vocab, trace_path=trace)
+    assert result.iterations[0].moves > 0
+    assert result.lam < 1.0 if adaptive else result.lam is None
+    # moves are scored at the weight of the score they start from: each
+    # sweep's running total ends at the score of the map it leaves
+    last = {int(f[0]): float(f[-1]) for f in map(str.split, trace.read_text().splitlines())}
+    for stats in result.iterations:
+        if stats.moves:
+            assert last[stats.iteration] == pytest.approx(stats.sweep_score, rel=1e-9)
+    a = aggregate_class_counts(adapt, result.cluster_map)
+    bg = aggregate_class_counts(back, result.cluster_map) if adaptive else None
+    b = criterion_discount(adapt, other, cfg).b
+    assert result.score == clustering_score(a, combine_class_counts(a, bg, result.lam), b)
 
 
 # -------------------------------------------------------------- rare words
