@@ -123,6 +123,9 @@ class BackoffModel:
                  "\\fill-words:": (n,), "\\unseen:": (n,)},
                 optional=("\\fill-contexts:", "\\fill-words:", "\\unseen:"),
             )
+            # it lists every id, so its rows bound n before any array of n exists
+            if s["\\unigrams:"][0].size != n:
+                raise ValueError(f"expected {n} lines in \\unigrams:")
             alpha, beta, uni_lp = (
                 dense(n, *s[name], what=f"id in {name}")
                 for name in ("\\contexts:", "\\fill-contexts:", "\\unigrams:")
@@ -131,8 +134,6 @@ class BackoffModel:
             unseen, fill_words = (frozenset(a.tolist()) for a in id_sets)
             if len(unseen) + len(fill_words) != sum(a.size for a in id_sets):
                 raise ValueError("duplicate word id in \\unseen: or \\fill-words:")
-            if not (uni_lp > -np.inf).all():
-                raise ValueError(f"expected {n} lines in \\unigrams:")
             listed = alpha > -np.inf
             if not np.array_equal(beta > -np.inf, listed & bool(fill_words)):
                 raise ValueError("\\fill-contexts: must match \\contexts: and \\fill-words:")

@@ -172,7 +172,10 @@ def _read_map(art: Artifact, n: int, n_states: int, n_cats: int, words: np.ndarr
               states: np.ndarray, categories: np.ndarray) -> ClusterMap:
     """The map of ``n`` words on ``n_states``/``n_cats`` clusters, the rest of
     its header in ``art``, from the (word id, state, category) columns, in
-    range, which must cover every word exactly once."""
+    range, which must cover every word exactly once.  No side has more
+    clusters than words: ``init_clustering`` never makes such a map."""
+    if max(n_states, n_cats) > n:
+        raise ValueError(f"{n_states} states and {n_cats} categories for {n} words")
     listed = np.bincount(words, minlength=n)
     if (listed > 1).any():
         raise ValueError(f"word {int(np.argmax(listed > 1))} listed twice")
@@ -293,6 +296,12 @@ class ClassModel:
                 "\\category-unigrams:": (n_cats, float),
                 "\\word-unigrams:": (n, float),
             })
+            # these list every id, so their rows bound the header sizes
+            # before any array of such a size exists
+            for name, bound in (("\\state-alphas:", n_states), ("\\word-unigrams:", n)):
+                if s[name][0].size != bound:
+                    raise ValueError(f"expected {bound} lines in {name}")
+            cm = _read_map(art, n, n_states, n_cats, *s["\\clusters:"])
             s_ids, g_ids, values = s["\\state-bigrams:"]
             pair_lp = dense((n_states, n_cats), (s_ids, g_ids), values,
                             what="cell in \\state-bigrams:")
@@ -301,9 +310,6 @@ class ClassModel:
                     ("\\state-alphas:", n_states), ("\\category-unigrams:", n_cats),
                     ("\\word-unigrams:", n))
             )
-            if not ((alphas > -np.inf).all() and (word_lp > -np.inf).all()):
-                raise ValueError("\\state-alphas: or \\word-unigrams: incomplete")
-            cm = _read_map(art, n, n_states, n_cats, *s["\\clusters:"])
             nonempty = np.bincount(cm.category_of, minlength=n_cats) > 0
             if not np.array_equal(cat_lp > -np.inf, nonempty):
                 raise ValueError("\\category-unigrams: do not match the nonempty categories")

@@ -6,9 +6,10 @@ improving reassignment per word.  Words with at most ``RARE_EVENTS`` events
 in the table being clustered are not visited and keep their initial classes:
 leave-one-out holds the map fixed, so it cannot see that such a word's class
 would be chosen on exactly the events it is then scored on.  The adaptive
-variant re-optimizes the interpolation weight on a fixed grid after every
-iteration.  Everything is deterministic: fixed visit order, first-best tie
-breaking toward low cluster ids, no randomness anywhere.
+variant chooses the interpolation weight once, on a fixed grid and on the
+start map, and keeps it for every sweep.  Everything is deterministic: fixed
+visit order, first-best tie breaking toward low cluster ids, no randomness
+anywhere.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class ExchangeConfig:
 class IterationStats:
     iteration: int
     moves: int
-    sweep_score: float
-    lam: float | None
     score: float
 
 
@@ -124,21 +123,21 @@ def run_exchange(
     iteration cap.
 
     With ``back_counts`` the criterion combines the adaptation counts
-    ``train_counts`` with the background counts; without, it is
+    ``train_counts`` with the background counts, at the grid weight that
+    scores ``init`` best (``result.lam``); without, it is
     leave-one-out over ``train_counts``.  Either way, words with
     at most ``RARE_EVENTS`` events in ``train_counts`` (the table being
     clustered) keep their state and category from ``init``.  The returned
     map is a copy; ``init`` is left untouched.
     """
     cfg.validate()
-    adaptive = back_counts is not None
     cm = init.copy()
     discount = criterion_discount(train_counts, back_counts, cfg)
-    if adaptive:
+    if back_counts is not None:
         engine = AdaptiveObjective(train_counts, back_counts, cm, discount)
         lam, score = optimize_lambda(engine.a, engine.bg, cfg.lambda_grid, discount.b)
         engine.set_lambda(lam)
-        log.info("initial lambda %.2f, score %.6f", lam, score)
+        log.info("lambda %.2f, start score %.6f", lam, score)
     else:
         engine = StandardObjective(train_counts, cm, discount)
         lam = None
@@ -152,8 +151,7 @@ def run_exchange(
     trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
     result = ExchangeResult(cm, score, lam)
     try:
-        prev = score
-        running = score
+        prev = running = score
         for it in range(1, cfg.max_iterations + 1):
             moves = 0
             for side in (CATEGORY_SIDE, STATE_SIDE):
@@ -173,21 +171,9 @@ def run_exchange(
                         trace.write(
                             f"{it} {w} {side} {src} {dst} {float(delta)!r} {float(running)!r}\n"
                         )
-            sweep_score = engine.score()
-            running = sweep_score
-            if adaptive:
-                lam, score = optimize_lambda(engine.a, engine.bg, cfg.lambda_grid, discount.b)
-                engine.set_lambda(lam)
-                running = score
-            else:
-                score = sweep_score
-            result.iterations.append(
-                IterationStats(it, moves, sweep_score, lam, score)
-            )
-            log.info(
-                "iteration %d: %d moves, score %.6f%s",
-                it, moves, score, "" if lam is None else f", lambda {lam:.2f}",
-            )
+            score = running = engine.score()
+            result.iterations.append(IterationStats(it, moves, score))
+            log.info("iteration %d: %d moves, score %.6f", it, moves, score)
             if moves == 0:
                 result.converged = True
                 break
@@ -201,5 +187,4 @@ def run_exchange(
             trace.close()
 
     result.score = score
-    result.lam = lam
     return result

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -394,7 +395,7 @@ def test_load_rejects_bad_lines_in_the_new_sections(tmp_path, old, new):
 # Where a rejection is reported: the file, the section and the line.
 REPORTED = {
     "bigram-fractional-id": r"m\.lm: \\bigrams: line 3: ",
-    "huge-vocab-size": r"m\.lm: Unable to allocate ",
+    "huge-vocab-size": r"m\.lm: expected 1000000000000 lines in \\unigrams:",
 }
 
 
@@ -436,6 +437,24 @@ def test_load_rejects_bad_lines_in_the_old_sections(tmp_path, old, new, request)
     path.write_text(text.replace(old, new, 1))
     with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
         BackoffModel.load(path)
+
+
+def test_load_checks_the_vocabulary_size_before_allocating(tmp_path):
+    # three dense arrays of 200000 masses would take 4.8 MB
+    _, background = adaptation_only_setup()
+    path = tmp_path / "m.lm"
+    background.save(path)
+    text = path.read_text()
+    assert " vocab_size=10 " in text
+    path.write_text(text.replace(" vocab_size=10 ", " vocab_size=200000 "))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"expected 200000 lines in \\unigrams:"):
+            BackoffModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_backoff_scores_are_its_file_numbers(tmp_path):

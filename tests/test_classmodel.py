@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,8 +325,8 @@ def test_structured_corpus_gets_useful_classes():
 REPORTED = {
     "non-numeric-value": r"m\.lm: \\category-unigrams: line 23: ",
     "non-integer-cluster-id": r"clusters\.txt: body: line 8: ",
-    "huge-vocab-size": r"m\.lm: Unable to allocate ",
-    "huge-n-states": r"m\.lm: Unable to allocate ",
+    "huge-vocab-size": r"m\.lm: expected 1000000000000 lines in \\word-unigrams:",
+    "huge-n-states": r"m\.lm: expected 1000000000000 lines in \\state-alphas:",
 }
 
 
@@ -389,6 +390,31 @@ def test_class_model_load_rejects_malformed_files(tmp_path, edit, request):
     assert path.read_text() != text
     with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
         ClassModel.load(path)
+
+
+@pytest.mark.parametrize("sizes, reported", [
+    # 3000 x 3000 state-bigram cells would take 72 MB
+    pytest.param("n_states=3000 n_cats=3000", r"expected 3000 lines in \\state-alphas:",
+                 id="both-sizes"),
+    # no section lists every category: the range is bounded by the words
+    pytest.param("n_states=4 n_cats=3000", "4 states and 3000 categories for 7 words",
+                 id="n-cats"),
+])
+def test_class_model_load_checks_header_sizes_before_allocating(tmp_path, sizes, reported):
+    vocab, counts = small_setup()
+    path = tmp_path / "m.lm"
+    estimate_class_model(counts, init_clustering(counts, 3, 2, vocab)).save(path)
+    text = path.read_text()
+    assert " n_states=4 n_cats=4 " in text
+    path.write_text(text.replace(" n_states=4 n_cats=4 ", f" {sizes} "))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=reported):
+            ClassModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def header_field(key, value):

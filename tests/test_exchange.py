@@ -17,6 +17,7 @@ from clusterlm.criterion import (
 )
 from clusterlm.discounting import estimate_discount
 from clusterlm.errors import ConfigError
+from clusterlm import exchange
 from clusterlm.exchange import (
     RARE_EVENTS,
     ExchangeConfig,
@@ -110,7 +111,7 @@ def test_standard_run_monotone_and_convergent(tmp_path):
     assert result.converged
     assert result.score > run_exchange(
         counts, None, cm, ExchangeConfig(max_iterations=1)
-    ).iterations[0].sweep_score - 1e-9
+    ).iterations[0].score - 1e-9
 
     # every applied move strictly improves; the running score never dips
     last_running = -math.inf
@@ -164,8 +165,6 @@ def test_adaptive_run_improves_and_reports_lambda():
     result = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     assert result.lam in cfg.lambda_grid
     assert math.isfinite(result.score)
-    for stats in result.iterations:
-        assert stats.lam in cfg.lambda_grid
     scores = [s.score for s in result.iterations]
     assert all(b >= a - 1e-9 for a, b in zip(scores, scores[1:]))
 
@@ -208,16 +207,40 @@ def test_run_reports_the_score_of_the_map_it_returns(tmp_path, adaptive):
     result = run_exchange(adapt, other, cm, cfg, vocab=vocab, trace_path=trace)
     assert result.iterations[0].moves > 0
     assert result.lam < 1.0 if adaptive else result.lam is None
-    # moves are scored at the weight of the score they start from: each
-    # sweep's running total ends at the score of the map it leaves
+    # moves are scored at the run's one weight: each sweep's running total
+    # ends at the score of the map it leaves
     last = {int(f[0]): float(f[-1]) for f in map(str.split, trace.read_text().splitlines())}
     for stats in result.iterations:
         if stats.moves:
-            assert last[stats.iteration] == pytest.approx(stats.sweep_score, rel=1e-9)
+            assert last[stats.iteration] == pytest.approx(stats.score, rel=1e-9)
     a = aggregate_class_counts(adapt, result.cluster_map)
     bg = aggregate_class_counts(back, result.cluster_map) if adaptive else None
     b = criterion_discount(adapt, other, cfg).b
     assert result.score == clustering_score(a, combine_class_counts(a, bg, result.lam), b)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_lambda_is_chosen_once_on_the_start_map(monkeypatch, adaptive):
+    vocab, adapt, back, cm = adaptive_setup()
+    cfg = ExchangeConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimize_lambda(*args)
+
+    monkeypatch.setattr(exchange, "optimize_lambda", counted)
+    other = back if adaptive else None
+    result = run_exchange(adapt, other, cm, cfg, vocab=vocab)
+    # more than one sweep: a search per sweep would be counted
+    assert len(result.iterations) > 1
+    if not adaptive:
+        assert calls == [] and result.lam is None
+        return
+    assert len(calls) == 1
+    b = criterion_discount(adapt, back, cfg).b
+    start = [aggregate_class_counts(t, cm) for t in (adapt, back)]
+    assert result.lam == optimize_lambda(*start, cfg.lambda_grid, b)[0]
 
 
 # -------------------------------------------------------------- rare words
