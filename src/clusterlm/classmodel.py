@@ -261,9 +261,6 @@ class ClassModel:
     def vocab_size(self) -> int:
         return self.cm.vocab_size
 
-    def class_given_state(self, s: int, g: int) -> float:
-        return self.class_p[s, g]
-
     def probs(self, contexts: np.ndarray, words: np.ndarray) -> np.ndarray:
         states, cats = self.cm.state_of[contexts], self.cm.category_of[words]
         return self.class_p[states, cats] * self.word_p[words]

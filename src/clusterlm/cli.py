@@ -24,7 +24,7 @@ from .evaluate import (
 
 
 def read_config(path) -> dict[str, str]:
-    """key=value lines; blank lines and # comments are skipped."""
+    """key=value lines, each key once; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -33,8 +33,10 @@ def read_config(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+            out[key] = value
     return out
 
 
@@ -105,13 +107,17 @@ def _load_model(path, vocab: Vocabulary):
     return model
 
 
-def _save_run(path, vocab: Vocabulary, result) -> None:
-    """The clusters an exchange run ended with, if ``path`` is given."""
-    if path:
+def _save_run(args, vocab: Vocabulary, result) -> None:
+    """The clusters an exchange run ended with (``--clusters-out``) and its
+    applied moves, one line each (``--trace``), for the paths given."""
+    if args.clusters_out:
         meta = {"iteration": len(result.iterations), "score": result.score}
         if result.lam is not None:
             meta["lambda"] = result.lam
-        save_clusters(path, vocab, result.cluster_map, metadata=meta)
+        save_clusters(args.clusters_out, vocab, result.cluster_map, metadata=meta)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.writelines("%d %d %s %d %d %r %r\n" % move for move in result.moves)
 
 
 def cmd_vocab(args, cfg: SuiteConfig) -> int:
@@ -143,11 +149,9 @@ def cmd_train(args, cfg: SuiteConfig) -> int:
         model.save(args.out)
         print(f"trained {args.method} model (b={model.b:.4f}) -> {args.out}")
         return 0
-    model, result = train_class_model(
-        counts, vocab, cfg.clusters, cfg, args.method, trace_path=args.trace
-    )
+    model, result = train_class_model(counts, vocab, cfg.clusters, cfg, args.method)
     model.save(args.out)
-    _save_run(args.clusters_out, vocab, result)
+    _save_run(args, vocab, result)
     print(
         f"trained {args.method} model in {len(result.iterations)} iterations "
         f"(score {result.score:.4f}) -> {args.out}"
@@ -171,11 +175,9 @@ def cmd_adapt(args, cfg: SuiteConfig) -> int:
         raise ConfigError("clust_adapt needs --back-counts and --init-clusters")
     back_counts = _load_counts(args.back_counts, vocab)
     init, _ = load_clusters(args.init_clusters, vocab)
-    model, result = adapt_class_model(
-        adapt_counts, back_counts, init, vocab, cfg, trace_path=args.trace
-    )
+    model, result = adapt_class_model(adapt_counts, back_counts, init, vocab, cfg)
     model.save(args.out)
-    _save_run(args.clusters_out, vocab, result)
+    _save_run(args, vocab, result)
     print(
         f"adapted model (lambda {result.lam:.2f}, "
         f"{len(result.iterations)} iterations) -> {args.out}"

@@ -165,27 +165,26 @@ def _class_model(counts, cm: ClusterMap, vocab: Vocabulary, cfg: SuiteConfig, la
 
 
 def cluster_words(
-    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, trace_path=None
+    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig
 ) -> ExchangeResult:
     """Exchange clustering of ``counts`` into k classes per side, from the
     frequency init."""
     xc = ExchangeConfig(max_iterations=cfg.max_iterations, discount=cfg.discount)
     init = init_clustering(counts, k, k, vocab)
-    return run_exchange(counts, None, init, xc, vocab=vocab, trace_path=trace_path)
+    return run_exchange(counts, None, init, xc, vocab=vocab)
 
 
 def train_class_model(
-    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, label: str,
-    trace_path=None,
+    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, label: str
 ) -> tuple[ClassModel, ExchangeResult]:
     """``cluster_words``, then the class model estimated on its map."""
-    result = cluster_words(counts, vocab, k, cfg, trace_path)
+    result = cluster_words(counts, vocab, k, cfg)
     return _class_model(counts, result.cluster_map, vocab, cfg, label), result
 
 
 def adapt_class_model(
     adapt_counts: CountTable, back_counts: CountTable, init: ClusterMap,
-    vocab: Vocabulary, cfg: SuiteConfig, trace_path=None,
+    vocab: Vocabulary, cfg: SuiteConfig,
 ) -> tuple[ClassModel, ExchangeResult]:
     """Clustered adaptation: adaptive exchange from ``init``, then the class
     model estimated on the counts interpolated with the chosen weight."""
@@ -193,9 +192,7 @@ def adapt_class_model(
         max_iterations=cfg.max_iterations, lambda_grid=cfg.lambda_grid,
         discount=cfg.discount,
     )
-    result = run_exchange(
-        adapt_counts, back_counts, init, xc, vocab=vocab, trace_path=trace_path
-    )
+    result = run_exchange(adapt_counts, back_counts, init, xc, vocab=vocab)
     combined = combine_word_counts(adapt_counts, back_counts, result.lam)
     return _class_model(combined, result.cluster_map, vocab, cfg, "clust_adapt"), result
 

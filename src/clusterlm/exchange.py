@@ -68,10 +68,13 @@ class IterationStats:
 
 @dataclass
 class ExchangeResult:
+    """``moves`` holds each applied move, in order, as (iteration, word, side,
+    source cluster, target cluster, criterion delta, running score)."""
     cluster_map: ClusterMap
     score: float
     lam: float | None
     iterations: list[IterationStats] = field(default_factory=list)
+    moves: list[tuple] = field(default_factory=list)
     converged: bool = False
 
 
@@ -117,7 +120,6 @@ def run_exchange(
     init: ClusterMap,
     cfg: ExchangeConfig,
     vocab: Vocabulary | None = None,
-    trace_path=None,
 ) -> ExchangeResult:
     """Run exchange clustering from ``init`` until convergence or the
     iteration cap.
@@ -148,43 +150,35 @@ def run_exchange(
         w for w in _visit_order(train_counts, back_counts, vocab)
         if events[w] > RARE_EVENTS
     ]
-    trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
     result = ExchangeResult(cm, score, lam)
-    try:
-        prev = running = score
-        for it in range(1, cfg.max_iterations + 1):
-            moves = 0
-            for side in (CATEGORY_SIDE, STATE_SIDE):
-                assign = engine.assignment(side)[0]
-                for w in order:
-                    if engine.frozen(w, side):
-                        continue
-                    best = engine.best_move(w, side)
-                    if best is None:
-                        continue
-                    dst, delta = best
-                    src = int(assign[w])
-                    engine.apply_move(w, side, dst)
-                    moves += 1
-                    running += delta
-                    if trace:
-                        trace.write(
-                            f"{it} {w} {side} {src} {dst} {float(delta)!r} {float(running)!r}\n"
-                        )
-            score = running = engine.score()
-            result.iterations.append(IterationStats(it, moves, score))
-            log.info("iteration %d: %d moves, score %.6f", it, moves, score)
-            if moves == 0:
-                result.converged = True
-                break
-            rel = (score - prev) / max(1.0, abs(prev))
-            if rel < REL_THRESHOLD:
-                result.converged = True
-                break
-            prev = score
-    finally:
-        if trace:
-            trace.close()
+    prev = running = score
+    for it in range(1, cfg.max_iterations + 1):
+        moves = 0
+        for side in (CATEGORY_SIDE, STATE_SIDE):
+            assign = engine.assignment(side)[0]
+            for w in order:
+                if engine.frozen(w, side):
+                    continue
+                best = engine.best_move(w, side)
+                if best is None:
+                    continue
+                dst, delta = best
+                src = int(assign[w])
+                engine.apply_move(w, side, dst)
+                moves += 1
+                running += delta
+                result.moves.append((it, w, side, src, dst, float(delta), float(running)))
+        score = running = engine.score()
+        result.iterations.append(IterationStats(it, moves, score))
+        log.info("iteration %d: %d moves, score %.6f", it, moves, score)
+        if moves == 0:
+            result.converged = True
+            break
+        rel = (score - prev) / max(1.0, abs(prev))
+        if rel < REL_THRESHOLD:
+            result.converged = True
+            break
+        prev = score
 
     result.score = score
     return result

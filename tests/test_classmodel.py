@@ -159,7 +159,7 @@ def test_class_distributions_normalize():
     model = estimate_class_model(counts, cm)
     for s in range(cm.n_states):
         assert sum(
-            model.class_given_state(s, g) for g in range(cm.n_cats)
+            model.class_p[s, g] for g in range(cm.n_cats)
         ) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -287,7 +287,7 @@ def test_model_scores_are_its_file_numbers(tmp_path, build):
                 disc = 10.0 ** pairs[(s, g)] if (s, g) in pairs else 0.0
                 q = 10.0 ** cats[(g,)] if (g,) in cats else 0.0
                 class_p = disc + alphas[(s,)] * q
-                assert m.class_given_state(s, g) == class_p
+                assert m.class_p[s, g] == class_p
                 assert m.prob(v, w) == class_p * word_p[w]
 
 

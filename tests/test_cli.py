@@ -12,7 +12,13 @@ from clusterlm.classmodel import load_clusters
 from clusterlm.cli import main
 from clusterlm.corpus import CountTable, Vocabulary, read_sentences
 from clusterlm.discounting import estimate_discount
-from clusterlm.evaluate import SuiteConfig, experiment_suite, perplexity
+from clusterlm.evaluate import (
+    SuiteConfig,
+    adapt_class_model,
+    experiment_suite,
+    perplexity,
+    train_class_model,
+)
 
 
 def write_corpus(path, sentences):
@@ -71,6 +77,7 @@ def workdir(tmp_path_factory):
         "--counts", d / "adapt.counts", "--back-counts", d / "back.counts",
         "--init-clusters", d / "back.clusters", "--max-iterations", "4",
         "--out", d / "clust_adapt.lm", "--clusters-out", d / "adapt.clusters",
+        "--trace", d / "adapt.trace",
     )
     return d
 
@@ -100,6 +107,23 @@ def test_cluster_artifacts(workdir):
     _, adapted_fields = load_clusters(workdir / "adapt.clusters", vocab)
     assert "lambda" in adapted_fields
     assert 0.0 <= float(adapted_fields["lambda"]) <= 1.0
+
+
+def test_trace_files_hold_the_moves_of_the_run(workdir):
+    # the fixture ran train back_cl and adapt clust_adapt with --trace; the
+    # library run on the same counts and settings returns the same moves
+    vocab = Vocabulary.load(workdir / "words.txt")
+    back, adapt = (
+        CountTable.load(workdir / f"{name}.counts")[0] for name in ("back", "adapt")
+    )
+    cfg = SuiteConfig(clusters=4, max_iterations=4)
+    _, trained = train_class_model(back, vocab, 4, cfg, "back_cl")
+    init, _ = load_clusters(workdir / "back.clusters", vocab)
+    _, adapted = adapt_class_model(adapt, back, init, vocab, cfg)
+    for name, result in (("back.trace", trained), ("adapt.trace", adapted)):
+        lines = (workdir / name).read_text().splitlines()
+        assert lines, f"{name}: exchange should move something on this corpus"
+        assert lines == ["%d %d %s %d %d %r %r" % move for move in result.moves]
 
 
 @pytest.mark.parametrize(
@@ -342,6 +366,9 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
         pytest.param("clusters 3\n", None, None, None, id="config-line-without-equals"),
         pytest.param("cutoff=abc\n", None, None, None, id="config-bad-cutoff"),
         pytest.param("clusterz=3\n", None, None, None, id="config-unknown-key"),
+        pytest.param(
+            "clusters = 3\nclusters = 5\n", None, None, None, id="config-repeated-key"
+        ),
         pytest.param(None, "--discount", "abc", None, id="bad-discount"),
         pytest.param(None, "--discount", "1.5", None, id="discount-out-of-range"),
         pytest.param(None, "--cutoff", "x", None, id="bad-cutoff"),

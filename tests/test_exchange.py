@@ -83,16 +83,15 @@ def test_visit_order_pools_both_tables():
 # ------------------------------------------------------------- standard runs
 
 
-def test_standard_run_is_deterministic(tmp_path):
+def test_standard_run_is_deterministic():
     vocab, counts, cm = block_setup()
     cfg = ExchangeConfig()
-    t1, t2 = tmp_path / "a.trace", tmp_path / "b.trace"
-    r1 = run_exchange(counts, None, cm, cfg, vocab=vocab, trace_path=t1)
-    r2 = run_exchange(counts, None, cm, cfg, vocab=vocab, trace_path=t2)
+    r1 = run_exchange(counts, None, cm, cfg, vocab=vocab)
+    r2 = run_exchange(counts, None, cm, cfg, vocab=vocab)
     assert r1.cluster_map.same_assignments(r2.cluster_map)
     assert r1.score == r2.score
     assert [s.moves for s in r1.iterations] == [s.moves for s in r2.iterations]
-    assert t1.read_bytes() == t2.read_bytes()
+    assert r1.moves == r2.moves
 
 
 def test_standard_run_leaves_init_untouched():
@@ -102,12 +101,9 @@ def test_standard_run_leaves_init_untouched():
     assert cm.same_assignments(baseline)
 
 
-def test_standard_run_monotone_and_convergent(tmp_path):
+def test_standard_run_monotone_and_convergent():
     vocab, counts, cm = block_setup()
-    trace = tmp_path / "run.trace"
-    result = run_exchange(
-        counts, None, cm, ExchangeConfig(), vocab=vocab, trace_path=trace
-    )
+    result = run_exchange(counts, None, cm, ExchangeConfig(), vocab=vocab)
     assert result.converged
     assert result.score > run_exchange(
         counts, None, cm, ExchangeConfig(max_iterations=1)
@@ -115,13 +111,12 @@ def test_standard_run_monotone_and_convergent(tmp_path):
 
     # every applied move strictly improves; the running score never dips
     last_running = -math.inf
-    for line in trace.read_text().splitlines():
-        it, w, side, src, dst, delta, running = line.split()
+    for it, w, side, src, dst, delta, running in result.moves:
         assert side in ("category", "state")
-        assert int(src) != int(dst)
-        assert float(delta) > 0.0
-        assert float(running) >= last_running - 1e-9
-        last_running = float(running)
+        assert src != dst
+        assert delta > 0.0
+        assert running >= last_running - 1e-9
+        last_running = running
 
     # iteration-level scores never decrease either
     scores = [s.score for s in result.iterations]
@@ -198,18 +193,17 @@ def test_optimize_lambda_all_degenerate():
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
-def test_run_reports_the_score_of_the_map_it_returns(tmp_path, adaptive):
+def test_run_reports_the_score_of_the_map_it_returns(adaptive):
     vocab, adapt, back, cm = adaptive_setup()
     # a grid without 1.0 keeps lambda < 1, where the background enters the score
     cfg = ExchangeConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
     other = back if adaptive else None
-    trace = tmp_path / "run.trace"
-    result = run_exchange(adapt, other, cm, cfg, vocab=vocab, trace_path=trace)
+    result = run_exchange(adapt, other, cm, cfg, vocab=vocab)
     assert result.iterations[0].moves > 0
     assert result.lam < 1.0 if adaptive else result.lam is None
     # moves are scored at the run's one weight: each sweep's running total
     # ends at the score of the map it leaves
-    last = {int(f[0]): float(f[-1]) for f in map(str.split, trace.read_text().splitlines())}
+    last = {move[0]: move[-1] for move in result.moves}
     for stats in result.iterations:
         if stats.moves:
             assert last[stats.iteration] == pytest.approx(stats.score, rel=1e-9)
@@ -247,24 +241,20 @@ def test_lambda_is_chosen_once_on_the_start_map(monkeypatch, adaptive):
 
 
 @pytest.mark.parametrize("criterion", ["standard", "adaptive"])
-def test_words_seen_at_most_twice_keep_their_initial_classes(tmp_path, criterion):
+def test_words_seen_at_most_twice_keep_their_initial_classes(criterion):
     vocab, adapt, back, cm = adaptive_setup()
     if criterion == "standard":
         train, other = back, None
     else:
         train, other = adapt, back
-    trace = tmp_path / "run.trace"
-    result = run_exchange(
-        train, other, cm, ExchangeConfig(max_iterations=5),
-        vocab=vocab, trace_path=trace,
-    )
+    result = run_exchange(train, other, cm, ExchangeConfig(max_iterations=5), vocab=vocab)
     rare = {w for w in range(len(vocab)) if 0 < train.unigram[w] <= RARE_EVENTS}
     assert len(rare) >= 10
     got = result.cluster_map
     for w in rare:
         assert int(got.state_of[w]) == int(cm.state_of[w])
         assert int(got.category_of[w]) == int(cm.category_of[w])
-    moved = [int(line.split()[1]) for line in trace.read_text().splitlines()]
+    moved = [move[1] for move in result.moves]
     assert moved, "exchange should move the frequent words"
     assert not rare & set(moved)
     assert all(train.unigram[w] > RARE_EVENTS for w in moved)
