@@ -50,7 +50,6 @@ from .evaluate import (
     write_records,
 )
 from .exchange import (
-    ExchangeConfig,
     ExchangeResult,
     IterationStats,
     optimize_lambda,

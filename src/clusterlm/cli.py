@@ -11,7 +11,6 @@ from .artifact import read_magic
 from .backoff import BACKOFF_MAGIC, BackoffModel
 from .classmodel import CLASSMODEL_MAGIC, ClassModel, load_clusters, save_clusters
 from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, read_sentences
-from .discounting import Discount
 from .errors import ClusterLMError, ConfigError, FormatError, VocabMismatchError
 from .evaluate import (
     SuiteConfig,
@@ -41,14 +40,11 @@ def read_config(path) -> dict[str, str]:
 
 
 def _discount(raw: str) -> float | None:
-    return None if raw == "auto" else Discount(float(raw)).b
+    return None if raw == "auto" else float(raw)
 
 
 def _lambda_grid(raw: str) -> tuple[float, ...]:
-    grid = tuple(float(p) for p in raw.split(",") if p.strip() != "")
-    if not grid:
-        raise ValueError("lambda grid is empty")
-    return grid
+    return tuple(float(p) for p in raw.split(",") if p.strip() != "")
 
 
 # Settings a flag or the config file may give, each with its parser.
@@ -80,17 +76,6 @@ def suite_config(args: argparse.Namespace, config: dict[str, str]) -> SuiteConfi
     return SuiteConfig(**values)
 
 
-def _load_counts(path, vocab: Vocabulary) -> CountTable:
-    table, md5 = CountTable.load(path)
-    if md5 and md5 != vocab.checksum():
-        raise VocabMismatchError(
-            f"{path}: counts were built for a different vocabulary"
-        )
-    if table.vocab_size != len(vocab):
-        raise VocabMismatchError(f"{path}: counts cover {table.vocab_size} words")
-    return table
-
-
 def _load_model(path, vocab: Vocabulary):
     """The backoff or class model in ``path``, checked against ``vocab``."""
     magic = read_magic(path)
@@ -108,16 +93,17 @@ def _load_model(path, vocab: Vocabulary):
 
 
 def _save_run(args, vocab: Vocabulary, result) -> None:
-    """The clusters an exchange run ended with (``--clusters-out``) and its
-    applied moves, one line each (``--trace``), for the paths given."""
+    """The applied moves of an exchange run, one line each (``--trace``), and
+    the clusters it ended with (``--clusters-out``).  Callers save the model
+    after these, so that a run that fails here leaves no model behind."""
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.writelines("%d %d %s %d %d %r %r\n" % move for move in result.moves)
     if args.clusters_out:
         meta = {"iteration": len(result.iterations), "score": result.score}
         if result.lam is not None:
             meta["lambda"] = result.lam
         save_clusters(args.clusters_out, vocab, result.cluster_map, metadata=meta)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.writelines("%d %d %s %d %d %r %r\n" % move for move in result.moves)
 
 
 def cmd_vocab(args, cfg: SuiteConfig) -> int:
@@ -143,15 +129,15 @@ def cmd_counts(args, cfg: SuiteConfig) -> int:
 
 def cmd_train(args, cfg: SuiteConfig) -> int:
     vocab = Vocabulary.load(args.vocab)
-    counts = _load_counts(args.counts, vocab)
+    counts = CountTable.load(args.counts, vocab)
     if args.method in ("back_bo", "adapt_bo"):
         model = train_backoff_model(counts, vocab, cfg)
         model.save(args.out)
         print(f"trained {args.method} model (b={model.b:.4f}) -> {args.out}")
         return 0
     model, result = train_class_model(counts, vocab, cfg.clusters, cfg, args.method)
-    model.save(args.out)
     _save_run(args, vocab, result)
+    model.save(args.out)
     print(
         f"trained {args.method} model in {len(result.iterations)} iterations "
         f"(score {result.score:.4f}) -> {args.out}"
@@ -161,7 +147,7 @@ def cmd_train(args, cfg: SuiteConfig) -> int:
 
 def cmd_adapt(args, cfg: SuiteConfig) -> int:
     vocab = Vocabulary.load(args.vocab)
-    adapt_counts = _load_counts(args.counts, vocab)
+    adapt_counts = CountTable.load(args.counts, vocab)
     if args.method == "fillup":
         if not args.model:
             raise ConfigError("fillup needs --model (background model)")
@@ -173,11 +159,11 @@ def cmd_adapt(args, cfg: SuiteConfig) -> int:
         return 0
     if not args.back_counts or not args.init_clusters:
         raise ConfigError("clust_adapt needs --back-counts and --init-clusters")
-    back_counts = _load_counts(args.back_counts, vocab)
+    back_counts = CountTable.load(args.back_counts, vocab)
     init, _ = load_clusters(args.init_clusters, vocab)
     model, result = adapt_class_model(adapt_counts, back_counts, init, vocab, cfg)
-    model.save(args.out)
     _save_run(args, vocab, result)
+    model.save(args.out)
     print(
         f"adapted model (lambda {result.lam:.2f}, "
         f"{len(result.iterations)} iterations) -> {args.out}"

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .artifact import Artifact, row_tuples, size, write
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, VocabMismatchError
 
 UNK_TOKEN = "<unk>"
 BOS_TOKEN = "<s>"
@@ -249,12 +249,17 @@ class CountTable:
               [(None, self._cells)])
 
     @classmethod
-    def load(cls, path: str | Path) -> tuple["CountTable", str]:
-        """Read a count file; returns the table and the embedded vocab checksum."""
+    def load(cls, path: str | Path, vocab: Vocabulary) -> "CountTable":
+        """Read a count file, checked against ``vocab`` before its body is read."""
         with Artifact(path, COUNTS_MAGIC, "count") as art:
             n = art.field("vocab_size", size)
             declared_total = art.field("total_tokens", size)
             vocab_md5 = art.field("vocab_md5")
+            if vocab_md5 and vocab_md5 != vocab.checksum():
+                raise VocabMismatchError(f"{path}: counts were built for a different vocabulary")
+            if n != len(vocab):
+                raise FormatError(
+                    f"{path}: count file is for a {n}-word vocabulary, got {len(vocab)} words")
             context, word, count = art.body((n, n, int))
             if (count <= 0).any():
                 raise ValueError("nonpositive count")
@@ -264,7 +269,7 @@ class CountTable:
                     f"header total_tokens={declared_total} but counts sum "
                     f"to {table.total_tokens}"
                 )
-        return table, vocab_md5
+        return table
 
 
 def sentence_ids(sent: Sequence[str], vocab: Vocabulary) -> list[int]:

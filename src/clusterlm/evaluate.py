@@ -26,9 +26,10 @@ from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, sent
 from .criterion import combine_word_counts
 from .discounting import Discount, bigram_discount
 from .errors import ConfigError, ModelIntegrityError
-from .exchange import DEFAULT_LAMBDA_GRID, ExchangeConfig, ExchangeResult, run_exchange
+from .exchange import ExchangeResult, run_exchange
 
 METHODS = ("back_bo", "back_cl", "adapt_bo", "adapt_cl", "fillup", "clust_adapt")
+DEFAULT_LAMBDA_GRID = tuple(i / 10.0 for i in range(11))
 SCORE_BLOCK = 1024  # sentences per ``probs`` call: a block stays near a megabyte
 
 
@@ -99,7 +100,7 @@ def relative_improvement(baseline: float, treatment: float) -> float:
     return 100.0 * (baseline - treatment) / baseline
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     vocab_size: int = 20000
     clusters: int = 500
@@ -109,6 +110,18 @@ class SuiteConfig:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     methods: tuple[str, ...] = METHODS
     score_oov: bool = False
+
+    def __post_init__(self):
+        if self.discount is not None:
+            Discount(self.discount)
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be at least 1")
+        if not self.lambda_grid:
+            raise ConfigError("lambda grid is empty")
+        if any(not 0.0 <= g <= 1.0 for g in self.lambda_grid):
+            raise ConfigError("lambda grid values must lie in [0, 1]")
+        if not set(self.methods) <= set(METHODS):
+            raise ConfigError(f"unknown methods: {sorted(set(self.methods) - set(METHODS))}")
 
 
 @dataclass
@@ -169,9 +182,8 @@ def cluster_words(
 ) -> ExchangeResult:
     """Exchange clustering of ``counts`` into k classes per side, from the
     frequency init."""
-    xc = ExchangeConfig(max_iterations=cfg.max_iterations, discount=cfg.discount)
     init = init_clustering(counts, k, k, vocab)
-    return run_exchange(counts, None, init, xc, vocab=vocab)
+    return run_exchange(counts, None, init, cfg, vocab=vocab)
 
 
 def train_class_model(
@@ -188,11 +200,7 @@ def adapt_class_model(
 ) -> tuple[ClassModel, ExchangeResult]:
     """Clustered adaptation: adaptive exchange from ``init``, then the class
     model estimated on the counts interpolated with the chosen weight."""
-    xc = ExchangeConfig(
-        max_iterations=cfg.max_iterations, lambda_grid=cfg.lambda_grid,
-        discount=cfg.discount,
-    )
-    result = run_exchange(adapt_counts, back_counts, init, xc, vocab=vocab)
+    result = run_exchange(adapt_counts, back_counts, init, cfg, vocab=vocab)
     combined = combine_word_counts(adapt_counts, back_counts, result.lam)
     return _class_model(combined, result.cluster_map, vocab, cfg, "clust_adapt"), result
 
@@ -211,9 +219,6 @@ def experiment_suite(
     vocabulary.  Perplexities are therefore directly comparable within each
     group but not across the two vocabularies.
     """
-    unknown = set(cfg.methods) - set(METHODS)
-    if unknown:
-        raise ConfigError(f"unknown methods: {sorted(unknown)}")
     if list(sizes) != sorted(sizes):
         raise ConfigError("adaptation sizes must be nondecreasing")
     result = SuiteResult(config=asdict(cfg))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .classmodel import ClusterMap
 from .corpus import CountTable, Vocabulary
@@ -30,11 +31,11 @@ from .criterion import (
     combine_class_counts,
 )
 from .discounting import Discount, bigram_discount
-from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .evaluate import SuiteConfig
 
 log = logging.getLogger(__name__)
-
-DEFAULT_LAMBDA_GRID = tuple(i / 10.0 for i in range(11))
 
 # Words with at most this many events in the table being clustered keep
 # their initial classes.
@@ -42,21 +43,6 @@ RARE_EVENTS = 2
 
 # A sweep that raises the score by less than this share of it converges.
 REL_THRESHOLD = 1e-6
-
-
-@dataclass
-class ExchangeConfig:
-    max_iterations: int = 20
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    discount: float | None = None
-
-    def validate(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
-        if not self.lambda_grid:
-            raise ConfigError("lambda grid is empty")
-        if any(not 0.0 <= g <= 1.0 for g in self.lambda_grid):
-            raise ConfigError("lambda grid values must lie in [0, 1]")
 
 
 @dataclass
@@ -94,7 +80,7 @@ def optimize_lambda(
 
 
 def criterion_discount(
-    train_counts: CountTable, back_counts: CountTable | None, cfg: ExchangeConfig
+    train_counts: CountTable, back_counts: CountTable | None, cfg: SuiteConfig
 ) -> Discount:
     """Discount used inside the objective: forced, or estimated from the
     pooled bigram count-of-count histogram of the training table(s)."""
@@ -118,7 +104,7 @@ def run_exchange(
     train_counts: CountTable,
     back_counts: CountTable | None,
     init: ClusterMap,
-    cfg: ExchangeConfig,
+    cfg: SuiteConfig,
     vocab: Vocabulary | None = None,
 ) -> ExchangeResult:
     """Run exchange clustering from ``init`` until convergence or the
@@ -132,7 +118,6 @@ def run_exchange(
     clustered) keep their state and category from ``init``.  The returned
     map is a copy; ``init`` is left untouched.
     """
-    cfg.validate()
     cm = init.copy()
     discount = criterion_discount(train_counts, back_counts, cfg)
     if back_counts is not None:

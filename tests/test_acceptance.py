@@ -38,7 +38,7 @@ from clusterlm.evaluate import (
     relative_improvement,
     suite_records,
 )
-from clusterlm.exchange import ExchangeConfig, run_exchange
+from clusterlm.exchange import run_exchange
 
 
 def verdict(capsys, num, summary, ok):
@@ -159,7 +159,7 @@ def test_hill_climbing_is_monotone_and_converges(capsys):
     vocab, counts = table_from_sentences(sentences, max_size=500)
     init = init_clustering(counts, 20, 20, vocab)
 
-    result = run_exchange(counts, None, init, ExchangeConfig(), vocab=vocab)
+    result = run_exchange(counts, None, init, SuiteConfig(), vocab=vocab)
     all_positive = True
     nondecreasing = True
     last = -math.inf
@@ -177,7 +177,7 @@ def test_hill_climbing_is_monotone_and_converges(capsys):
     a_counts = count_events(target, tv)
     b_counts = count_events(sentences, tv)
     a_init = init_clustering(b_counts, 20, 20, tv)
-    a_result = run_exchange(a_counts, b_counts, a_init, ExchangeConfig(), vocab=tv)
+    a_result = run_exchange(a_counts, b_counts, a_init, SuiteConfig(), vocab=tv)
     for move in a_result.moves:
         all_positive &= move[5] > 0.0
     a_scores = [s.score for s in a_result.iterations]
@@ -207,11 +207,11 @@ def test_every_model_type_normalizes(capsys):
     models["backoff"] = train_backoff(back, disc, cutoff=1)
     models["fillup"] = fillup(adapt, models["backoff"], disc)
     init = init_clustering(back, 8, 8, vocab)
-    std = run_exchange(back, None, init, ExchangeConfig(max_iterations=5))
+    std = run_exchange(back, None, init, SuiteConfig(max_iterations=5))
     models["class"] = estimate_class_model(back, std.cluster_map)
     ada = run_exchange(
         adapt, back, std.cluster_map,
-        ExchangeConfig(max_iterations=5),
+        SuiteConfig(max_iterations=5),
     )
     combined = combine_word_counts(adapt, back, ada.lam)
     models["adaptive class"] = estimate_class_model(combined, ada.cluster_map)
@@ -265,7 +265,7 @@ def test_exchange_attains_enumerated_optimum_on_block_corpus(capsys):
     init = init_clustering(counts, 2, 2, vocab)
     disc = Discount(0.5)
     result = run_exchange(
-        counts, None, init, ExchangeConfig(discount=0.5), vocab=vocab
+        counts, None, init, SuiteConfig(discount=0.5), vocab=vocab
     )
 
     # exhaustive enumeration over every clustering of the content words

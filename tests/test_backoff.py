@@ -330,7 +330,7 @@ def test_fillup_does_not_depend_on_where_its_counts_came_from(tmp_path):
     counted = count_events(adapt, vocab)
     path = tmp_path / "adapt.counts"
     counted.save(path, vocab.checksum())
-    reloaded, _ = CountTable.load(path)
+    reloaded = CountTable.load(path, vocab)
     filled = fillup_model(counted, background, cfg)
     refilled = fillup_model(reloaded, background, cfg)
     for name in ("context", "word", "lp", "listed", "alpha", "beta"):

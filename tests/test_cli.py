@@ -90,8 +90,8 @@ def test_vocab_artifact(workdir):
 
 def test_counts_artifact(workdir):
     vocab = Vocabulary.load(workdir / "words.txt")
-    table, md5 = CountTable.load(workdir / "back.counts")
-    assert md5 == vocab.checksum()
+    assert f" vocab_md5={vocab.checksum()}\n" in (workdir / "back.counts").read_text()
+    table = CountTable.load(workdir / "back.counts", vocab)
     assert table.total_tokens > 1000
 
 
@@ -114,7 +114,7 @@ def test_trace_files_hold_the_moves_of_the_run(workdir):
     # library run on the same counts and settings returns the same moves
     vocab = Vocabulary.load(workdir / "words.txt")
     back, adapt = (
-        CountTable.load(workdir / f"{name}.counts")[0] for name in ("back", "adapt")
+        CountTable.load(workdir / f"{name}.counts", vocab) for name in ("back", "adapt")
     )
     cfg = SuiteConfig(clusters=4, max_iterations=4)
     _, trained = train_class_model(back, vocab, 4, cfg, "back_cl")
@@ -290,8 +290,8 @@ def test_cli_fillup_matches_library_fillup(workdir, capsys, tmp_path):
     # never saw come from that file alone.
     assert "\\unseen:\n" in (workdir / "back_bo.lm").read_text()
     vocab = Vocabulary.load(workdir / "words.txt")
-    back_counts, _ = CountTable.load(workdir / "back.counts")
-    adapt_counts, _ = CountTable.load(workdir / "adapt.counts")
+    back_counts = CountTable.load(workdir / "back.counts", vocab)
+    adapt_counts = CountTable.load(workdir / "adapt.counts", vocab)
     background = train_backoff(
         back_counts, estimate_discount(histogram(back_counts)),
         cutoff=1, vocab_md5=vocab.checksum(),
@@ -369,6 +369,12 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
         pytest.param(
             "clusters = 3\nclusters = 5\n", None, None, None, id="config-repeated-key"
         ),
+        # every command checks every setting, used by its method or not
+        pytest.param("max_iterations=0\n", None, None, None, id="config-zero-iterations"),
+        pytest.param(
+            "clusters=4\nmax_iterations=1\nlambda_grid=1.5\n", "--method", "back_cl", None,
+            id="config-lambda-out-of-range",
+        ),
         pytest.param(None, "--discount", "abc", None, id="bad-discount"),
         pytest.param(None, "--discount", "1.5", None, id="discount-out-of-range"),
         pytest.param(None, "--cutoff", "x", None, id="bad-cutoff"),
@@ -389,6 +395,7 @@ def test_bad_settings_and_missing_inputs_exit_2(
     workdir, tmp_path, capsys, config, flag, value, records
 ):
     flags = {
+        "--method": "back_bo",
         "--vocab": str(workdir / "words.txt"),
         "--counts": str(workdir / "back.counts"),
         "--out": str(tmp_path / "m.lm"),
@@ -399,7 +406,7 @@ def test_bad_settings_and_missing_inputs_exit_2(
     if flag is not None:
         flags[flag] = str(tmp_path / value) if value.startswith("missing") else value
     argv = ["--config", flags.pop("--config")] if "--config" in flags else []
-    argv += ["train", "--method", "back_bo"]
+    argv += ["train"]
     for item in flags.items():
         argv += item
     if records is not None:
@@ -412,7 +419,7 @@ def test_bad_settings_and_missing_inputs_exit_2(
 
 
 def test_a_header_size_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):
-    # numpy refuses 10**12 counts at once; never a size it could commit lazily
+    # the header's size is checked against the vocabulary before anything is allocated
     text = (workdir / "back.counts").read_text()
     bad = tmp_path / "bad.counts"
     bad.write_text(re.sub(r" vocab_size=\d+ ", " vocab_size=1000000000000 ", text, count=1))
@@ -424,6 +431,19 @@ def test_a_header_size_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err and "bad.counts" in err
+
+
+def test_a_run_that_fails_writing_its_trace_leaves_no_model(workdir, tmp_path, capsys):
+    out, clusters = tmp_path / "m.lm", tmp_path / "m.clusters"
+    rc = main([
+        "train", "--method", "back_cl", "--vocab", str(workdir / "words.txt"),
+        "--counts", str(workdir / "back.counts"), "--clusters", "4", "--max-iterations", "1",
+        "--out", str(out), "--clusters-out", str(clusters),
+        "--trace", str(tmp_path / "missing" / "t"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() and not clusters.exists()
 
 
 def test_clust_adapt_with_a_malformed_init_map_exits_2(workdir, tmp_path, capsys):

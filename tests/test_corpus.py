@@ -1,5 +1,6 @@
 """Vocabulary and counting behaviour."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from clusterlm.corpus import (
     sentence_ids,
     tokenize_line,
 )
-from clusterlm.errors import ConfigError, FormatError
+from clusterlm.errors import ConfigError, FormatError, VocabMismatchError
 
 
 def test_reserved_ids_are_fixed():
@@ -187,8 +188,7 @@ def test_count_table_round_trip(tmp_path):
     counts = count_events([["a", "b", "a"]], vocab)
     path = tmp_path / "counts.txt"
     counts.save(path, vocab.checksum())
-    loaded, md5 = CountTable.load(path)
-    assert md5 == vocab.checksum()
+    loaded = CountTable.load(path, vocab)
     assert loaded.vocab_size == counts.vocab_size
     assert loaded.total_tokens == counts.total_tokens
     assert loaded.rows == counts.rows
@@ -202,10 +202,11 @@ def test_count_table_round_trip(tmp_path):
 
 def test_empty_count_table_round_trips_without_warnings(tmp_path):
     path = tmp_path / "counts.txt"
-    CountTable(5).save(path, "cafe")
+    vocab = Vocabulary(["a", "b"])
+    CountTable(5).save(path, vocab.checksum())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loaded, _ = CountTable.load(path)
+        loaded = CountTable.load(path, vocab)
     assert loaded.vocab_size == 5 and loaded.total_tokens == 0
     assert all(a.size == 0 and a.dtype == np.int64 for a in loaded.cells())
 
@@ -215,10 +216,31 @@ def test_count_table_load_rejects_out_of_range(tmp_path):
     vocab = Vocabulary(["a"])
     counts = count_events([["a"]], vocab)
     counts.save(path, vocab.checksum())
-    text = path.read_text().replace("vocab_size=4", "vocab_size=2")
-    path.write_text(text)
-    with pytest.raises(FormatError):
-        CountTable.load(path)
+    # the header agrees with the vocabulary; a body id does not
+    text = path.read_text()
+    assert "\n3 2 1\n" in text
+    path.write_text(text.replace("\n3 2 1\n", "\n4 2 1\n"))
+    with pytest.raises(FormatError, match="id out of range"):
+        CountTable.load(path, vocab)
+
+
+def test_count_table_load_checks_the_vocabulary_before_the_body(tmp_path):
+    vocab = Vocabulary(["a", "b", "c"])
+    path = tmp_path / "counts.txt"
+    count_events([["a", "b", "c", "a", "b"]], vocab).save(path, vocab.checksum())
+    with pytest.raises(VocabMismatchError, match="different vocabulary"):
+        CountTable.load(path, Vocabulary(["a", "b", "d"]))
+    # a 125-byte file whose header would size a 10,000,000-word unigram
+    # array (80 MB) is rejected before anything is allocated
+    path.write_text(path.read_text().replace("vocab_size=6", "vocab_size=10000000"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="10000000-word vocabulary, got 6 words"):
+            CountTable.load(path, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _repeat_last_count_line(text):
@@ -232,7 +254,7 @@ def _repeat_last_count_line(text):
 # Where a rejection is reported: the file, the part of it and the line.
 REPORTED = {
     "non-integer": r"counts\.txt: body: line 9: ",
-    "huge-vocab-size": r"counts\.txt: Unable to allocate ",
+    "huge-vocab-size": r"counts\.txt: count file is for a 1000000000000-word vocabulary",
 }
 
 
@@ -251,7 +273,7 @@ REPORTED = {
         # cut to an integer, each of these would load as the saved table
         pytest.param(lambda t: t.replace("\n3 3 1\n", "\n3 3 1.5\n"), id="fractional-count"),
         pytest.param(lambda t: t.replace("\n3 4 1\n", "\n3.5 4 1\n"), id="fractional-id"),
-        # numpy refuses an array of 10**12 counts at once; never a size it could commit lazily
+        # the header's size is checked against the vocabulary before anything is allocated
         pytest.param(lambda t: t.replace("vocab_size=5", "vocab_size=1000000000000"),
                      id="huge-vocab-size"),
     ],
@@ -264,4 +286,4 @@ def test_count_table_load_rejects_malformed_files(tmp_path, edit, request):
     path.write_text(edit(text))
     assert path.read_text() != text
     with pytest.raises(FormatError, match=REPORTED.get(request.node.callspec.id)):
-        CountTable.load(path)
+        CountTable.load(path, vocab)

@@ -1,5 +1,6 @@
 """Perplexity accounting, improvement arithmetic, and the experiment suite."""
 
+import dataclasses
 import json
 import math
 import random
@@ -277,6 +278,25 @@ def test_suite_rejects_bad_requests():
         experiment_suite(
             back, adapt, held, [150], tiny_config(methods=("adapt_bo", "mystery"))
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("discount", 0.0, "discount must be in"),
+        ("discount", 1.5, "discount must be in"),
+        ("max_iterations", 0, "max_iterations must be at least 1"),
+        ("lambda_grid", (), "lambda grid is empty"),
+        ("lambda_grid", (0.5, 1.5), "must lie in"),
+        ("methods", ("adapt_bo", "mystery"), "unknown methods"),
+    ],
+)
+def test_suite_config_checks_each_setting_when_built(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        SuiteConfig(**{field: value})
+    cfg = SuiteConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
 
 
 def test_suite_clamps_cluster_count_with_note():

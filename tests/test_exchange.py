@@ -18,9 +18,9 @@ from clusterlm.criterion import (
 from clusterlm.discounting import estimate_discount
 from clusterlm.errors import ConfigError
 from clusterlm import exchange
+from clusterlm.evaluate import SuiteConfig
 from clusterlm.exchange import (
     RARE_EVENTS,
-    ExchangeConfig,
     criterion_discount,
     optimize_lambda,
     run_exchange,
@@ -49,12 +49,12 @@ def adaptive_setup():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExchangeConfig(max_iterations=0).validate()
+        SuiteConfig(max_iterations=0)
     with pytest.raises(ConfigError):
-        ExchangeConfig(lambda_grid=()).validate()
+        SuiteConfig(lambda_grid=())
     with pytest.raises(ConfigError):
-        ExchangeConfig(lambda_grid=(0.5, 1.5)).validate()
-    ExchangeConfig().validate()
+        SuiteConfig(lambda_grid=(0.5, 1.5))
+    SuiteConfig()
 
 
 # ------------------------------------------------------------ visit ordering
@@ -85,7 +85,7 @@ def test_visit_order_pools_both_tables():
 
 def test_standard_run_is_deterministic():
     vocab, counts, cm = block_setup()
-    cfg = ExchangeConfig()
+    cfg = SuiteConfig()
     r1 = run_exchange(counts, None, cm, cfg, vocab=vocab)
     r2 = run_exchange(counts, None, cm, cfg, vocab=vocab)
     assert r1.cluster_map.same_assignments(r2.cluster_map)
@@ -97,16 +97,16 @@ def test_standard_run_is_deterministic():
 def test_standard_run_leaves_init_untouched():
     vocab, counts, cm = block_setup()
     baseline = cm.copy()
-    run_exchange(counts, None, cm, ExchangeConfig())
+    run_exchange(counts, None, cm, SuiteConfig())
     assert cm.same_assignments(baseline)
 
 
 def test_standard_run_monotone_and_convergent():
     vocab, counts, cm = block_setup()
-    result = run_exchange(counts, None, cm, ExchangeConfig(), vocab=vocab)
+    result = run_exchange(counts, None, cm, SuiteConfig(), vocab=vocab)
     assert result.converged
     assert result.score > run_exchange(
-        counts, None, cm, ExchangeConfig(max_iterations=1)
+        counts, None, cm, SuiteConfig(max_iterations=1)
     ).iterations[0].score - 1e-9
 
     # every applied move strictly improves; the running score never dips
@@ -125,7 +125,7 @@ def test_standard_run_monotone_and_convergent():
 
 def test_standard_finds_block_structure():
     vocab, counts, cm = block_setup()
-    result = run_exchange(counts, None, cm, ExchangeConfig(), vocab=vocab)
+    result = run_exchange(counts, None, cm, SuiteConfig(), vocab=vocab)
     got = result.cluster_map
     p_ids = [vocab.lookup(w) for w in ("p0", "p1", "p2")]
     q_ids = [vocab.lookup(w) for w in ("q0", "q1", "q2")]
@@ -137,8 +137,8 @@ def test_standard_finds_block_structure():
 
 def test_converged_run_is_a_fixpoint():
     vocab, counts, cm = block_setup()
-    first = run_exchange(counts, None, cm, ExchangeConfig())
-    again = run_exchange(counts, None, first.cluster_map, ExchangeConfig())
+    first = run_exchange(counts, None, cm, SuiteConfig())
+    again = run_exchange(counts, None, first.cluster_map, SuiteConfig())
     assert again.converged
     assert again.iterations[0].moves == 0
     assert again.score == pytest.approx(first.score, rel=1e-12)
@@ -147,7 +147,7 @@ def test_converged_run_is_a_fixpoint():
 
 def test_iteration_cap_is_respected():
     vocab, counts, cm = block_setup()
-    result = run_exchange(counts, None, cm, ExchangeConfig(max_iterations=1))
+    result = run_exchange(counts, None, cm, SuiteConfig(max_iterations=1))
     assert len(result.iterations) == 1
 
 
@@ -156,7 +156,7 @@ def test_iteration_cap_is_respected():
 
 def test_adaptive_run_improves_and_reports_lambda():
     vocab, adapt, back, cm = adaptive_setup()
-    cfg = ExchangeConfig(max_iterations=8)
+    cfg = SuiteConfig(max_iterations=8)
     result = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     assert result.lam in cfg.lambda_grid
     assert math.isfinite(result.score)
@@ -166,7 +166,7 @@ def test_adaptive_run_improves_and_reports_lambda():
 
 def test_adaptive_run_is_deterministic():
     vocab, adapt, back, cm = adaptive_setup()
-    cfg = ExchangeConfig(max_iterations=5)
+    cfg = SuiteConfig(max_iterations=5)
     r1 = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     r2 = run_exchange(adapt, back, cm, cfg, vocab=vocab)
     assert r1.cluster_map.same_assignments(r2.cluster_map)
@@ -196,7 +196,7 @@ def test_optimize_lambda_all_degenerate():
 def test_run_reports_the_score_of_the_map_it_returns(adaptive):
     vocab, adapt, back, cm = adaptive_setup()
     # a grid without 1.0 keeps lambda < 1, where the background enters the score
-    cfg = ExchangeConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
+    cfg = SuiteConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
     other = back if adaptive else None
     result = run_exchange(adapt, other, cm, cfg, vocab=vocab)
     assert result.iterations[0].moves > 0
@@ -216,7 +216,7 @@ def test_run_reports_the_score_of_the_map_it_returns(adaptive):
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_lambda_is_chosen_once_on_the_start_map(monkeypatch, adaptive):
     vocab, adapt, back, cm = adaptive_setup()
-    cfg = ExchangeConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
+    cfg = SuiteConfig(max_iterations=3, lambda_grid=(0.0, 0.3, 0.6, 0.9))
     calls = []
 
     def counted(*args):
@@ -247,7 +247,7 @@ def test_words_seen_at_most_twice_keep_their_initial_classes(criterion):
         train, other = back, None
     else:
         train, other = adapt, back
-    result = run_exchange(train, other, cm, ExchangeConfig(max_iterations=5), vocab=vocab)
+    result = run_exchange(train, other, cm, SuiteConfig(max_iterations=5), vocab=vocab)
     rare = {w for w in range(len(vocab)) if 0 < train.unigram[w] <= RARE_EVENTS}
     assert len(rare) >= 10
     got = result.cluster_map
@@ -265,9 +265,9 @@ def test_words_seen_at_most_twice_keep_their_initial_classes(criterion):
 
 def test_criterion_discount_forced_or_estimated():
     vocab, counts, _ = block_setup()
-    forced = criterion_discount(counts, None, ExchangeConfig(discount=0.42))
+    forced = criterion_discount(counts, None, SuiteConfig(discount=0.42))
     assert forced.b == 0.42
-    auto = criterion_discount(counts, None, ExchangeConfig())
+    auto = criterion_discount(counts, None, SuiteConfig())
     hist = {}
     for row in counts.rows.values():
         for c in row.values():
@@ -277,7 +277,7 @@ def test_criterion_discount_forced_or_estimated():
 
 def test_criterion_discount_pools_background():
     vocab, adapt, back, _ = adaptive_setup()
-    pooled = criterion_discount(adapt, back, ExchangeConfig())
+    pooled = criterion_discount(adapt, back, SuiteConfig())
     hist = {}
     for table in (adapt, back):
         for row in table.rows.values():

@@ -41,7 +41,7 @@ def artifacts(tmp_path_factory):
     estimate_class_model(back_counts, cm).save(d / "class")
     fillup(adapt_counts, background, Discount(0.5)).save(d / "fillup")
     return {
-        "counts": (d / "counts", CountTable.load),
+        "counts": (d / "counts", lambda path: CountTable.load(path, vocab)),
         "clusters": (d / "clusters", lambda path: load_clusters(path, vocab)),
         "class": (d / "class", ClassModel.load),
         "fillup": (d / "fillup", BackoffModel.load),
