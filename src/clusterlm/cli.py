@@ -135,7 +135,9 @@ def cmd_train(args, cfg: SuiteConfig) -> int:
         model.save(args.out)
         print(f"trained {args.method} model (b={model.b:.4f}) -> {args.out}")
         return 0
-    model, result = train_class_model(counts, vocab, cfg.clusters, cfg, args.method)
+    notes: list[str] = []
+    model, result = train_class_model(counts, vocab, cfg.clusters, cfg, args.method, notes)
+    sys.stderr.writelines(f"note: {note}\n" for note in notes)
     _save_run(args, vocab, result)
     model.save(args.out)
     print(

@@ -145,14 +145,11 @@ def _take_words(sentences: list[list[str]], budget: int) -> tuple[list[list[str]
     return out, total
 
 
-def _clamp_clusters(requested: int, vocab: Vocabulary, notes: list[str]) -> int:
+def _clamp_clusters(requested: int, vocab: Vocabulary, notes: list[str] | None) -> int:
     movable = len(vocab) - 3
-    if requested > movable:
-        notes.append(
-            f"clusters reduced {requested} -> {movable} to fit the vocabulary"
-        )
-        return movable
-    return requested
+    if requested > movable and notes is not None:
+        notes.append(f"clusters reduced {requested} -> {movable} to fit the vocabulary")
+    return min(requested, movable)
 
 
 def train_backoff_model(counts: CountTable, vocab: Vocabulary, cfg: SuiteConfig) -> BackoffModel:
@@ -178,19 +175,21 @@ def _class_model(counts, cm: ClusterMap, vocab: Vocabulary, cfg: SuiteConfig, la
 
 
 def cluster_words(
-    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig
+    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, notes: list[str] | None = None
 ) -> ExchangeResult:
     """Exchange clustering of ``counts`` into k classes per side, from the
-    frequency init."""
+    frequency init; a k above the clusterable words is reduced, with a note."""
+    k = _clamp_clusters(k, vocab, notes)
     init = init_clustering(counts, k, k, vocab)
     return run_exchange(counts, None, init, cfg, vocab=vocab)
 
 
 def train_class_model(
-    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, label: str
+    counts: CountTable, vocab: Vocabulary, k: int, cfg: SuiteConfig, label: str,
+    notes: list[str] | None = None,
 ) -> tuple[ClassModel, ExchangeResult]:
     """``cluster_words``, then the class model estimated on its map."""
-    result = cluster_words(counts, vocab, k, cfg)
+    result = cluster_words(counts, vocab, k, cfg, notes)
     return _class_model(counts, result.cluster_map, vocab, cfg, label), result
 
 
@@ -218,6 +217,11 @@ def experiment_suite(
     corpus alone; the adapted models at each adaptation size share a joint
     vocabulary.  Perplexities are therefore directly comparable within each
     group but not across the two vocabularies.
+
+    The background is clustered once per (k, words with background events), and
+    ``back_cl`` and each ``clust_adapt`` start map take that map by word.  This is
+    exact: the run sees only class tables and ranks words by (count, string), not
+    id, and words without events rank last and keep their init classes.
     """
     if list(sizes) != sorted(sizes):
         raise ConfigError("adaptation sizes must be nondecreasing")
@@ -239,6 +243,20 @@ def experiment_suite(
             result.adapted.setdefault(size, {})[method] = rep
         return rep
 
+    background_maps: dict[tuple, dict[str, tuple[int, int]]] = {}
+
+    def background_map(counts: CountTable, vocab: Vocabulary, k: int) -> ClusterMap:
+        ids = np.flatnonzero(counts.unigram).tolist()
+        key = (k, frozenset(map(vocab.word, ids)))
+        if key not in background_maps:
+            cm = cluster_words(counts, vocab, k, cfg).cluster_map
+            background_maps[key] = {vocab.word(w): (cm.state_of[w], cm.category_of[w]) for w in ids}
+        cm = init_clustering(counts, k, k, vocab)
+        for word, classes in background_maps[key].items():
+            w = vocab.lookup(word)
+            cm.state_of[w], cm.category_of[w] = classes
+        return cm
+
     wants_back = {"back_bo", "back_cl"} & set(cfg.methods)
     if wants_back:
         vocab_b = build_vocabulary([], back_sents, cfg.vocab_size)
@@ -247,8 +265,8 @@ def experiment_suite(
             ev(train_backoff_model(counts_b, vocab_b, cfg), vocab_b, "back_bo", None)
         if "back_cl" in cfg.methods:
             k = _clamp_clusters(cfg.clusters, vocab_b, notes)
-            model, _ = train_class_model(counts_b, vocab_b, k, cfg, "back_cl")
-            ev(model, vocab_b, "back_cl", None)
+            cm = background_map(counts_b, vocab_b, k)
+            ev(_class_model(counts_b, cm, vocab_b, cfg, "back_cl"), vocab_b, "back_cl", None)
 
     adapted_methods = set(cfg.methods) - {"back_bo", "back_cl"}
     for size in sizes:
@@ -278,7 +296,7 @@ def experiment_suite(
             background = train_backoff_model(back_counts, vocab_s, cfg)
             ev(fillup_model(adapt_counts, background, cfg), vocab_s, "fillup", size, actual)
         if "clust_adapt" in cfg.methods:
-            init = cluster_words(back_counts, vocab_s, k, cfg).cluster_map
+            init = background_map(back_counts, vocab_s, k)
             model, ad = adapt_class_model(adapt_counts, back_counts, init, vocab_s, cfg)
             result.lambdas[size] = ad.lam
             ev(model, vocab_s, "clust_adapt", size, actual)

@@ -504,3 +504,36 @@ def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path):
         ]) == 0
         cli_pp = json.loads(out.read_text())["perplexity"]
         assert cli_pp == pytest.approx(suite[method].perplexity, rel=1e-12), method
+
+
+@pytest.mark.parametrize("method, corpus", [("back_cl", "background"), ("adapt_cl", "adaptation")])
+def test_train_clamps_the_default_cluster_count_with_a_note(tmp_path, capsys, method, corpus):
+    # the README example's corpora and vocabulary; --clusters is left at its
+    # default of 500, above the clusterable words, as the suite clamps it
+    d = tmp_path
+    for name, domain, seed, words in [("background", "back", 21, 3000),
+                                      ("adaptation", "target", 22, 800)]:
+        write_corpus(d / f"{name}.txt", domain_corpus(domain, seed, words, topic_size=12))
+    for argv in (
+        ["vocab", "--adaptation", d / "adaptation.txt", "--background", d / "background.txt",
+         "--vocab-size", "250", "--out", d / "words.txt"],
+        ["counts", "--vocab", d / "words.txt", "--corpus", d / f"{corpus}.txt",
+         "--out", d / "c.counts"],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv
+    capsys.readouterr()
+    rc = main([
+        "train", "--method", method, "--vocab", str(d / "words.txt"),
+        "--counts", str(d / "c.counts"), "--max-iterations", "1",
+        "--clusters-out", str(d / "m.clusters"), "--out", str(d / "m.lm"),
+    ])
+    vocab = Vocabulary.load(d / "words.txt")
+    movable = len(vocab) - 3
+    assert movable < SuiteConfig().clusters
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        f"note: clusters reduced 500 -> {movable} to fit the vocabulary\n"
+    )
+    cm, _ = load_clusters(d / "m.clusters", vocab)
+    assert cm.k_states == cm.k_cats == movable
+    assert (d / "m.lm").exists()

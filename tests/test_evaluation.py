@@ -11,7 +11,8 @@ import pytest
 import oracles
 from corpusgen import domain_corpus
 
-from clusterlm.corpus import Vocabulary
+from clusterlm import evaluate
+from clusterlm.corpus import Vocabulary, build_vocabulary, count_events
 from clusterlm.errors import ConfigError, ModelIntegrityError
 from clusterlm.evaluate import (
     METHODS,
@@ -19,6 +20,7 @@ from clusterlm.evaluate import (
     SuiteConfig,
     _fmt_pp,
     _take_words,
+    cluster_words,
     experiment_suite,
     format_report,
     perplexity,
@@ -305,3 +307,85 @@ def test_suite_clamps_cluster_count_with_note():
     result = experiment_suite(back, adapt, held, [150], cfg)
     assert any("clusters reduced" in n for n in result.notes)
     assert result.adapted[150]["adapt_cl"].perplexity > 1
+
+
+# ------------------------------------------------- one background clustering
+
+
+def background_maps_per_size(back, adapt, sizes, cfg):
+    """The map of each size's own leave-one-out run on the background counts,
+    with the size's own vocabulary: the start map of its ``clust_adapt``."""
+    maps = []
+    for size in sizes:
+        vocab = build_vocabulary(_take_words(adapt, size)[0], back, cfg.vocab_size)
+        k = min(cfg.clusters, len(vocab) - 3)
+        maps.append(cluster_words(count_events(back, vocab), vocab, k, cfg).cluster_map)
+    return maps
+
+
+def spied_suite(monkeypatch, back, adapt, held, sizes, cfg):
+    """The suite's result and the (train, back, init) of each exchange run."""
+    calls = []
+    inner = evaluate.run_exchange
+
+    def spy(train, back_counts, init, *args, **kwargs):
+        calls.append((train, back_counts, init.copy()))
+        return inner(train, back_counts, init, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_exchange", spy)
+    return experiment_suite(back, adapt, held, sizes, cfg), calls
+
+
+def background_runs(calls, back):
+    tokens = sum(len(s) + 1 for s in back)
+    return [c for c in calls if c[1] is None and c[0].total_tokens == tokens]
+
+
+def assert_start_maps(calls, expected):
+    starts = [init for _, back_counts, init in calls if back_counts is not None]
+    assert len(starts) == len(expected)
+    for init, own in zip(starts, expected):
+        assert (init.k_states, init.k_cats) == (own.k_states, own.k_cats)
+        assert init.same_assignments(own)
+
+
+@pytest.mark.parametrize("methods", [METHODS, tuple(m for m in METHODS if m != "back_cl")])
+def test_suite_clusters_the_background_once(monkeypatch, methods):
+    back, adapt, held = tiny_suite_inputs()
+    sizes = [100, 250, 500]
+    cfg = tiny_config(methods=methods)
+    expected = background_maps_per_size(back, adapt, sizes, cfg)
+    result, calls = spied_suite(monkeypatch, back, adapt, held, sizes, cfg)
+    assert_start_maps(calls, expected)
+    # one background run, one adapt_cl run and one adaptive run per size;
+    # each size used to cluster the background again
+    assert len(background_runs(calls, back)) == 1
+    assert len(calls) == 1 + 2 * len(sizes)
+    assert set(result.adapted) == set(sizes)
+
+
+def test_suite_clusters_again_when_the_vocabulary_drops_background_words(monkeypatch):
+    back, adapt, held = tiny_suite_inputs()
+    sizes = [100, 250, 500]
+    cfg = tiny_config(vocab_size=120, methods=("back_cl", "clust_adapt"))
+    back_words = set(build_vocabulary([], back, cfg.vocab_size).entries)
+    size_words = [
+        set(build_vocabulary(_take_words(adapt, size)[0], back, cfg.vocab_size).entries)
+        for size in sizes
+    ]
+    assert all(back_words - words for words in size_words)  # the case under test
+    expected = background_maps_per_size(back, adapt, sizes, cfg)
+    _, calls = spied_suite(monkeypatch, back, adapt, held, sizes, cfg)
+    assert_start_maps(calls, expected)
+    assert len(background_runs(calls, back)) > 1
+
+
+def test_suite_shares_the_start_map_of_an_empty_background(monkeypatch):
+    # no word has background events, so every size has the same key
+    _, adapt, held = tiny_suite_inputs()
+    sizes = [100, 250]
+    cfg = tiny_config(methods=("clust_adapt",))
+    expected = background_maps_per_size([], adapt, sizes, cfg)
+    _, calls = spied_suite(monkeypatch, [], adapt, held, sizes, cfg)
+    assert_start_maps(calls, expected)
+    assert len(background_runs(calls, [])) == 1
