@@ -296,3 +296,15 @@ def count_events(
     if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
         raise ConfigError("a sentence holds a marker, which counting adds itself")
     return table
+
+
+def map_counts(counts: CountTable, source: Vocabulary, target: Vocabulary) -> CountTable:
+    """``counts``, made over ``source``, in the ids of ``target``, words outside
+    it counted as the unknown word: ``count_events`` of the same corpus over
+    ``target``, without reading the corpus again."""
+    to = np.array([target.lookup(w) for w in source.entries], dtype=np.int64)
+    n = len(target)
+    context, word, count = counts.cells()
+    keys, at = np.unique(to[context] * n + to[word], return_inverse=True)
+    merged = np.bincount(at, weights=count).astype(np.int64)
+    return CountTable.from_cells(n, keys // n, keys % n, merged)

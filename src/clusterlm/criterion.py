@@ -18,6 +18,12 @@ training counts are both the weights and the combined counts.
 
 One engine, ``_Objective``, evaluates and applies moves with or without a
 background table.  It holds the weight λ and the combined cells' tallies.
+A word's candidates are one pass over its rows: its profile is projected
+onto the other side's clusters once; each table's cells at those rows, and
+its marginal as one 1-D row, are gathered once as the counts before and
+after inserting the word into each cluster; the log terms, the tally changes
+and the singleton change all come from those arrays.  ``apply_move`` writes
+a move from the pass that evaluated it, without projecting the word again.
 """
 
 from __future__ import annotations
@@ -113,62 +119,18 @@ def _singleton_term(n_one: int, n_pos: int, size: int, b: float) -> float:
     return n_one * math.log(b * (n_pos - 1) / (size - n_pos + 1))
 
 
-# ------------------------------------------------------------ move kernel
-
-_ROW = np.zeros(1, dtype=np.int64)  # the one row of a marginal family
-_SHIFT = np.array([-1, 1])  # a move takes counts from the source to the target
-
-
-def _move_counts(matrix, rows, add, src: int, k: int):
-    """Counts a move of ``add`` out of column ``src`` changes, at ``rows``
-    and every column below k (and the source past them), as (old, new): a
-    column's counts before and after inserting into it.  The source column
-    holds the insertion into the source once the word has left it: the
-    removal reversed, so no count grows past the largest one held."""
-    old = matrix[rows, :max(k, src + 1)]
-    new = old + add[:, None]
-    old[:, src] -= add
-    new[:, src] -= add
+def _move_counts(old, x, src: int):
+    """``old``, a gathered copy of counts with the moving side's clusters on
+    its last axis, and the same counts after inserting the word's counts
+    ``x`` into each cluster, as (old, new).  The source column holds the
+    insertion into the source once the word has left it: the removal
+    reversed, so no count grows past the largest one held and every lookup
+    stays inside the log tables."""
+    new = old + x[..., None]
+    # .T[src] is the source column of a matrix and the source entry of a row
+    old.T[src] -= x
+    new.T[src] -= x
     return old, new
-
-
-def _family_delta(c, at: int, look, w):
-    """One family's change under a move, from the (old, new) ``_move_counts``
-    combined counts ``c`` and their weights ``w``: without ``w`` the weights
-    are ``c`` and the log table ``look`` holds ``c ln(c-1-b)``, else
-    ``ln(c-1-b)``.  Returns the removal's change of ``Σ w ln(c-1-b)`` and
-    the insertion's change of it per column."""
-    old, new = c
-    if w is None:
-        t_old, t_new = look[old], look[new]
-    else:
-        t_old, t_new = w[0] * look[old], w[1] * look[new]
-    rem = t_old[:, at].sum() - t_new[:, at].sum()
-    ins = t_new.sum(axis=0) - t_old.sum(axis=0)
-    return rem, ins
-
-
-def _tally_change(c, at: int):
-    """Per column, the change of the numbers of count-one and positive members
-    under a move, removal at column ``at`` included, from the (old, new)
-    ``_move_counts`` combined counts ``c``."""
-    old, new = c
-    # insertion only raises counts: a member turns positive or stays
-    d_pos = ((new > 0) > (old > 0)).sum(axis=0)
-    d_one = (new == 1).sum(axis=0) - (old == 1).sum(axis=0)
-    return d_one - d_one[at], d_pos - d_pos[at]
-
-
-def _singleton_change(n_one: int, n_pos: int, d_one, d_pos, size: int, b: float):
-    """Per-target change of the cells' singleton term, and the targets that
-    leave at most one positive cell (such a table scores -inf)."""
-    one = n_one + d_one
-    pos = n_pos + d_pos
-    # both logs take positive arguments: pos never exceeds the family size
-    ln_ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log((size + 1.0) - pos)
-    new = one * ln_ratio
-    new[one == 0] = 0.0
-    return new - _singleton_term(n_one, n_pos, size, b), pos <= 1
 
 
 def _family_term(w, c, b: float) -> float:
@@ -234,7 +196,9 @@ class _Objective:
     """The move engine of the criterion, over the counts being clustered
     and an optional background table.  It holds the weight ``lam`` and the
     combined cells' ``tallies``: moves keep the tallies exact and
-    ``set_lambda`` recounts them.  ``perfbench/tracing.py`` wraps ``__init__``,
+    ``set_lambda`` recounts them.  The last ``candidate_deltas`` pass is kept
+    until a move or a new weight, for ``apply_move`` to reuse.
+    ``perfbench/tracing.py`` wraps ``__init__``,
     ``best_move`` and ``apply_move`` from each class's own ``__dict__``, so
     each subclass defines its constructor and aliases the other two in its
     class body: ``best_move = _Objective.best_move``."""
@@ -257,20 +221,21 @@ class _Objective:
         self._logs = (log_table(discount.b, largest, one), log_table(0.0, largest, one))
         # per side: the other side's assignment and range, then per table the
         # profile index, each word's total in it, the cell matrix and the
-        # one-row marginal, with the moving side's clusters as columns
+        # marginal, with the moving side's clusters as columns
         self._sides = {}
         for side, other, n in ((CATEGORY_SIDE, cm.state_of, cm.n_states),
                                (STATE_SIDE, cm.category_of, cm.n_cats)):
             state = side == STATE_SIDE
             index = [p[state] for p in profiles]  # (preds, succs)[state]
             cells = [t.pairs.T if state else t.pairs for t in tables]
-            margs = [(t.state_tot if state else t.cat_tot)[None] for t in tables]
+            margs = [t.state_tot if state else t.cat_tot for t in tables]
             self._sides[side] = (other, n, index, [_totals(i) for i in index], cells, margs)
 
     def set_lambda(self, lam: float) -> None:
         """Set the weight and recount the combined cells' tallies."""
         self.lam = float(lam)
         self.tallies = _tallies(combine_class_counts(self.a, self.bg, self.lam).pairs)
+        self._pass = None
 
     def score(self) -> float:
         return clustering_score(self.a, combine_class_counts(self.a, self.bg, self.lam),
@@ -297,45 +262,65 @@ class _Objective:
         if dst == int(assign[word]):
             raise InvalidMoveError("target equals current cluster")
 
-    def _side(self, word: int, side: str):
-        """The cells and the marginal a move of ``word`` on ``side`` changes,
-        each as (per-table matrices, rows, per-table counts of the word at
-        those rows); None if the word has no counts on that side."""
-        other, n, index, totals, cells, margs = self._sides[side]
-        profiles = [_class_profile(i, word, other, n) for i in index]
-        # the rows any table touches; the start value spares one table an add
-        rows = sum(profiles[1:], profiles[0]).nonzero()[0]
-        if not len(rows):
-            return None
-        return ((cells, rows, [p[rows] for p in profiles]),
-                (margs, _ROW, [t[word:word + 1] for t in totals]))
-
     def candidate_deltas(self, word: int, side: str):
         """Score deltas for moving ``word`` to each regular cluster.
 
         Returns (targets, deltas) or None when the word has no counts on
-        that side.  The source cluster's slot is -inf.
+        that side.  The source cluster's slot is -inf.  The pass is kept for
+        an ``apply_move`` of the same word and side.
         """
-        families = self._side(word, side)
-        if families is None:
-            return None
+        self._pass = None  # freed before this pass allocates its own arrays
+        other, n, index, totals, cells, margs = self._sides[side]
         assign, k, _ = self.assignment(side)
         src = int(assign[word])
-        # per family: the (old, new) weights (None for one table) and combined counts
-        moved = []
-        for mats, rows, xs in families:
-            per = [_move_counts(m, rows, x, src, k) for m, x in zip(mats, xs)]
-            moved.append((None, per[0]) if self.bg is None
-                         else (per[0], [combine_counts(*counts, self.lam) for counts in zip(*per)]))
-        (c_w, c), (m_w, m) = moved
-        c_rem, c_ins = _family_delta(c, src, self._logs[0], c_w)
-        m_rem, m_ins = _family_delta(m, src, self._logs[1], m_w)
-        single, bad = _singleton_change(*self.tallies, *_tally_change(c, src),
-                                        families[0][0][0].size, self.discount.b)
-        deltas = c_rem + c_ins - m_rem - m_ins
+        profiles = [_class_profile(i, word, other, n) for i in index]
+        # the rows any table touches; the start value spares one table an add
+        rows = sum(profiles[1:], profiles[0]).nonzero()[0]
+        if not len(rows):
+            self._pass = (word, side, src, rows, [], None)
+            return None
+        # per table, the word's counts at the rows and its total
+        shifts = [(p[rows], t[word]) for p, t in zip(profiles, totals)]
+        width = max(k, src + 1)
+        # per table, the cells at the rows and the marginal, as (old, new)
+        moved = [(*_move_counts(m[rows, :width], x, src),
+                  *_move_counts(marg[:width].copy(), total, src))
+                 for m, marg, (x, total) in zip(cells, margs, shifts)]
+        cell_log, marg_log = self._logs
+        logs = (cell_log, cell_log, marg_log, marg_log)
+        weights = moved[0]
+        counts = weights if self.bg is None else [
+            combine_counts(a, b, self.lam) for a, b in zip(*moved)]
+        del moved  # the background's own counts are needed only combined
+        t_old, t_new, m_old, m_new = (look[c] if self.bg is None else w * look[c]
+                                      for w, look, c in zip(weights, logs, counts))
+        # the removal sums the source column as one 1-D sum, the insertion
+        # sums each column down the rows
+        deltas = (t_old[:, src].sum() - t_new[:, src].sum()
+                  + (t_new.sum(axis=0) - t_old.sum(axis=0))
+                  - (m_old[src] - m_new[src]) - (m_new - m_old))
+        del t_old, t_new  # freed before the tallies allocate theirs
+        # per column, the change of the cells' count-one and positive members,
+        # the removal's included; insertion only raises counts, so a member
+        # turns positive or stays
+        c_old, c_new = counts[:2]
+        d_one = (c_new == 1).sum(axis=0) - (c_old == 1).sum(axis=0)
+        d_pos = ((c_new > 0) > (c_old > 0)).sum(axis=0)
+        d_one -= d_one[src]
+        d_pos -= d_pos[src]
+        self._pass = (word, side, src, rows, shifts, (d_one, d_pos))
+        # the singleton term after each move; both logs take positive
+        # arguments, as pos never exceeds the number of cells
+        b, size = self.discount.b, cells[0].size
+        n_one, n_pos = self.tallies
+        one, pos = n_one + d_one, n_pos + d_pos
+        single = one * (math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300))
+                        - np.log((size + 1.0) - pos))
+        single[one == 0] = 0.0
+        single -= _singleton_term(n_one, n_pos, size, b)
         deltas += single
         # moves into a degenerate configuration are invalid, not attractive
-        deltas[bad] = NEG_INF
+        deltas[pos <= 1] = NEG_INF
         deltas[src] = NEG_INF
         return np.arange(k), deltas[:k]
 
@@ -359,29 +344,24 @@ class _Objective:
         return None
 
     def apply_move(self, word: int, side: str, dst: int) -> None:
+        """Move ``word`` to cluster ``dst``, from the counts the last
+        ``candidate_deltas`` pass evaluated when it was of this word and side."""
         self._check_move(word, side, dst)
-        assign = self.assignment(side)[0]
-        src = int(assign[word])
-        families = self._side(word, side)
-        if families is not None:
-            (cells, rows, xs), (margs, _, totals) = families
-            # the cells the move changes, at rows x (source, target)
-            at = rows[:, None], [src, dst]
-            before = [m[at] for m in cells]
-            after = [b + x[:, None] * _SHIFT for b, x in zip(before, xs)]
-            (one0, pos0), (one1, pos1) = (
-                _tallies(per[0] if self.bg is None else combine_counts(*per, self.lam))
-                for per in (before, after)
-            )
+        if self._pass is None or self._pass[:2] != (word, side):
+            self.candidate_deltas(word, side)
+        _, _, src, rows, shifts, change = self._pass
+        self._pass = None
+        cells, margs = self._sides[side][4:]
+        for m, marg, (x, total) in zip(cells, margs, shifts):
+            m[rows, src] -= x
+            m[rows, dst] += x
+            marg[src] -= total
+            marg[dst] += total
+        if shifts:
+            d_one, d_pos = change
             n_one, n_pos = self.tallies
-            self.tallies = (n_one + one1 - one0, n_pos + pos1 - pos0)
-            for m, counts in zip(cells, after):
-                m[at] = counts
-            # each marginal moves the word's total from the source to the target
-            for m, x in zip(margs, totals):
-                m[0, src] -= x[0]
-                m[0, dst] += x[0]
-        assign[word] = dst
+            self.tallies = (n_one + int(d_one[dst]), n_pos + int(d_pos[dst]))
+        self.assignment(side)[0][word] = dst
 
 
 class StandardObjective(_Objective):

@@ -22,7 +22,9 @@ import numpy as np
 
 from .backoff import BackoffModel, fillup, train_backoff
 from .classmodel import ClassModel, ClusterMap, estimate_class_model, init_clustering
-from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, sentence_ids
+from .corpus import (
+    CountTable, Vocabulary, build_vocabulary, count_events, map_counts, sentence_ids,
+)
 from .criterion import combine_word_counts
 from .discounting import Discount, bigram_discount
 from .errors import ConfigError, ModelIntegrityError
@@ -257,10 +259,13 @@ def experiment_suite(
             cm.state_of[w], cm.category_of[w] = classes
         return cm
 
+    # the background is counted once, by word, and mapped into each vocabulary
+    back_words = Vocabulary(dict.fromkeys(w for s in back_sents for w in s))
+    back_by_word = count_events(back_sents, back_words)
     wants_back = {"back_bo", "back_cl"} & set(cfg.methods)
     if wants_back:
         vocab_b = build_vocabulary([], back_sents, cfg.vocab_size)
-        counts_b = count_events(back_sents, vocab_b)
+        counts_b = map_counts(back_by_word, back_words, vocab_b)
         if "back_bo" in cfg.methods:
             ev(train_backoff_model(counts_b, vocab_b, cfg), vocab_b, "back_bo", None)
         if "back_cl" in cfg.methods:
@@ -283,8 +288,9 @@ def experiment_suite(
             continue
         vocab_s = build_vocabulary(adapt_slice, back_sents, cfg.vocab_size)
         adapt_counts = count_events(adapt_slice, vocab_s)
-        back_counts = count_events(back_sents, vocab_s)
-        k = _clamp_clusters(cfg.clusters, vocab_s, notes)
+        back_counts = map_counts(back_by_word, back_words, vocab_s)
+        if {"adapt_cl", "clust_adapt"} & adapted_methods:
+            k = _clamp_clusters(cfg.clusters, vocab_s, notes)
 
         if "adapt_bo" in cfg.methods:
             model = train_backoff_model(adapt_counts, vocab_s, cfg)

@@ -245,3 +245,87 @@ def class_model_probability(rows, state_of, category_of, n_states, n_cats,
 def perplexity_by_hand(probs):
     """exp of the mean negative log of the given probabilities."""
     return math.exp(-sum(math.log(p) for p in probs) / len(probs))
+
+
+# ------------------------------------------ the previous move kernel, bit for bit
+#
+# Unlike the rest of this module, what follows reads the move engine's own
+# state (its per-side tables, log tables and tallies) and calls the package's
+# rounding and profile code: it is the engine's candidate evaluation as it was
+# before it became one pass, split into the helpers it had then, so that tests
+# can require the one pass to give the same bits, not only close values.
+
+from clusterlm.criterion import _class_profile, _singleton_term, combine_counts  # noqa: E402
+
+_ROW = np.zeros(1, dtype=np.int64)  # the one row of a marginal family
+
+
+def _reference_side(engine, word, side):
+    other, n, index, totals, cells, margs = engine._sides[side]
+    profiles = [_class_profile(i, word, other, n) for i in index]
+    rows = sum(profiles[1:], profiles[0]).nonzero()[0]
+    if not len(rows):
+        return None
+    return ((cells, rows, [p[rows] for p in profiles]),
+            ([m[None] for m in margs], _ROW, [t[word:word + 1] for t in totals]))
+
+
+def _move_counts(matrix, rows, add, src, k):
+    old = matrix[rows, :max(k, src + 1)]
+    new = old + add[:, None]
+    old[:, src] -= add
+    new[:, src] -= add
+    return old, new
+
+
+def _family_delta(c, at, look, w):
+    old, new = c
+    if w is None:
+        t_old, t_new = look[old], look[new]
+    else:
+        t_old, t_new = w[0] * look[old], w[1] * look[new]
+    rem = t_old[:, at].sum() - t_new[:, at].sum()
+    ins = t_new.sum(axis=0) - t_old.sum(axis=0)
+    return rem, ins
+
+
+def _tally_change(c, at):
+    old, new = c
+    d_pos = ((new > 0) > (old > 0)).sum(axis=0)
+    d_one = (new == 1).sum(axis=0) - (old == 1).sum(axis=0)
+    return d_one - d_one[at], d_pos - d_pos[at]
+
+
+def _singleton_change(n_one, n_pos, d_one, d_pos, size, b):
+    one = n_one + d_one
+    pos = n_pos + d_pos
+    ln_ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log((size + 1.0) - pos)
+    new = one * ln_ratio
+    new[one == 0] = 0.0
+    return new - _singleton_term(n_one, n_pos, size, b), pos <= 1
+
+
+def reference_candidate_deltas(engine, word, side):
+    """``engine.candidate_deltas(word, side)`` as the four-helper kernel
+    computed it: (targets, deltas), or None for a word with no counts on
+    that side.  The engine is not changed."""
+    families = _reference_side(engine, word, side)
+    if families is None:
+        return None
+    assign, k, _ = engine.assignment(side)
+    src = int(assign[word])
+    moved = []
+    for mats, rows, xs in families:
+        per = [_move_counts(m, rows, x, src, k) for m, x in zip(mats, xs)]
+        moved.append((None, per[0]) if engine.bg is None
+                     else (per[0], [combine_counts(*counts, engine.lam) for counts in zip(*per)]))
+    (c_w, c), (m_w, m) = moved
+    c_rem, c_ins = _family_delta(c, src, engine._logs[0], c_w)
+    m_rem, m_ins = _family_delta(m, src, engine._logs[1], m_w)
+    single, bad = _singleton_change(*engine.tallies, *_tally_change(c, src),
+                                    families[0][0][0].size, engine.discount.b)
+    deltas = c_rem + c_ins - m_rem - m_ins
+    deltas += single
+    deltas[bad] = NEG_INF
+    deltas[src] = NEG_INF
+    return np.arange(k), deltas[:k]

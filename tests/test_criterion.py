@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from corpusgen import random_table, table_from_sentences
+from corpusgen import domain_corpus, random_table, table_from_sentences
 
 from clusterlm.classmodel import ClusterMap, init_clustering
 from clusterlm.criterion import (
@@ -25,7 +25,7 @@ from clusterlm.criterion import (
     combine_word_counts,
     log_table,
 )
-from clusterlm.corpus import CountTable
+from clusterlm.corpus import CountTable, build_vocabulary, count_events
 from clusterlm.discounting import Discount
 from clusterlm.errors import ConfigError, InvalidMoveError
 
@@ -427,6 +427,51 @@ def test_adaptive_engine_at_full_weight_is_leave_one_out():
                 assert got[1][finite] == pytest.approx(want[1][finite], rel=0, abs=1e-12)
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_one_pass_kernel_gives_the_reference_bits_and_moves(adaptive):
+    # two exchange sweeps over small corpusgen tables: every candidate array
+    # is the previous four-helper kernel's, bit for bit, frozen words (whose
+    # clusters lie past the movable ones) included; each move applied from
+    # the pass leaves the engine equal to a fresh one on the moved map
+    back = domain_corpus("back", seed=11, n_words=1500, topic_size=15)
+    adapt = domain_corpus("target", seed=12, n_words=600, topic_size=15)
+    vocab = build_vocabulary(adapt, back, 200)
+    a, b = count_events(adapt, vocab), count_events(back, vocab)
+
+    def engine(cm):
+        if adaptive:
+            return AdaptiveObjective(a, b, cm, Discount(0.6), lam=0.6)
+        return StandardObjective(a, cm, Discount(0.6))
+
+    def state(eng):
+        tables = (eng.a, eng.bg) if adaptive else (eng.a,)
+        return [x for t in tables for x in (t.pairs, t.state_tot, t.cat_tot)], eng.tallies
+
+    eng = engine(init_clustering(a, 6, 5, vocab))
+    compared = moves = 0
+    for _ in range(2):
+        for side in (CATEGORY_SIDE, STATE_SIDE):
+            for w in range(len(vocab)):
+                want = oracles.reference_candidate_deltas(eng, w, side)
+                got = eng.candidate_deltas(w, side)
+                if want is None:
+                    assert got is None
+                    continue
+                assert np.array_equal(got[0], want[0])
+                assert got[1].dtype == want[1].dtype
+                assert got[1].tobytes() == want[1].tobytes(), f"{side} {w}"
+                compared += 1
+                best = None if eng.frozen(w, side) else eng.best_move(w, side)
+                if best is None:
+                    continue
+                eng.apply_move(w, side, best[0])
+                moves += 1
+                (arrays, tallies), (fresh, fresh_tallies) = state(eng), state(engine(eng.cm.copy()))
+                assert all(np.array_equal(x, y) for x, y in zip(arrays, fresh))
+                assert tallies == fresh_tallies
+    assert compared > 300 and moves > 20
 
 
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():

@@ -309,6 +309,43 @@ def test_suite_clamps_cluster_count_with_note():
     assert result.adapted[150]["adapt_cl"].perplexity > 1
 
 
+def test_suite_clamps_the_cluster_count_only_for_class_methods():
+    back, adapt, held = tiny_suite_inputs()
+    cfg = tiny_config(methods=("adapt_bo", "fillup"), clusters=500)
+    result = experiment_suite(back, adapt, held, [150, 400], cfg)
+    assert not any("clusters reduced" in n for n in result.notes)
+    assert set(result.adapted) == {150, 400}
+
+
+@pytest.mark.parametrize("vocab_size", [300, 120])
+def test_suite_counts_the_background_once(monkeypatch, vocab_size):
+    back, adapt, held = tiny_suite_inputs()
+    sizes = [100, 250, 500]
+    cfg = tiny_config(vocab_size=vocab_size, methods=("back_bo", "clust_adapt"))
+    counted = []
+    inner = evaluate.count_events
+
+    def spy(corpus, vocab):
+        counted.append(corpus)
+        return inner(corpus, vocab)
+
+    monkeypatch.setattr(evaluate, "count_events", spy)
+    _, calls = spied_suite(monkeypatch, back, adapt, held, sizes, cfg)
+    assert sum(corpus is back for corpus in counted) == 1
+    tables = [back_counts for _, back_counts, _ in calls if back_counts is not None]
+    assert len(tables) == len(sizes)
+    for size, table in zip(sizes, tables):
+        vocab = build_vocabulary(_take_words(adapt, size)[0], back, cfg.vocab_size)
+        if vocab_size == 120:
+            # the case under test: the cap drops background words into <unk>
+            assert set(w for s in back for w in s) - set(vocab.entries)
+        want = count_events(back, vocab)
+        assert table.vocab_size == want.vocab_size
+        for got_cells, want_cells in zip(table.cells(), want.cells()):
+            assert np.array_equal(got_cells, want_cells)
+        assert np.array_equal(table.unigram, want.unigram)
+
+
 # ------------------------------------------------- one background clustering
 
 
