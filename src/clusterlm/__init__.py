@@ -17,8 +17,8 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     count_events,
+    id_blocks,
     read_sentences,
-    sentence_ids,
     tokenize_line,
 )
 from .criterion import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +25,7 @@ EOS_TOKEN = "</s>"
 RESERVED_TOKENS = (UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 
 COUNTS_MAGIC = "clusterlm-counts"
+ID_BLOCK = 1 << 16  # framed ids per block of ``id_blocks``: its pair arrays stay near a megabyte
 
 
 def tokenize_line(text: str) -> list[str]:
@@ -131,9 +133,19 @@ class Vocabulary:
         return vocab
 
 
+def word_frequencies(corpus: Iterable[Sequence[str]]) -> Counter[str]:
+    """How often each word occurs in a corpus, the reserved tokens left out."""
+    freq: Counter[str] = Counter()
+    for sent in corpus:
+        freq.update(sent)
+    for tok in RESERVED_TOKENS:
+        freq.pop(tok, None)
+    return freq
+
+
 def build_vocabulary(
     adapt_corpus: Iterable[Sequence[str]],
-    back_corpus: Iterable[Sequence[str]],
+    back_corpus: Iterable[Sequence[str]] | Counter[str],
     max_size: int,
 ) -> Vocabulary:
     """Build the mixed vocabulary: adaptation words first, background fill-up.
@@ -142,19 +154,15 @@ def build_vocabulary(
     alone exceed ``max_size``), then the most frequent background words not yet
     present until ``max_size`` entries are reached.  Frequency ties break
     lexicographically.  The three reserved tokens count toward ``max_size``.
+    ``back_corpus`` may also be its ``word_frequencies``, so that several
+    vocabularies on one background count it once.
     """
     if max_size < 4:
         raise ConfigError(f"vocabulary max_size must be at least 4, got {max_size}")
 
-    adapt_freq: Counter[str] = Counter()
-    for sent in adapt_corpus:
-        adapt_freq.update(sent)
-    back_freq: Counter[str] = Counter()
-    for sent in back_corpus:
-        back_freq.update(sent)
-    for tok in RESERVED_TOKENS:
-        adapt_freq.pop(tok, None)
-        back_freq.pop(tok, None)
+    adapt_freq = word_frequencies(adapt_corpus)
+    back_freq = (back_corpus if isinstance(back_corpus, Counter)
+                 else word_frequencies(back_corpus))
 
     vocab = Vocabulary()
     adapt_order = sorted(adapt_freq, key=lambda w: (-adapt_freq[w], w))
@@ -168,6 +176,19 @@ def build_vocabulary(
             if w not in vocab:
                 vocab.add(w)
     return vocab
+
+
+def _in_order(vocab_size: int, *cells) -> tuple[np.ndarray, ...]:
+    """(context, word, count) as int64 arrays sorted by (context, word); a
+    repeated pair is a ``ValueError``."""
+    context, word, count = (np.asarray(a, dtype=np.int64) for a in cells)
+    key = context * vocab_size + word
+    if not (np.diff(key) > 0).all():
+        order = np.argsort(key, kind="stable")
+        if not np.diff(key[order]).all():
+            raise ValueError("duplicate bigram")
+        context, word, count = context[order], word[order], count[order]
+    return context, word, count
 
 
 def cell_rows(context: np.ndarray, word: np.ndarray, values: np.ndarray) -> dict:
@@ -191,17 +212,10 @@ class CountTable:
     """
 
     def __init__(self, vocab_size: int, rows: dict[int, dict[int, int]] | None = None):
-        """Pack the rows dict that counting gathers.  It is emptied
-        row by row, so it is never held whole beside a copy of the cells."""
-        cells = tuple(array("q") for _ in range(3))
-        context, word, count = cells
-        for v in sorted(rows or ()):
-            row = rows.pop(v)
-            ws = sorted(row)
-            context.fromlist([v] * len(ws))
-            word.fromlist(ws)
-            count.fromlist([row[w] for w in ws])
-        self._store(vocab_size, *(np.frombuffer(a, dtype=np.int64) for a in cells))
+        """The table of a ``{context: {word: count}}`` dict, in any order."""
+        cells = [(v, w, c) for v, row in (rows or {}).items() for w, c in row.items()]
+        columns = np.array(cells, dtype=np.int64).reshape(-1, 3).T.copy()
+        self._store(vocab_size, *_in_order(vocab_size, *columns))
 
     def _store(self, vocab_size: int, *cells: np.ndarray) -> None:
         for a in cells:
@@ -226,15 +240,8 @@ class CountTable:
         """The table of the given bigrams, the inverse of ``cells``: each
         (context, word) pair appears at most once (else ``ValueError``), in
         any order.  Arrays already in order are stored as they are, read-only."""
-        context, word, count = (np.asarray(a, dtype=np.int64) for a in (context, word, count))
-        key = context * vocab_size + word
-        if not (np.diff(key) > 0).all():
-            order = np.argsort(key, kind="stable")
-            if not np.diff(key[order]).all():
-                raise ValueError("duplicate bigram")
-            context, word, count = context[order], word[order], count[order]
         table = cls.__new__(cls)
-        table._store(vocab_size, context, word, count)
+        table._store(vocab_size, *_in_order(vocab_size, context, word, count))
         return table
 
     @property
@@ -272,27 +279,97 @@ class CountTable:
         return table
 
 
-def sentence_ids(sent: Sequence[str], vocab: Vocabulary) -> list[int]:
-    """Map one sentence to ids framed as bos, tokens, eos."""
-    ids = [vocab.bos_id]
-    ids.extend(vocab.lookup(tok) for tok in sent)
-    ids.append(vocab.eos_id)
-    return ids
+def id_blocks(
+    corpus: Iterable[Sequence[str]], vocab: Vocabulary
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The framed bigram events of a corpus as (contexts, words) id arrays,
+    one pair of arrays per block, in corpus order.
+
+    Each sentence is appended to a buffer as the begin marker, its token ids
+    (the unknown id for a word outside ``vocab``) and the end marker; no
+    sentence list is kept.  A block is cut at the first sentence end after
+    ``ID_BLOCK`` ids, so its events never cross a sentence, and a sentence
+    longer than that makes one longer block."""
+    get, unknown = vocab.ids.get, repeat(vocab.unk_id)
+    bos, eos = vocab.bos_id, vocab.eos_id
+    ids, starts = array("q"), array("q")
+    for sent in corpus:
+        starts.append(len(ids))
+        ids.append(bos)
+        ids.extend(map(get, sent, unknown))
+        ids.append(eos)
+        if len(ids) >= ID_BLOCK:
+            yield _events(ids, starts)
+            ids, starts = array("q"), array("q")
+    if ids:
+        yield _events(ids, starts)
+
+
+def _events(ids: array, starts: array) -> tuple[np.ndarray, np.ndarray]:
+    """The (contexts, words) of consecutive ids, less each pair that ends at
+    the begin marker of a later sentence."""
+    ids = np.frombuffer(ids, dtype=np.int64)
+    within = np.ones(len(ids) - 1, dtype=bool)
+    within[np.frombuffer(starts, dtype=np.int64)[1:] - 1] = False
+    return ids[:-1][within], ids[1:][within]
+
+
+def _merge_runs(keys, counts, used, new_keys, new_counts):
+    """Add the sorted distinct ``new_keys`` and their counts to the sorted
+    table ``keys[:used]``, ``counts[:used]``, in place; the two buffers
+    double when the table outgrows them.  Returns them and the new size."""
+    at = np.searchsorted(keys[:used], new_keys)
+    hit = at < used
+    hit[hit] = keys[at[hit]] == new_keys[hit]
+    counts[at[hit]] += new_counts[hit]
+    new_keys, new_counts, at = new_keys[~hit], new_counts[~hit], at[~hit]
+    if not len(at):
+        return keys, counts, used
+    # each new key goes before the old key it was searched against, so the
+    # old keys from the first such place on move up past the new ones
+    grown, lo = used + len(at), at[0]
+    slot = at + np.arange(len(at))
+    old = np.ones(grown - lo, dtype=bool)
+    old[slot - lo] = False
+    sources = keys, counts
+    if grown > len(keys):
+        capacity = max(2 * len(keys), grown)
+        keys, counts = (np.concatenate([a[:lo], np.empty(capacity - lo, np.int64)])
+                        for a in sources)
+    for buffer, source, added in zip((keys, counts), sources, (new_keys, new_counts)):
+        tail = source[lo:used]
+        # in place the tail moves up over itself, so it is read before it is written
+        buffer[lo:grown][old] = tail.copy() if buffer is source else tail
+        buffer[slot] = added
+    return keys, counts, grown
 
 
 def count_events(
     corpus: Iterable[Sequence[str]], vocab: Vocabulary
 ) -> CountTable:
-    """Count framed bigram and unigram events for every sentence of a corpus."""
-    rows: dict[int, dict[int, int]] = {}
-    sentences = 0
-    for sentences, sent in enumerate(corpus, start=1):
-        ids = sentence_ids(sent, vocab)
-        for v, w in zip(ids, ids[1:]):
-            row = rows.setdefault(v, {})
-            row[w] = row.get(w, 0) + 1
-    table = CountTable(len(vocab), rows)
-    # Framing predicts one end marker per sentence and never the begin marker.
+    """Count framed bigram and unigram events for every sentence of a corpus.
+
+    The corpus is read in the blocks of ``id_blocks``.  A block's events
+    become keys v·n+w, sorted and counted by runs, and the runs are added to
+    one sorted (key, count) table.  Each event is counted once, in whichever
+    block holds it, so the cells do not depend on where the blocks are cut."""
+    n = len(vocab)
+    keys = counts = np.empty(0, dtype=np.int64)
+    used = 0
+    for contexts, words in id_blocks(corpus, vocab):
+        block = contexts * n
+        block += words
+        del contexts, words  # freed before the merge, where counting peaks
+        block.sort()
+        first = np.flatnonzero(np.diff(block, prepend=-1))
+        keys, counts, used = _merge_runs(
+            keys, counts, used, block[first], np.diff(first, append=len(block)))
+    (context, word), count = np.divmod(keys[:used], n), counts[:used].copy()
+    del keys, counts  # the buffers, before the table is built
+    table = CountTable.from_cells(n, context, word, count)
+    # Framing gives each sentence one event from the begin marker and one
+    # into the end marker, and none into the begin marker.
+    sentences = int(count[context == vocab.bos_id].sum())
     if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
         raise ConfigError("a sentence holds a marker, which counting adds itself")
     return table

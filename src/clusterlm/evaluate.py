@@ -16,14 +16,14 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import islice
 
 import numpy as np
 
 from .backoff import BackoffModel, fillup, train_backoff
 from .classmodel import ClassModel, ClusterMap, estimate_class_model, init_clustering
 from .corpus import (
-    CountTable, Vocabulary, build_vocabulary, count_events, map_counts, sentence_ids,
+    CountTable, Vocabulary, build_vocabulary, count_events, id_blocks, map_counts,
+    word_frequencies,
 )
 from .criterion import combine_word_counts
 from .discounting import Discount, bigram_discount
@@ -32,7 +32,6 @@ from .exchange import ExchangeResult, run_exchange
 
 METHODS = ("back_bo", "back_cl", "adapt_bo", "adapt_cl", "fillup", "clust_adapt")
 DEFAULT_LAMBDA_GRID = tuple(i / 10.0 for i in range(11))
-SCORE_BLOCK = 1024  # sentences per ``probs`` call: a block stays near a megabyte
 
 
 @dataclass
@@ -61,15 +60,13 @@ def perplexity(
     Every sentence is framed with the begin/end markers; the end marker is
     scored, the begin marker only conditions.  Out-of-vocabulary positions
     are skipped unless ``score_oov`` is set, but still serve as (unknown)
-    context for their successor.  The corpus is scored ``SCORE_BLOCK``
-    sentences at a time, and the natural logs are added one by one in
-    corpus order, so the result does not depend on the block size.
+    context for their successor.  The corpus is scored in the blocks of
+    ``corpus.id_blocks``, one ``probs_fn`` call each, and the natural logs
+    are added one by one in corpus order, so the result does not depend on
+    where the blocks are cut.
     """
     log_sum, scored, oov = 0.0, 0, 0
-    sentences = iter(sentences)
-    while block := [sentence_ids(sent, vocab) for sent in islice(sentences, SCORE_BLOCK)]:
-        contexts = np.array([v for ids in block for v in ids[:-1]])
-        words = np.array([w for ids in block for w in ids[1:]])
+    for contexts, words in id_blocks(sentences, vocab):
         unknown = words == vocab.unk_id
         oov += int(np.count_nonzero(unknown))
         if not score_oov:
@@ -259,12 +256,14 @@ def experiment_suite(
             cm.state_of[w], cm.category_of[w] = classes
         return cm
 
-    # the background is counted once, by word, and mapped into each vocabulary
-    back_words = Vocabulary(dict.fromkeys(w for s in back_sents for w in s))
+    # the background is counted once, by word, and mapped into each vocabulary;
+    # its word frequencies are counted once for every vocabulary
+    back_freq = word_frequencies(back_sents)
+    back_words = Vocabulary(back_freq)
     back_by_word = count_events(back_sents, back_words)
     wants_back = {"back_bo", "back_cl"} & set(cfg.methods)
     if wants_back:
-        vocab_b = build_vocabulary([], back_sents, cfg.vocab_size)
+        vocab_b = build_vocabulary([], back_freq, cfg.vocab_size)
         counts_b = map_counts(back_by_word, back_words, vocab_b)
         if "back_bo" in cfg.methods:
             ev(train_backoff_model(counts_b, vocab_b, cfg), vocab_b, "back_bo", None)
@@ -286,7 +285,7 @@ def experiment_suite(
         if not adapt_slice:
             notes.append(f"size {size}: no sentence fits the budget, skipped")
             continue
-        vocab_s = build_vocabulary(adapt_slice, back_sents, cfg.vocab_size)
+        vocab_s = build_vocabulary(adapt_slice, back_freq, cfg.vocab_size)
         adapt_counts = count_events(adapt_slice, vocab_s)
         back_counts = map_counts(back_by_word, back_words, vocab_s)
         if {"adapt_cl", "clust_adapt"} & adapted_methods:

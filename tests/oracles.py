@@ -9,7 +9,27 @@ import math
 
 import numpy as np
 
+from clusterlm.corpus import CountTable
+from clusterlm.errors import ConfigError
+
 NEG_INF = float("-inf")
+
+
+def reference_count_events(corpus, vocab):
+    """``count_events`` as a per-token loop over a ``{context: {word: count}}``
+    dict, each sentence framed as bos, token ids, eos."""
+    rows = {}
+    sentences = 0
+    for sentences, sent in enumerate(corpus, start=1):
+        ids = [vocab.bos_id] + [vocab.lookup(tok) for tok in sent] + [vocab.eos_id]
+        for v, w in zip(ids, ids[1:]):
+            row = rows.setdefault(v, {})
+            row[w] = row.get(w, 0) + 1
+    table = CountTable(len(vocab), rows)
+    # Framing predicts one end marker per sentence and never the begin marker.
+    if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
+        raise ConfigError("a sentence holds a marker, which counting adds itself")
+    return table
 
 
 def round_nearest(x):

@@ -5,8 +5,10 @@ import re
 
 import pytest
 
+import oracles
 from corpusgen import domain_corpus
 
+from clusterlm import corpus as corpus_module
 from clusterlm.backoff import BackoffModel, fillup, train_backoff
 from clusterlm.classmodel import load_clusters
 from clusterlm.cli import main
@@ -93,6 +95,22 @@ def test_counts_artifact(workdir):
     assert f" vocab_md5={vocab.checksum()}\n" in (workdir / "back.counts").read_text()
     table = CountTable.load(workdir / "back.counts", vocab)
     assert table.total_tokens > 1000
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_counts_writes_the_bytes_of_the_reference_table(workdir, tmp_path, monkeypatch, block):
+    """``counts`` on a corpus file, counted in one block or in many, writes
+    what ``CountTable.save`` writes for the per-token dict loop's table."""
+    if block:
+        monkeypatch.setattr(corpus_module, "ID_BLOCK", block)
+    vocab = Vocabulary.load(workdir / "words.txt")
+    for name in ("background.txt", "adaptation.txt"):
+        got, want = tmp_path / "got.counts", tmp_path / "want.counts"
+        assert main(["counts", "--vocab", str(workdir / "words.txt"),
+                     "--corpus", str(workdir / name), "--out", str(got)]) == 0
+        table = oracles.reference_count_events(read_sentences(workdir / name), vocab)
+        table.save(want, vocab.checksum())
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_cluster_artifacts(workdir):

@@ -1,19 +1,24 @@
 """Vocabulary and counting behaviour."""
 
+import random
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+
+from clusterlm import corpus as corpus_module
 from clusterlm.corpus import (
     CountTable,
     Vocabulary,
     build_vocabulary,
     count_events,
+    id_blocks,
     read_sentences,
-    sentence_ids,
     tokenize_line,
+    word_frequencies,
 )
 from clusterlm.errors import ConfigError, FormatError, VocabMismatchError
 
@@ -137,9 +142,60 @@ def test_build_vocabulary_rejects_tiny_cap():
         build_vocabulary([], [], max_size=3)
 
 
-def test_sentence_ids_frames_with_markers():
+def test_id_blocks_frame_with_markers():
     vocab = Vocabulary(["a", "b"])
-    assert sentence_ids(["a", "b", "zzz"], vocab) == [1, 3, 4, 0, 2]
+    [(contexts, words)] = id_blocks([["a", "b", "zzz"], []], vocab)
+    # no event runs from one sentence's end marker to the next begin marker
+    assert contexts.tolist() == [1, 3, 4, 0, 1]
+    assert words.tolist() == [3, 4, 0, 2, 2]
+
+
+def _random_corpus(rng, n_sentences, words):
+    return [rng.choices(words, k=rng.randint(0, 12)) for _ in range(n_sentences)]
+
+
+@pytest.mark.parametrize("case", ["oov", "empty_sentences", "long_sentence", "empty_corpus"])
+def test_blocks_count_like_the_dict_loop(case, monkeypatch):
+    """Counting in blocks gives the per-token dict loop's cells and unigram
+    array, on corpora that span many blocks."""
+    monkeypatch.setattr(corpus_module, "ID_BLOCK", 16)
+    rng = random.Random(11)
+    vocab = Vocabulary(["a", "b", "c", "d", "e"])
+    corpus = {
+        "oov": _random_corpus(rng, 300, "abcdexy"),
+        "empty_sentences": [[]] * 5 + _random_corpus(rng, 200, "abc") + [[], []],
+        "long_sentence": _random_corpus(rng, 40, "abcdez") + [rng.choices("abcdz", k=100)]
+        + _random_corpus(rng, 40, "abcdez"),
+        "empty_corpus": [],
+    }[case]
+    if corpus:
+        assert len(list(id_blocks(corpus, vocab))) >= 3
+    got, want = count_events(iter(corpus), vocab), oracles.reference_count_events(corpus, vocab)
+    for a, b in zip(got.cells(), want.cells()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.unigram, want.unigram)
+    assert got.total_tokens == want.total_tokens
+
+
+@pytest.mark.parametrize("marker", ["<s>", "</s>"])
+def test_blocks_and_the_dict_loop_both_reject_a_marker(marker, monkeypatch):
+    monkeypatch.setattr(corpus_module, "ID_BLOCK", 16)
+    rng = random.Random(12)
+    corpus = _random_corpus(rng, 60, "abc")
+    corpus[41] = ["a", marker, "b"]
+    vocab = Vocabulary(["a", "b", "c"])
+    for count in (count_events, oracles.reference_count_events):
+        with pytest.raises(ConfigError, match="marker"):
+            count(corpus, vocab)
+
+
+def test_word_frequencies_stand_in_for_the_background():
+    rng = random.Random(13)
+    back = _random_corpus(rng, 200, "abcdefghij") + [["<unk>", "a"]]
+    adapt = _random_corpus(rng, 20, "abcxyz")
+    for size in (4, 8, 12, 40):
+        assert (build_vocabulary(adapt, word_frequencies(back), size).entries
+                == build_vocabulary(adapt, back, size).entries)
 
 
 def test_count_events_column_sums_equal_unigram():

@@ -11,12 +11,11 @@ import pytest
 import oracles
 from corpusgen import domain_corpus
 
-from clusterlm import evaluate
-from clusterlm.corpus import Vocabulary, build_vocabulary, count_events
+from clusterlm import corpus, evaluate
+from clusterlm.corpus import Vocabulary, build_vocabulary, count_events, id_blocks, read_sentences
 from clusterlm.errors import ConfigError, ModelIntegrityError
 from clusterlm.evaluate import (
     METHODS,
-    SCORE_BLOCK,
     SuiteConfig,
     _fmt_pp,
     _take_words,
@@ -110,26 +109,39 @@ def test_nonpositive_probability_is_an_integrity_error():
             perplexity(lambda s, w: np.full(w.shape, bad), [["a"]], vocab)
 
 
-def test_blocks_score_like_one_sum_in_corpus_order():
-    # More positions than one scoring block, unknown words included: the
-    # blocks add the same logs in the same order as a per-token loop.
+def test_blocks_score_like_one_sum_in_corpus_order(monkeypatch, tmp_path):
+    # A corpus of several scoring blocks, unknown words included: the blocks
+    # add the same logs in the same order as a per-token loop.  Extra inputs:
+    # unknown words scored, unknown words as the context of most positions,
+    # the corpus streamed from a file, and a sentence longer than a block.
+    monkeypatch.setattr(corpus, "ID_BLOCK", 4096)
     rng = random.Random(7)
     vocab = Vocabulary("abcde")
     table = np.array([[rng.uniform(0.01, 1.0) for _ in range(len(vocab))]
                       for _ in range(len(vocab))])
-    sentences = [rng.choices("abcdez", k=rng.randint(1, 30)) for _ in range(5000)]
-    want = 0.0
-    scored = 0
-    for sent in sentences:
-        ids = [vocab.bos_id] + [vocab.lookup(t) for t in sent] + [vocab.eos_id]
-        for v, w in zip(ids, ids[1:]):
-            if w != vocab.unk_id:
-                want += math.log(table[v, w])
-                scored += 1
-    assert len(sentences) > SCORE_BLOCK
-    rep = perplexity(lambda s, w: table[s, w], sentences, vocab)
-    assert rep.tokens_scored == scored
-    assert rep.perplexity == math.exp(-want / scored)
+    plain = [rng.choices("abcdez", k=rng.randint(1, 30)) for _ in range(5000)]
+    unknown_contexts = [[t for _ in range(rng.randint(1, 8))
+                         for t in (rng.choice("xyz"), rng.choice("abcde"))]
+                        for _ in range(3000)]
+    long_sentence = plain[:300] + [rng.choices("abcdez", k=5000)] + plain[300:600]
+    path = tmp_path / "heldout.txt"
+    path.write_text("".join(" ".join(s) + "\n" for s in plain))
+    cases = [(plain, plain, False), (plain, plain, True),
+             (unknown_contexts, unknown_contexts, False),
+             (plain, read_sentences(path), False), (long_sentence, long_sentence, False)]
+    for sentences, given, score_oov in cases:
+        want = 0.0
+        scored = 0
+        for sent in sentences:
+            ids = [vocab.bos_id] + [vocab.lookup(t) for t in sent] + [vocab.eos_id]
+            for v, w in zip(ids, ids[1:]):
+                if score_oov or w != vocab.unk_id:
+                    want += math.log(table[v, w])
+                    scored += 1
+        assert len(list(id_blocks(sentences, vocab))) >= 3
+        rep = perplexity(lambda s, w: table[s, w], given, vocab, score_oov=score_oov)
+        assert rep.tokens_scored == scored
+        assert rep.perplexity == math.exp(-want / scored)
 
 
 def test_nothing_scorable_is_a_config_error():
