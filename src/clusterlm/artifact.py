@@ -6,13 +6,15 @@ the rest is plain lines, or sections that each open with a line ``\\name:``.
 each section: a float is written with ``repr``, a set of ids as its sorted
 comma list (``-`` for none), anything else with ``str``, so that the reader
 gets every value back bit for bit.
-A loader declares the columns of its body or of each section, and the reader
-streams the file, parses the lines of the body or of each section in one
-``np.loadtxt`` call and hands back one array per column (views of one record
-array).  Each column is declared by its kind: an int ``n`` for ids in
-``0..n-1``, ``int`` for any integer, ``float`` for finite values, ``str`` for
-words.  A blank line, a line with the wrong number of fields, a field of the
-wrong kind (``2.5`` or ``1e3`` for an integer, ``1_0`` for any number), an id
+A loader declares the columns of its body or of each section.  The reader
+takes the file a block of whole lines at a time (``line_blocks``, which the
+corpus reader shares), finds the next section marker in a block's text
+rather than testing each line, passes the blocks of the body or of each
+section to one ``np.loadtxt`` call and hands back one array per column (views
+of one record array).  Each column is declared by its kind: an int ``n`` for
+ids in ``0..n-1``, ``int`` for any integer, ``float`` for finite values,
+``str`` for words.  A blank line, a line with the wrong number of fields, a
+field of the wrong kind (``2.5`` or ``1e3`` for an integer, ``1_0`` for any number), an id
 out of range or a value that is not finite is rejected.
 Inside ``with Artifact(...) as art:`` a ``ValueError``, ``IndexError``,
 ``OverflowError`` or ``MemoryError`` (a header size too large to allocate)
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterator
 
@@ -38,6 +41,7 @@ _CONVERTED = (ValueError, IndexError, OverflowError, MemoryError)
 # Column kind -> dtype; an int kind is an id bound.  Never a fixed-width
 # ``U`` string dtype, which cuts longer words short without an error.
 _DTYPES = {int: "i8", float: "f8", str: "O"}
+LINE_BLOCK = 1 << 13  # characters of lines read at a time: their strings stay near 100 kB
 
 
 def row_tuples(*columns: np.ndarray) -> Iterator[tuple]:
@@ -46,6 +50,28 @@ def row_tuples(*columns: np.ndarray) -> Iterator[tuple]:
     Columns of unequal length raise ``ValueError``; none is cut short."""
     for lo in range(0, len(columns[0]), 4096):
         yield from zip(*(c[lo:lo + 4096].tolist() for c in columns), strict=True)
+
+
+def line_blocks(path: str | Path) -> Iterator[list[str]]:
+    """The lines of a UTF-8 text file, a list of about ``LINE_BLOCK``
+    characters at a time.  A decoding error comes up after the lines that
+    reading one line at a time decodes before it, as it would there."""
+    with open(path, encoding="utf-8") as fh:
+        read = 0
+        while True:
+            try:
+                lines = fh.readlines(LINE_BLOCK)
+            except UnicodeDecodeError:
+                decoded: list[str] = []
+                with open(path, encoding="utf-8") as again, suppress(UnicodeDecodeError):
+                    decoded.extend(again)
+                if decoded[read:]:
+                    yield decoded[read:]
+                raise
+            if not lines:
+                return
+            read += len(lines)
+            yield lines
 
 
 def _text(value) -> str:
@@ -111,10 +137,11 @@ class Artifact:
 
     def __init__(self, path, magic: str, what: str):
         self.path, self.where, self.lineno = path, "header: ", 1
-        self._fh = open(path, encoding="utf-8")
+        self._reader = line_blocks(path)
+        self._ahead: list[str] = []  # lines read and not yet handed out
         self.fields: dict[str, str] = {}
         try:
-            header = self._fh.readline().split()
+            header = self._line().split()
             if not header or header[0] != magic:
                 raise FormatError(f"{path}: not a {what} file")
             for token in header[1:]:
@@ -130,7 +157,7 @@ class Artifact:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._fh.close()
+        self._reader.close()
         if exc_type is not None and issubclass(exc_type, _CONVERTED):
             raise FormatError(f"{self.path}: {self.where}{exc}") from exc
 
@@ -144,7 +171,7 @@ class Artifact:
 
     def body(self, kinds: tuple) -> tuple[np.ndarray, ...]:
         """The columns of a plain body, one per kind in ``kinds``."""
-        return self._columns("body:", self._lines(sections=False), kinds)
+        return self._columns("body:", self._blocks(sections=False), kinds)
 
     def sections(self, layout: dict[str, tuple], optional=()) -> dict[str, tuple]:
         """The columns of each section in ``layout`` (name -> kinds).  Every
@@ -152,12 +179,12 @@ class Artifact:
         ``optional`` may be absent and then come back empty."""
         found = {}
         # the header is line 1
-        self.where, self.lineno, marker = "", 2, next(self._fh, "")
+        self.where, self.lineno, marker = "", 2, self._line()
         while marker:
             name = marker.rstrip("\n")
             if name not in layout or name in found:
                 raise ValueError(f"line {self.lineno}: unexpected {name!r}")
-            found[name] = self._columns(name, self._lines(sections=True), layout[name])
+            found[name] = self._columns(name, self._blocks(sections=True), layout[name])
             marker = self._marker
         missing = set(layout) - set(found) - set(optional)
         if missing:
@@ -165,33 +192,65 @@ class Artifact:
         return {name: found[name] if name in found else self._columns(name, iter(()), kinds)
                 for name, kinds in layout.items()}
 
-    def _lines(self, sections: bool):
-        """The lines up to the next section marker (kept in ``_marker``), or to
-        the end, counted in ``lineno``; ``np.loadtxt`` would skip a blank line,
-        so it stops here."""
-        self._marker = ""
-        for self.lineno, line in enumerate(self._fh, self.lineno + 1):
-            if sections and line.startswith("\\"):
-                self._marker = line
-                return
-            if line.isspace():
-                raise ValueError("blank line")
-            yield line
+    def _line(self) -> str:
+        """The next line, or ``""`` at the end."""
+        self._ahead = self._ahead or next(self._reader, [])
+        return self._ahead.pop(0) if self._ahead else ""
 
-    def _columns(self, where: str, lines, kinds: tuple) -> tuple[np.ndarray, ...]:
-        """The columns of ``lines``, checked; errors until then name ``where``."""
+    def _blocks(self, sections: bool) -> Iterator[list[str]]:
+        """Lists of the lines up to the next section marker (kept in
+        ``_marker``) or to the end.  ``_block`` is the list handed out last,
+        and ``lineno`` counts the lines before it until it is used up.
+        ``np.loadtxt`` would skip a blank line, so one raises here."""
+        self._marker, self._block = "", []
+        while lines := self._ahead or next(self._reader, []):
+            self._ahead, end = [], len(lines)
+            if sections:
+                # a marker line is the first line, or follows a line end
+                text = "\n" + "".join(lines)
+                at = text.find("\n\\")
+                if at >= 0:
+                    end = text.count("\n", 0, at)
+                    self._marker, self._ahead = lines[end], lines[end + 1:]
+            stop = next(compress(range(end), map(str.isspace, lines)), end)
+            self._block = lines[:stop]
+            yield self._block
+            self.lineno += stop
+            if stop < end:
+                self.lineno += 1
+                raise ValueError("blank line")
+            if self._marker:
+                self.lineno += 1
+                return
+
+    def _bad_line(self, dtype: np.dtype) -> int:
+        """The first line of ``_block`` that does not parse on its own, where
+        ``np.loadtxt`` stopped, since it reads no further than a bad line; or
+        when each one parses, ``lineno``: the error came from reading on."""
+        for lineno, line in enumerate(self._block, self.lineno + 1):
+            try:
+                np.loadtxt([line], dtype, comments=None)
+            except ValueError:
+                return lineno
+        return self.lineno
+
+    def _columns(self, where: str, blocks, kinds: tuple) -> tuple[np.ndarray, ...]:
+        """The columns of the lines in ``blocks``, checked; errors until then
+        name ``where``."""
         self.where = f"{where} "
         dtype = np.dtype([(f"f{i}", _DTYPES.get(k, "i8")) for i, k in enumerate(kinds)])
-        try:
-            first = next(lines, None)
-            with warnings.catch_warnings():
-                # a numpy that only warns on it reads an int field 2.5 as 2
-                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        with warnings.catch_warnings():
+            # a numpy that only warns on it reads an int field 2.5 as 2
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            lines = chain.from_iterable(blocks)
+            try:
+                first = next(lines, None)
                 # np.loadtxt warns on no lines
                 rows = np.empty(0, dtype) if first is None else np.loadtxt(
                     chain((first,), lines), dtype, comments=None, ndmin=1)
-        except ValueError as exc:  # np.loadtxt reads no further than the bad line
-            raise ValueError(f"line {self.lineno}: {str(exc).split(';')[0]}") from exc
+            except ValueError as exc:
+                raise ValueError(
+                    f"line {self._bad_line(dtype)}: {str(exc).split(';')[0]}") from exc
         columns = tuple(rows[name] for name in dtype.names)
         for kind, a in zip(kinds, columns):
             if kind is float and not np.isfinite(a).all():

@@ -9,11 +9,13 @@ for bit.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .artifact import Artifact, dense, finite, row_tuples, size, write
+from .artifact import Artifact, dense, finite, size, write
 from .corpus import CountTable, cell_rows
 from .discounting import Discount, discounted_distribution
 from .errors import ConfigError
@@ -22,8 +24,13 @@ BACKOFF_MAGIC = "clusterlm-backoff"
 
 
 def _each(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` of each value as a Python float: numpy's pow and log10 differ."""
-    return np.fromiter((fn(x) for (x,) in row_tuples(a)), float, a.size)
+    """``fn`` of each value as a Python float: numpy's pow and log10 differ.
+    A few thousand values at a time are Python floats."""
+    values = chain.from_iterable(a[lo:lo + 4096].tolist() for lo in range(0, a.size, 4096))
+    return np.fromiter(map(fn, values), float, a.size)
+
+
+_pow10 = partial(pow, 10.0)  # 10.0 ** x
 
 
 class BackoffModel:
@@ -67,8 +74,9 @@ class BackoffModel:
         key = cells[0] * vocab_size + cells[1]
         order = slice(None) if (np.diff(key) > 0).all() else np.argsort(key, kind="stable")
         self._keys = key[order]
-        self.context, self.word, self.lp = (a[order] for a in cells)
-        self.p = _each(lambda x: 10.0 ** x, self.lp)
+        # contiguous: a loader's columns are strided views of its record array
+        self.context, self.word, self.lp = (np.ascontiguousarray(a[order]) for a in cells)
+        self.p = _each(_pow10, self.lp)
         alpha[~listed], beta[~listed] = 1.0 - fill_mass, fill_mass
         self.listed, self.alpha, self.beta = listed, alpha, beta
         # Z(v), F(v): the group's total minus its explicit words' unigram after v, added

@@ -10,7 +10,7 @@ import sys
 from .artifact import read_magic
 from .backoff import BACKOFF_MAGIC, BackoffModel
 from .classmodel import CLASSMODEL_MAGIC, ClassModel, load_clusters, save_clusters
-from .corpus import CountTable, Vocabulary, build_vocabulary, count_events, read_sentences
+from .corpus import CountTable, Vocabulary, build_vocabulary, count_events
 from .errors import ClusterLMError, ConfigError, FormatError, VocabMismatchError
 from .evaluate import (
     SuiteConfig,
@@ -107,8 +107,7 @@ def _save_run(args, vocab: Vocabulary, result) -> None:
 
 
 def cmd_vocab(args, cfg: SuiteConfig) -> int:
-    adapt = read_sentences(args.adaptation) if args.adaptation else []
-    back = read_sentences(args.background) if args.background else []
+    adapt, back = args.adaptation or [], args.background or []
     if not adapt and not back:
         raise ConfigError("need at least one of --adaptation/--background")
     vocab = build_vocabulary(adapt, back, cfg.vocab_size)
@@ -119,8 +118,7 @@ def cmd_vocab(args, cfg: SuiteConfig) -> int:
 
 def cmd_counts(args, cfg: SuiteConfig) -> int:
     vocab = Vocabulary.load(args.vocab)
-    sentences = read_sentences(args.corpus)
-    table = count_events(sentences, vocab)
+    table = count_events(args.corpus, vocab)
     table.save(args.out, vocab_md5=vocab.checksum())
     n_bigrams = len(table.cells()[2])
     print(f"wrote {n_bigrams} bigrams ({table.total_tokens} events) to {args.out}")
@@ -176,10 +174,9 @@ def cmd_adapt(args, cfg: SuiteConfig) -> int:
 def cmd_eval(args, cfg: SuiteConfig) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = _load_model(args.model, vocab)
-    sentences = read_sentences(args.heldout)
     label = getattr(model, "label", None) or getattr(model, "kind", "model")
     report = perplexity(
-        model.probs, sentences, vocab,
+        model.probs, args.heldout, vocab,
         score_oov=args.score_oov,
         model_id=args.model_id or label,
         vocab_md5=vocab.checksum(),

@@ -3,20 +3,27 @@
 Corpora are UTF-8 plain text, one sentence per line, tokens separated by
 whitespace.  Sentences are framed with begin/end markers at counting time;
 out-of-vocabulary tokens map to a reserved unknown token.
+A corpus reaches the readers (``word_frequencies``, ``build_vocabulary``,
+``id_blocks``, ``count_events`` and ``evaluate.perplexity``) as sentences or
+as the path of a corpus file.  A file is read in blocks of whole lines
+(``artifact.line_blocks``), each split into tokens in one ``str.split`` call;
+sentences are taken in chunks.  Either way a block's tokens become ids in one
+pass and its sentences are framed with numpy, so no Python step runs per
+line or per token.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
+import os
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .artifact import Artifact, row_tuples, size, write
+from .artifact import Artifact, line_blocks, row_tuples, size, write
 from .errors import ConfigError, FormatError, VocabMismatchError
 
 UNK_TOKEN = "<unk>"
@@ -27,30 +34,49 @@ RESERVED_TOKENS = (UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 COUNTS_MAGIC = "clusterlm-counts"
 ID_BLOCK = 1 << 16  # framed ids per block of ``id_blocks``: its pair arrays stay near a megabyte
 
+# Sentences, or the path of a corpus file.
+Corpus = Union[Iterable[Sequence[str]], str, os.PathLike]
+
 
 def tokenize_line(text: str) -> list[str]:
     """Split one line into tokens on whitespace; no other normalization."""
     return text.split()
 
 
-def read_sentences(path: str | Path) -> Iterator[list[str]]:
-    """Yield the token sequence of each nonblank line of a corpus file.
+def _text_blocks(path: str | os.PathLike) -> Iterator[str]:
+    """The text of a corpus file in blocks of whole lines.
 
     Counting frames every sentence with the begin and end markers itself, so
-    a line that holds one is rejected: it would be counted twice."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            toks = tokenize_line(line)
-            # the substring test is cheap; only a line that passes it needs the token test
-            if BOS_TOKEN in line or EOS_TOKEN in line:
-                for tok in toks:
+    a line that holds one is rejected: it would be counted twice.  The block
+    that holds such a line ends before it, and the next step raises a
+    ``FormatError`` that names the line."""
+    lineno = 1
+    for lines in line_blocks(path):
+        text = "".join(lines)
+        # the substring test is cheap; only a block that passes it needs the token test
+        if BOS_TOKEN in text or EOS_TOKEN in text:
+            for at, line in enumerate(lines):
+                for tok in tokenize_line(line):
                     if tok in (BOS_TOKEN, EOS_TOKEN):
+                        yield "".join(lines[:at])
                         raise FormatError(
-                            f"{path}:{lineno}: corpus token {tok!r} is a sentence "
+                            f"{path}:{lineno + at}: corpus token {tok!r} is a sentence "
                             "marker, which counting adds itself"
                         )
-            if toks:
-                yield toks
+        yield text
+        lineno += len(lines)
+
+
+def read_sentences(path: str | Path) -> Iterator[list[str]]:
+    """Yield the token sequence of each nonblank line of a corpus file, a
+    block of lines read at a time.  A line that holds a sentence marker
+    raises ``FormatError`` once the lines before it are yielded."""
+    for text in _text_blocks(path):
+        yield from filter(None, map(tokenize_line, text.split("\n")))
+
+
+def _is_file(corpus: Corpus) -> bool:
+    return isinstance(corpus, (str, os.PathLike))
 
 
 class Vocabulary:
@@ -133,19 +159,18 @@ class Vocabulary:
         return vocab
 
 
-def word_frequencies(corpus: Iterable[Sequence[str]]) -> Counter[str]:
+def word_frequencies(corpus: Corpus) -> Counter[str]:
     """How often each word occurs in a corpus, the reserved tokens left out."""
-    freq: Counter[str] = Counter()
-    for sent in corpus:
-        freq.update(sent)
+    blocks = map(str.split, _text_blocks(corpus)) if _is_file(corpus) else corpus
+    freq = Counter(chain.from_iterable(blocks))
     for tok in RESERVED_TOKENS:
         freq.pop(tok, None)
     return freq
 
 
 def build_vocabulary(
-    adapt_corpus: Iterable[Sequence[str]],
-    back_corpus: Iterable[Sequence[str]] | Counter[str],
+    adapt_corpus: Corpus,
+    back_corpus: Corpus | Counter[str],
     max_size: int,
 ) -> Vocabulary:
     """Build the mixed vocabulary: adaptation words first, background fill-up.
@@ -279,39 +304,70 @@ class CountTable:
         return table
 
 
-def id_blocks(
-    corpus: Iterable[Sequence[str]], vocab: Vocabulary
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def id_blocks(corpus: Corpus, vocab: Vocabulary) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The framed bigram events of a corpus as (contexts, words) id arrays,
     one pair of arrays per block, in corpus order.
 
-    Each sentence is appended to a buffer as the begin marker, its token ids
-    (the unknown id for a word outside ``vocab``) and the end marker; no
-    sentence list is kept.  A block is cut at the first sentence end after
-    ``ID_BLOCK`` ids, so its events never cross a sentence, and a sentence
-    longer than that makes one longer block."""
+    A sentence frames as the begin marker, its token ids (the unknown id for
+    a word outside ``vocab``) and the end marker.  A block is cut at the
+    first sentence end, or for a corpus file the first end of a block of
+    lines, after ``ID_BLOCK`` framed ids, so its events never cross a
+    sentence, and a sentence longer than that makes one longer block."""
+    pieces = _line_ids(corpus, vocab) if _is_file(corpus) else _sentence_ids(corpus, vocab)
+    parts, framed = [], 0
+    for ids, lengths in pieces:
+        parts.append((ids, lengths))
+        framed += ids.size + 2 * lengths.size
+        if framed >= ID_BLOCK:
+            yield _frame(parts, vocab)
+            framed = 0
+    if parts:
+        yield _frame(parts, vocab)
+
+
+def _line_ids(path: str | os.PathLike, vocab: Vocabulary):
+    """(token ids, lengths) of the nonblank lines of a corpus file, per
+    block of lines."""
     get, unknown = vocab.ids.get, repeat(vocab.unk_id)
-    bos, eos = vocab.bos_id, vocab.eos_id
-    ids, starts = array("q"), array("q")
-    for sent in corpus:
-        starts.append(len(ids))
-        ids.append(bos)
-        ids.extend(map(get, sent, unknown))
-        ids.append(eos)
-        if len(ids) >= ID_BLOCK:
-            yield _events(ids, starts)
-            ids, starts = array("q"), array("q")
-    if ids:
-        yield _events(ids, starts)
+    for text in _text_blocks(path):
+        # Each line end becomes an end marker, which no line of the file
+        # holds as a token, so the markers split the ids into lines.
+        tokens = text.replace("\n", f" {EOS_TOKEN} ").split()
+        tokens.append(EOS_TOKEN)  # the last line may have no line end
+        ids = np.fromiter(map(get, tokens, unknown), np.int64, len(tokens))
+        del text, tokens  # not kept while the block is used
+        ends = np.flatnonzero(ids == vocab.eos_id)
+        lengths = np.diff(ends, prepend=-1) - 1
+        yield np.delete(ids, ends), lengths[lengths > 0]
 
 
-def _events(ids: array, starts: array) -> tuple[np.ndarray, np.ndarray]:
-    """The (contexts, words) of consecutive ids, less each pair that ends at
-    the begin marker of a later sentence."""
-    ids = np.frombuffer(ids, dtype=np.int64)
-    within = np.ones(len(ids) - 1, dtype=bool)
-    within[np.frombuffer(starts, dtype=np.int64)[1:] - 1] = False
-    return ids[:-1][within], ids[1:][within]
+def _sentence_ids(corpus: Iterable[Sequence[str]], vocab: Vocabulary):
+    """(token ids, lengths) of the sentences of a corpus, in chunks cut at
+    the first sentence end after ``ID_BLOCK`` framed ids."""
+    get, unknown, sentences = vocab.ids.get, repeat(vocab.unk_id), iter(corpus)
+    while True:
+        chunk, framed = [], 0
+        for sent in sentences:
+            chunk.append(sent)
+            framed += len(sent) + 2
+            if framed >= ID_BLOCK:
+                break
+        if not chunk:
+            return
+        lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
+        tokens = chain.from_iterable(chunk)
+        yield np.fromiter(map(get, tokens, unknown), np.int64, lengths.sum()), lengths
+
+
+def _frame(parts: list, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """The (contexts, words) of the sentences in ``parts``, which it
+    empties: each part holds the token ids of its sentences end to end and
+    their lengths.  A sentence's contexts are the begin marker and its
+    tokens, and its words are its tokens and the end marker."""
+    ids, lengths = (np.concatenate(a) for a in zip(*parts))
+    parts.clear()
+    ends = np.cumsum(lengths)
+    return np.insert(ids, ends - lengths, vocab.bos_id), np.insert(ids, ends, vocab.eos_id)
 
 
 def _merge_runs(keys, counts, used, new_keys, new_counts):
@@ -344,9 +400,7 @@ def _merge_runs(keys, counts, used, new_keys, new_counts):
     return keys, counts, grown
 
 
-def count_events(
-    corpus: Iterable[Sequence[str]], vocab: Vocabulary
-) -> CountTable:
+def count_events(corpus: Corpus, vocab: Vocabulary) -> CountTable:
     """Count framed bigram and unigram events for every sentence of a corpus.
 
     The corpus is read in the blocks of ``id_blocks``.  A block's events

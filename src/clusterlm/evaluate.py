@@ -55,7 +55,8 @@ def perplexity(
     vocab_md5: str = "",
 ) -> EvalReport:
     """Sentence-level perplexity under ``probs_fn(contexts, words)``, which
-    gives p(w|v) for each pair of two id arrays (a model's ``probs``).
+    gives p(w|v) for each pair of two id arrays (a model's ``probs``), of
+    ``sentences`` or of the corpus file at that path.
 
     Every sentence is framed with the begin/end markers; the end marker is
     scored, the begin marker only conditions.  Out-of-vocabulary positions

@@ -1,6 +1,7 @@
 """The artifact format: the bytes each saver writes, and ``artifact.write``
 read back through ``Artifact`` value for value."""
 
+import random
 import tempfile
 from pathlib import Path
 
@@ -9,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusgen import random_table
+
+from clusterlm import artifact
 from clusterlm.artifact import Artifact, finite, id_list, size, write
-from clusterlm.backoff import fillup, train_backoff
+from clusterlm.backoff import BackoffModel, fillup, train_backoff
 from clusterlm.classmodel import ClusterMap, estimate_class_model, init_clustering, save_clusters
 from clusterlm.corpus import CountTable, Vocabulary, count_events
 from clusterlm.discounting import Discount
+from clusterlm.errors import FormatError
 
 # ------------------------------------------------------------ pinned bytes
 
@@ -222,3 +227,87 @@ def test_header_fields_read_back(fields):
             assert type(got[k]) is float and bits(got[k]) == bits(v)
         else:
             assert got[k] == v
+
+
+# ----------------------------------------------------- faults in later blocks
+
+
+def saved_model(path, vocab_size):
+    model = train_backoff(random_table(random.Random(6), vocab_size), Discount(0.4), cutoff=0)
+    model.save(path)
+    return path.read_text().split("\n")
+
+
+def fault_in(lines, fault):
+    """``lines`` with ``fault`` put in, and the message that names it."""
+    k = lines.index("\\bigrams:") + 60  # a bigram line, 0-based
+    u = lines.index("\\unigrams:") + 9
+    if fault == "bad-value":
+        lines[k] += "x"
+        return rf"\\bigrams: line {k + 1}: could not convert string '.*x'"
+    if fault in ("blank", "whitespace-only"):
+        lines.insert(k, "" if fault == "blank" else " \u3000\t")
+        return rf"\\bigrams: line {k + 1}: blank line"
+    if fault == "unexpected-marker":
+        lines.insert(k, "\\bigrams:")
+        return rf"m\.lm: line {k + 1}: unexpected '\\\\bigrams:'"
+    if fault == "bad-value-then-blank":
+        lines[k] += " 7"
+        lines.insert(k + 3, "")
+        return rf"\\bigrams: line {k + 1}: the dtype passed requires 3 columns"
+    if fault == "blank-then-bad-value":
+        lines.insert(k, "")
+        lines[k + 3] += " 7"
+        return rf"\\bigrams: line {k + 1}: blank line"
+    assert fault == "bad-value-in-a-later-section"
+    lines[u] = lines[u].replace(" ", " 1_0 ")
+    return rf"\\unigrams: line {u + 1}: "
+
+
+@pytest.mark.parametrize("block", [100, None])
+@pytest.mark.parametrize("fault", [
+    "bad-value", "blank", "whitespace-only", "unexpected-marker", "bad-value-then-blank",
+    "blank-then-bad-value", "bad-value-in-a-later-section"])
+def test_a_fault_in_a_later_block_names_its_line(tmp_path, monkeypatch, block, fault):
+    """The reader takes the file a block of lines at a time (a few lines
+    when patched small) and still names the line of the first fault."""
+    if block:
+        monkeypatch.setattr(artifact, "LINE_BLOCK", block)
+    path = tmp_path / "m.lm"
+    lines = saved_model(path, 60)
+    message = fault_in(lines, fault)
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError, match=message):
+        BackoffModel.load(path)
+
+
+@pytest.mark.parametrize("block", [100, None])
+def test_a_decoding_error_names_the_last_line_decoded(tmp_path, monkeypatch, block):
+    # A text file decodes a chunk of bytes at a time, so the error comes up
+    # at the last line that reading one line at a time decodes before it.
+    if block:
+        monkeypatch.setattr(artifact, "LINE_BLOCK", block)
+    path = tmp_path / "m.lm"
+    text = "\n".join(saved_model(path, 200)).encode()
+    for at in (len(text) // 3, len(text) // 2):
+        bad = text[:at] + b"\xff" + text[at + 1:]
+        path.write_bytes(bad)
+        decoded = 0
+        with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
+            for decoded, _ in enumerate(fh, 1):
+                pass
+        assert 2 < decoded < bad.count(b"\n")
+        message = rf"\\bigrams: line {decoded}: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(FormatError, match=message):
+            BackoffModel.load(path)
+
+
+def test_sections_read_back_across_many_blocks(tmp_path, monkeypatch):
+    path = tmp_path / "m.lm"
+    saved_model(path, 60)
+    whole = BackoffModel.load(path)
+    monkeypatch.setattr(artifact, "LINE_BLOCK", 10)
+    again = tmp_path / "again.lm"
+    BackoffModel.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+    assert bits(BackoffModel.load(path).lp) == bits(whole.lp)

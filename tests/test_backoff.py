@@ -11,6 +11,7 @@ import pytest
 import oracles
 from corpusgen import domain_corpus, random_table
 
+from clusterlm import backoff
 from clusterlm.backoff import BackoffModel, fillup, train_backoff
 from clusterlm.corpus import CountTable, Vocabulary, build_vocabulary, count_events
 from clusterlm.discounting import Discount
@@ -125,6 +126,31 @@ def test_model_with_no_bigrams_loads_without_warnings(tmp_path):
         warnings.simplefilter("error")
         loaded = BackoffModel.load(path)
     assert np.array_equal(table(loaded), table(model))
+
+
+def test_each_gives_the_bits_of_a_python_loop():
+    # numpy's power differs from Python's 10.0 ** x in the last bit of some
+    # values, and a model's numbers are Python's
+    rng = np.random.default_rng(4)
+    lp = rng.uniform(-9.0, 0.0, (10_000, 2))[:, 0]  # a strided column, as a loader gives
+    p = rng.uniform(1e-9, 1.0, 10_000)
+    assert backoff._each(backoff._pow10, lp).tobytes() == np.array(
+        [10.0 ** x for x in lp.tolist()]).tobytes()
+    assert backoff._each(math.log10, p).tobytes() == np.array(
+        [math.log10(x) for x in p.tolist()]).tobytes()
+    assert not np.array_equal(np.power(10.0, lp), backoff._each(backoff._pow10, lp))
+
+
+def test_a_loaded_model_stores_its_bigram_columns_contiguously(tmp_path):
+    model = train_backoff(random_table(random.Random(8), 30), Discount(0.4), cutoff=0)
+    path = tmp_path / "m.lm"
+    model.save(path)
+    loaded = BackoffModel.load(path)
+    assert loaded.context.size > 10
+    for got, want in zip((loaded.context, loaded.word, loaded.lp),
+                         (model.context, model.word, model.lp)):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def test_fillup_of_empty_adaptation_copies_background():

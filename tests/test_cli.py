@@ -8,6 +8,7 @@ import pytest
 import oracles
 from corpusgen import domain_corpus
 
+from clusterlm import artifact
 from clusterlm import corpus as corpus_module
 from clusterlm.backoff import BackoffModel, fillup, train_backoff
 from clusterlm.classmodel import load_clusters
@@ -103,6 +104,7 @@ def test_counts_writes_the_bytes_of_the_reference_table(workdir, tmp_path, monke
     what ``CountTable.save`` writes for the per-token dict loop's table."""
     if block:
         monkeypatch.setattr(corpus_module, "ID_BLOCK", block)
+        monkeypatch.setattr(artifact, "LINE_BLOCK", block)
     vocab = Vocabulary.load(workdir / "words.txt")
     for name in ("background.txt", "adaptation.txt"):
         got, want = tmp_path / "got.counts", tmp_path / "want.counts"
@@ -251,6 +253,29 @@ def test_counts_rejects_a_corpus_holding_sentence_markers(workdir, tmp_path, cap
     assert rc == 2
     assert "marked.txt:1: corpus token '<s>'" in capsys.readouterr().err
     assert not (tmp_path / "c.counts").exists()
+
+
+@pytest.mark.parametrize("command", ["vocab", "counts", "eval"])
+def test_a_marker_in_a_later_block_is_reported_with_its_line(
+        workdir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(artifact, "LINE_BLOCK", 64)
+    lines = (workdir / "background.txt").read_text().splitlines()
+    lines[40] += " </s>"
+    corpus = tmp_path / "marked.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "vocab": ["vocab", "--adaptation", workdir / "adaptation.txt",
+                  "--background", corpus, "--out", out],
+        "counts": ["counts", "--vocab", workdir / "words.txt", "--corpus", corpus, "--out", out],
+        "eval": ["eval", "--model", workdir / "back_bo.lm", "--vocab", workdir / "words.txt",
+                 "--heldout", corpus, "--out", out],
+    }[command]
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:41: corpus token '</s>' is a sentence marker, "
+        "which counting adds itself\n")
+    assert not out.exists()
 
 
 def test_unrecognized_model_file(workdir, tmp_path, capsys):

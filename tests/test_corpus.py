@@ -1,5 +1,6 @@
 """Vocabulary and counting behaviour."""
 
+import math
 import random
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 
+from clusterlm import artifact
 from clusterlm import corpus as corpus_module
 from clusterlm.corpus import (
     CountTable,
@@ -21,6 +23,7 @@ from clusterlm.corpus import (
     word_frequencies,
 )
 from clusterlm.errors import ConfigError, FormatError, VocabMismatchError
+from clusterlm.evaluate import perplexity
 
 
 def test_reserved_ids_are_fixed():
@@ -187,6 +190,102 @@ def test_blocks_and_the_dict_loop_both_reject_a_marker(marker, monkeypatch):
     for count in (count_events, oracles.reference_count_events):
         with pytest.raises(ConfigError, match="marker"):
             count(corpus, vocab)
+
+
+# Tokens and separators for corpus files: a token that only contains a
+# marker, one that holds the end marker the file reader puts at each line
+# end, a NUL, and whitespace that ``str.split`` splits on but that ends no
+# line of a file read in text mode.
+FILE_WORDS = ["a", "b", "c", "é", "\x00", "zz", "<s>x", "y</s>", "a</s>b", "<unk>"]
+FILE_SEPARATORS = [" ", "\t", "  ", "\x85", "\u2028", "\u3000", "\x0b", "\x0c", "\x1c"]
+
+
+def _corpus_file(path, rng, line_end="\n", last_line_end=True):
+    """A corpus file of short lines, blank and whitespace-only ones among
+    them; returns each line's tokens as a per-line loop reads them."""
+    lines = []
+    for _ in range(400):
+        toks = rng.choices(FILE_WORDS, k=rng.randint(0, 9))
+        sep = rng.choice(FILE_SEPARATORS)
+        lines.append(sep.join(toks) if toks else rng.choice(["", " ", "\t", "\u3000"]))
+    text = line_end.join(lines) + (line_end if last_line_end else "")
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        return [line.split() for line in fh if line.split()]
+
+
+@pytest.mark.parametrize("line_end, last_line_end",
+                         [("\n", True), ("\r\n", True), ("\n", False), ("\r\n", False)])
+def test_a_file_read_in_blocks_gives_what_a_per_line_loop_gives(
+        tmp_path, monkeypatch, line_end, last_line_end):
+    """Sentences, frequencies, counts and perplexity of a corpus file that
+    spans many blocks match those of its lines read one at a time."""
+    monkeypatch.setattr(artifact, "LINE_BLOCK", 40)
+    monkeypatch.setattr(corpus_module, "ID_BLOCK", 64)
+    rng = random.Random(14)
+    path = tmp_path / "corpus.txt"
+    want = _corpus_file(path, rng, line_end, last_line_end)
+    assert list(read_sentences(path)) == want
+    freq = word_frequencies(path)
+    assert list(freq.items()) == list(word_frequencies(want).items())
+    vocab = Vocabulary(["a", "c", "é", "\x00", "a</s>b"])
+    assert len(list(id_blocks(path, vocab))) >= 3
+    got = count_events(path, vocab)
+    for table in (oracles.reference_count_events(read_sentences(path), vocab),
+                  oracles.reference_count_events(want, vocab)):
+        for a, b in zip(got.cells(), table.cells()):
+            assert np.array_equal(a, b)
+    probs = np.array([[rng.uniform(0.01, 1.0) for _ in range(len(vocab))]
+                      for _ in range(len(vocab))])
+    log_sum, scored = 0.0, 0
+    for sent in want:
+        ids = [vocab.bos_id] + [vocab.lookup(t) for t in sent] + [vocab.eos_id]
+        for v, w in zip(ids, ids[1:]):
+            if w != vocab.unk_id:
+                log_sum += math.log(probs[v, w])
+                scored += 1
+    report = perplexity(lambda v, w: probs[v, w], path, vocab)
+    assert (report.tokens_scored, report.perplexity) == (scored, math.exp(-log_sum / scored))
+
+
+@pytest.mark.parametrize("marker", ["<s>", "</s>"])
+def test_a_marker_in_a_later_block_names_its_line(tmp_path, monkeypatch, marker):
+    monkeypatch.setattr(artifact, "LINE_BLOCK", 40)
+    rng = random.Random(15)
+    lines = [" ".join(rng.choices("abc", k=rng.randint(1, 6))) for _ in range(300)]
+    lines[236] = f"a {marker}x {marker} b"
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"corpus.txt:237: corpus token {marker!r} is a sentence marker"
+    vocab = Vocabulary(["a", "b"])
+    for read in (word_frequencies, lambda p: count_events(p, vocab),
+                 lambda p: perplexity(lambda v, w: np.full(w.shape, 0.5), p, vocab)):
+        with pytest.raises(FormatError, match=message):
+            read(path)
+    sentences = read_sentences(path)
+    assert sum(1 for _ in zip(range(236), sentences)) == 236
+    with pytest.raises(FormatError, match=message):
+        next(sentences)
+
+
+def test_a_decoding_error_comes_after_the_lines_that_decode(tmp_path):
+    # A text file decodes a chunk of bytes at a time: a marker in a line
+    # before the undecodable byte is reported first, as reading one line at
+    # a time would, though the block that holds both is read at once.
+    lines = [" ".join("abc"[i % 3] * (1 + i % 5) for i in range(k, k + 8)) for k in range(3000)]
+    good = "\n".join(lines).encode() + b"\n"
+    at = good.index(b"\n", 3 * 8192) + 1  # a line start in the fourth chunk
+    path = tmp_path / "corpus.txt"
+    vocab = Vocabulary(["a", "b"])
+    path.write_bytes(good[:at] + b"\xff" + good[at:])
+    with pytest.raises(UnicodeDecodeError):
+        count_events(path, vocab)
+    marker_line = good[:at].count(b"\n") - 20
+    marked = good[:at].split(b"\n")
+    marked[marker_line - 1] += b" <s>"
+    path.write_bytes(b"\n".join(marked) + b"\xff" + good[at:])
+    with pytest.raises(FormatError, match=f"corpus.txt:{marker_line}: corpus token '<s>'"):
+        count_events(path, vocab)
 
 
 def test_word_frequencies_stand_in_for_the_background():
