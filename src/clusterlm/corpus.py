@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .artifact import Artifact, line_blocks, row_tuples, size, write
+from .artifact import Artifact, line_blocks, row_blocks, size, write
 from .errors import ConfigError, FormatError, VocabMismatchError
 
 UNK_TOKEN = "<unk>"
@@ -219,7 +219,7 @@ def _in_order(vocab_size: int, *cells) -> tuple[np.ndarray, ...]:
 def cell_rows(context: np.ndarray, word: np.ndarray, values: np.ndarray) -> dict:
     """``{context: {word: value}}`` of cells sorted by (context, word)."""
     rows: dict = {}
-    for v, w, x in row_tuples(context, word, values):
+    for v, w, x in chain.from_iterable(row_blocks(context, word, values)):
         rows.setdefault(v, {})[w] = x
     return rows
 

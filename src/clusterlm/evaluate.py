@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -45,6 +43,24 @@ class EvalReport:
     vocab_md5: str = ""
 
 
+def _add_logs(log_sum: float, probs_fn, keys: np.ndarray, n: int) -> float:
+    """``log_sum`` plus the natural log of p(w|v) for each key v·n+w, added
+    one by one in the order of ``keys``.  ``probs_fn`` is called once, on
+    the distinct pairs, sorted, and each distinct p is logged once: a
+    model's ``probs`` is elementwise, so the logs gathered back into the
+    order of ``keys`` are those of each key.  Its arrays are freed when it
+    returns, before the next block is read."""
+    pairs, at = np.unique(keys, return_inverse=True)
+    p = probs_fn(*np.divmod(pairs, n))
+    if not (p > 0.0).all():
+        i = int(np.argmin(p > 0.0))
+        raise ModelIntegrityError(
+            f"model returned p={float(p[i])!r} for id pair {divmod(int(pairs[i]), n)}")
+    logs = np.fromiter(map(math.log, p.tolist()), np.float64, p.size)[at]
+    logs[0] += log_sum  # then added one by one, not pairwise as np.sum adds
+    return float(np.add.accumulate(logs, out=logs)[-1])
+
+
 def perplexity(
     probs_fn,
     sentences,
@@ -62,23 +78,24 @@ def perplexity(
     scored, the begin marker only conditions.  Out-of-vocabulary positions
     are skipped unless ``score_oov`` is set, but still serve as (unknown)
     context for their successor.  The corpus is scored in the blocks of
-    ``corpus.id_blocks``, one ``probs_fn`` call each, and the natural logs
-    are added one by one in corpus order, so the result does not depend on
-    where the blocks are cut.
+    ``corpus.id_blocks``, one ``probs_fn`` call each on the block's
+    distinct pairs, and the natural logs of its positions are added one by
+    one in corpus order, so the result does not depend on where the blocks
+    are cut.
     """
+    n = len(vocab)
     log_sum, scored, oov = 0.0, 0, 0
     for contexts, words in id_blocks(sentences, vocab):
         unknown = words == vocab.unk_id
         oov += int(np.count_nonzero(unknown))
+        keys = contexts * n
+        keys += words
+        del contexts, words  # freed before the sort, where scoring peaks
         if not score_oov:
-            contexts, words = contexts[~unknown], words[~unknown]
-        p = probs_fn(contexts, words)
-        if not (p > 0.0).all():
-            i = int(np.argmin(p > 0.0))
-            raise ModelIntegrityError(
-                f"model returned p={float(p[i])!r} for id pair ({contexts[i]}, {words[i]})")
-        log_sum = reduce(operator.add, map(math.log, p.tolist()), log_sum)
-        scored += p.size
+            keys = keys[~unknown]
+        if keys.size:
+            log_sum = _add_logs(log_sum, probs_fn, keys, n)
+            scored += keys.size
     if scored == 0:
         raise ConfigError("no scorable positions in the evaluation corpus")
     positions = scored if score_oov else scored + oov

@@ -180,6 +180,26 @@ def test_columns_of_unequal_length_are_not_cut_short(tmp_path):
         write(tmp_path / "a", "magic", {}, [(None, (np.arange(3), np.arange(2)))])
 
 
+def test_rows_written_in_blocks_match_per_row_formatting(tmp_path):
+    # across several blocks of rows: floats written with %r, ints and words with %s
+    rng = random.Random(5)
+    specials = [0.1, -0.0, 5e-324, 1e300, -1e300, 1 / 3]
+    n = 9000
+    values = np.array([rng.choice(specials) if rng.random() < 0.3 else rng.uniform(-1e3, 1e3)
+                       for _ in range(n)])
+    ints = np.array([rng.randint(-2**63, 2**63 - 1) for _ in range(n)], dtype=np.int64)
+    ids = np.arange(n) - n // 2
+    words = np.array([rng.choice(["a", "é", "zz"]) for _ in range(n)], dtype=object)
+    write(tmp_path / "a", "magic", {}, [(None, (ids, values)), ("\\rows:", (words, ints, values)),
+                                        ("\\ids:", (ids,))])
+    want = ["magic\n", *("%s %r\n" % row for row in zip(ids.tolist(), values.tolist())),
+            "\\rows:\n",
+            *("%s %s %r\n" % row for row in zip(words, ints.tolist(), values.tolist())),
+            "\\ids:\n", *("%s\n" % i for i in ids.tolist())]
+    assert (tmp_path / "a").read_text(encoding="utf-8") == "".join(want)
+    assert {0.1, -0.0, 5e-324, 1e300} <= set(values.tolist()) and ints.min() < 0 < ints.max()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(WORDS, st.integers(0, N - 1), INT64, FLOATS), max_size=20))
 def test_body_columns_read_back_bit_for_bit(rows):

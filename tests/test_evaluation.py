@@ -11,7 +11,7 @@ import pytest
 import oracles
 from corpusgen import domain_corpus
 
-from clusterlm import corpus, evaluate
+from clusterlm import artifact, corpus, evaluate
 from clusterlm.corpus import Vocabulary, build_vocabulary, count_events, id_blocks, read_sentences
 from clusterlm.errors import ConfigError, ModelIntegrityError
 from clusterlm.evaluate import (
@@ -58,37 +58,49 @@ def test_hand_computed_perplexity():
     assert rep.tokens_scored == 3
 
 
+def _spy(table, calls):
+    """A ``probs_fn`` that gives each pair its p in ``table`` (a KeyError for
+    any other pair) and records the pairs of each call."""
+    def probs(s, w):
+        pairs = list(zip(s.tolist(), w.tolist()))
+        calls.append(pairs)
+        return np.array([table[pair] for pair in pairs])
+    return probs
+
+
+def _pp_in_order(ps):
+    """Perplexity of per-position probabilities, logs added in corpus order."""
+    log_sum = 0.0
+    for p in ps:
+        log_sum += math.log(p)
+    return math.exp(-log_sum / len(ps))
+
+
 def test_end_marker_scored_begin_marker_conditions_only():
     vocab = Vocabulary(["a"])
-    queries = []
-
-    def spy(s, w):
-        queries.extend(zip(s.tolist(), w.tolist()))
-        return np.full(w.shape, 0.5)
-
-    rep = perplexity(spy, [["a"], ["a"]], vocab)
     a = vocab.lookup("a")
-    assert queries == [
-        (vocab.bos_id, a), (a, vocab.eos_id),
-        (vocab.bos_id, a), (a, vocab.eos_id),
-    ]
+    table = {(vocab.bos_id, a): 0.5, (a, vocab.eos_id): 0.125}
+    calls = []
+
+    rep = perplexity(_spy(table, calls), [["a"], ["a"]], vocab)
+    # one call on the block's distinct pairs, sorted; each is scored twice
+    assert calls == [[(vocab.bos_id, a), (a, vocab.eos_id)]]
     assert rep.tokens_scored == 4
-    assert all(w != vocab.bos_id for _, w in queries)
+    assert rep.perplexity == _pp_in_order([0.5, 0.125, 0.5, 0.125])
+    assert all(w != vocab.bos_id for _, w in calls[0])
 
 
 def test_oov_skipped_but_still_conditions():
     vocab = Vocabulary(["a"])
     a = vocab.lookup("a")
-    queries = []
+    table = {(vocab.bos_id, a): 0.5, (vocab.unk_id, a): 0.25, (a, vocab.eos_id): 0.125}
+    calls = []
 
-    def spy(s, w):
-        queries.extend(zip(s.tolist(), w.tolist()))
-        return np.full(w.shape, 0.25)
-
-    rep = perplexity(spy, [["a", "zzz", "a"]], vocab)
+    rep = perplexity(_spy(table, calls), [["a", "zzz", "a"]], vocab)
     # the unknown position is skipped, but the next word sees unk as context
-    assert queries == [(vocab.bos_id, a), (vocab.unk_id, a), (a, vocab.eos_id)]
+    assert calls == [[(vocab.unk_id, a), (vocab.bos_id, a), (a, vocab.eos_id)]]
     assert rep.tokens_scored == 3
+    assert rep.perplexity == _pp_in_order([0.5, 0.25, 0.125])
     assert rep.oov_tokens == 1
     assert rep.oov_rate == pytest.approx(1 / 4)
 
@@ -142,6 +154,52 @@ def test_blocks_score_like_one_sum_in_corpus_order(monkeypatch, tmp_path):
         rep = perplexity(lambda s, w: table[s, w], given, vocab, score_oov=score_oov)
         assert rep.tokens_scored == scored
         assert rep.perplexity == math.exp(-want / scored)
+
+
+def test_blocks_with_nothing_to_score(monkeypatch, tmp_path):
+    # A run of sentences of unknown words mid-corpus leaves blocks whose only
+    # scored pair is (unk, end marker), and trailing blank lines of a corpus
+    # file leave a last block with no pair at all: both score like a
+    # per-token loop, with or without the unknown positions.
+    monkeypatch.setattr(corpus, "ID_BLOCK", 16)
+    monkeypatch.setattr(artifact, "LINE_BLOCK", 40)
+    rng = random.Random(9)
+    vocab = Vocabulary("abc")
+    table = np.array([[rng.uniform(0.01, 1.0) for _ in range(len(vocab))]
+                      for _ in range(len(vocab))])
+    sentences = ([rng.choices("abcz", k=rng.randint(1, 6)) for _ in range(40)]
+                 + [rng.choices("xyz", k=rng.randint(1, 6)) for _ in range(40)]
+                 + [rng.choices("abcz", k=rng.randint(1, 6)) for _ in range(40)])
+    path = tmp_path / "heldout.txt"
+    path.write_text("".join(" ".join(s) + "\n" for s in sentences) + "\n" * 200)
+    for given in (sentences, path):
+        assert {vocab.unk_id, vocab.eos_id} in [set(w.tolist()) for _, w in id_blocks(given, vocab)]
+    assert min(len(c) for c, _ in id_blocks(path, vocab)) == 0
+    for score_oov in (False, True):
+        log_sum, scored, oov = 0.0, 0, 0
+        for sent in sentences:
+            ids = [vocab.bos_id] + [vocab.lookup(t) for t in sent] + [vocab.eos_id]
+            for v, w in zip(ids, ids[1:]):
+                oov += w == vocab.unk_id
+                if score_oov or w != vocab.unk_id:
+                    log_sum += math.log(table[v, w])
+                    scored += 1
+        for given in (sentences, path):
+            rep = perplexity(lambda s, w: table[s, w], given, vocab, score_oov=score_oov)
+            assert (rep.tokens_scored, rep.oov_tokens) == (scored, oov)
+            assert rep.perplexity == math.exp(-log_sum / scored)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+def test_integrity_error_names_the_pair(bad):
+    vocab = Vocabulary(["a", "b"])
+    b = vocab.lookup("b")
+
+    def probs(s, w):
+        return np.where((s == b) & (w == vocab.eos_id), bad, 0.5)
+
+    with pytest.raises(ModelIntegrityError, match=rf"p={bad!r} for id pair \({b}, {vocab.eos_id}\)"):
+        perplexity(probs, [["a", "b"], ["b", "a"]], vocab)
 
 
 def test_nothing_scorable_is_a_config_error():
