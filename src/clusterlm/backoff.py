@@ -37,10 +37,10 @@ class BackoffModel:
     """Explicit discounted bigrams, per-context backoff masses, unigram tail.
 
     A model stores the numbers of its file as arrays: the explicit bigrams
-    as (``context``, ``word``) cells sorted like ``CountTable.cells()`` with
-    their log10 values ``lp``, the mask ``listed`` of the contexts the file
-    lists, dense per-context masses ``alpha`` and ``beta``, and the log10
-    unigram ``uni_lp``.  ``probs(contexts, words)`` gives p(w|v) for each
+    as sorted keys ``context * vocab_size + word`` (the order of
+    ``CountTable.cells()``) with their log10 values ``lp``, the mask
+    ``listed`` of the contexts the file lists, dense per-context masses
+    ``alpha`` and ``beta``, and the log10 unigram ``uni_lp``.  ``probs(contexts, words)`` gives p(w|v) for each
     pair of two id arrays: the explicit probability when one is stored.
     Otherwise the word lies in the tail of context v, which has two parts:
 
@@ -55,8 +55,10 @@ class BackoffModel:
     data saw in the second part (see ``fillup``).  A context the file does
     not list has no explicit bigrams, and its masses give the unigram
     itself.  ``unseen`` records the words the training counts never saw, so
-    that fill-up can tell them apart.  ``prob(v, w)`` is the one-pair case
-    of ``probs``; ``explicit_lp`` is a ``{context: {word: lp}}`` view.
+    that fill-up can tell them apart.  The bigrams' ``context`` and ``word``
+    are derived from the keys on each access, not stored.  ``prob(v, w)`` is
+    the one-pair case of ``probs``; ``explicit_lp`` is a
+    ``{context: {word: lp}}`` view.
     """
 
     def __init__(self, vocab_size: int, b: float, cutoff: int, uni_lp: np.ndarray,
@@ -74,18 +76,27 @@ class BackoffModel:
         key = cells[0] * vocab_size + cells[1]
         order = slice(None) if (np.diff(key) > 0).all() else np.argsort(key, kind="stable")
         self._keys = key[order]
+        context, word = cells[0][order], cells[1][order]
         # contiguous: a loader's columns are strided views of its record array
-        self.context, self.word, self.lp = (np.ascontiguousarray(a[order]) for a in cells)
+        self.lp = np.ascontiguousarray(cells[2][order])
         self.p = _each(_pow10, self.lp)
         alpha[~listed], beta[~listed] = 1.0 - fill_mass, fill_mass
         self.listed, self.alpha, self.beta = listed, alpha, beta
         # Z(v), F(v): the group's total minus its explicit words' unigram after v, added
         # in word order (bincount adds in index order; the other group adds exact 0.0s).
-        in_fill, uni = self.is_fill[self.word], self.p_uni[self.word]
+        in_fill, uni = self.is_fill[word], self.p_uni[word]
         self.tail, self.fill_tail = (
-            np.maximum(mass - np.bincount(self.context, np.where(g, uni, 0.0), vocab_size), 0.0)
+            np.maximum(mass - np.bincount(context, np.where(g, uni, 0.0), vocab_size), 0.0)
             for mass, g in ((1.0 - fill_mass, ~in_fill), (fill_mass, in_fill))
         )
+
+    @property
+    def context(self) -> np.ndarray:
+        return self._keys // self.vocab_size
+
+    @property
+    def word(self) -> np.ndarray:
+        return self._keys % self.vocab_size
 
     @property
     def explicit_lp(self) -> dict[int, dict[int, float]]:
@@ -158,9 +169,10 @@ class BackoffModel:
             )
             if (np.diff(model._keys) == 0).any():
                 raise ValueError("duplicate bigram in \\bigrams:")
-            if not listed[model.context].all():
+            context = model.context
+            if not listed[context].all():
                 raise ValueError("bigrams after a context \\contexts: does not list")
-            total = np.bincount(model.context, model.p, n) + alpha + beta
+            total = np.bincount(context, model.p, n) + alpha + beta
             off = np.flatnonzero(listed & ~(np.abs(total - 1.0) <= 1e-9))
             if off.size:
                 raise ValueError(f"context {off[0]} sums to {float(total[off[0]])!r}, not 1")
@@ -297,8 +309,9 @@ def fillup(
     # scaled, or as they are after a context copied with no fill words (a
     # scale of 1); the adaptation's bigrams go in between, in cell order.
     key = context * n + word
-    keep = (scale[background.context] > 0.0) & ~np.isin(background._keys, key, assume_unique=True)
-    bg_context, lp = background.context[keep], background.lp[keep]
+    bg_context = background.context
+    keep = (scale[bg_context] > 0.0) & ~np.isin(background._keys, key, assume_unique=True)
+    bg_context, lp = bg_context[keep], background.lp[keep]
     scaled = ~(copied & (not fill))[bg_context]
     lp[scaled] = _each(math.log10, scale[bg_context[scaled]] * background.p[keep][scaled])
     at = np.searchsorted(background._keys[keep], key)

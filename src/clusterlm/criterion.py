@@ -17,13 +17,20 @@ tables and moves alike.  Leave-one-out, for training-set clustering (Kneser
 training counts are both the weights and the combined counts.
 
 One engine, ``_Objective``, evaluates and applies moves with or without a
-background table.  It holds the weight λ and the combined cells' tallies.
-A word's candidates are one pass over its rows: its profile is projected
-onto the other side's clusters once; each table's cells at those rows, and
-its marginal as one 1-D row, are gathered once as the counts before and
-after inserting the word into each cluster; the log terms, the tally changes
-and the singleton change all come from those arrays.  ``apply_move`` writes
-a move from the pass that evaluated it, without projecting the word again.
+background table.  Its weight λ is fixed when it is built, and it holds the
+combined cells' tallies.  A word's candidates are one pass over its rows:
+its profile is projected onto the other side's clusters once; each table's
+cells at those rows, and its marginal as one 1-D row, are gathered once as
+the counts before and after inserting the word into each cluster; the log
+terms, the tally changes and the singleton change all come from those
+arrays.  ``apply_move`` writes a move from the pass that evaluated it,
+without projecting the word again.
+
+At λ = 1 the combined counts are the adaptation counts exactly, so the
+engine keeps no background aggregate and gathers, moves and combines the
+adaptation table alone, as leave-one-out does.  The background then only
+names rows: a pass still sums over the rows either table touches, which
+keeps every delta the bits of the two-table pass.
 """
 
 from __future__ import annotations
@@ -164,17 +171,19 @@ def combine_class_counts(adapt: ClassCounts, back: ClassCounts | None, lam: floa
                        combine_counts(adapt.cat_tot, back.cat_tot, lam))
 
 
-def _word_profiles(counts: CountTable):
+def _word_profiles(counts: CountTable, weighted: bool = True):
     """The contexts before each word and the words after each context, as
     two cluster-independent (start offsets, ids, counts) indexes: word x's
-    profile in an index is the slice from ``starts[x]`` to ``starts[x + 1]``."""
+    profile in an index is the slice from ``starts[x]`` to ``starts[x + 1]``.
+    An unweighted index holds None for its counts: its profiles count a
+    word's neighbours, not their events, and are nonzero at the same rows."""
     context, word, count = counts.cells()
 
     def index(key, ids):
         order = np.argsort(key, kind="stable")
         starts = np.zeros(counts.vocab_size + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=counts.vocab_size), out=starts[1:])
-        return starts.tolist(), ids[order], count[order]
+        return starts.tolist(), ids[order], count[order] if weighted else None
 
     return index(word, context), index(context, word)
 
@@ -189,53 +198,53 @@ def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
     """Project the profile of ``word`` in ``index`` onto the n clusters of ``assign``."""
     starts, ids, cnt = index
     at = slice(starts[word], starts[word + 1])
-    return np.bincount(assign[ids[at]], weights=cnt[at], minlength=n).astype(np.int64)
+    weights = None if cnt is None else cnt[at]
+    return np.bincount(assign[ids[at]], weights=weights, minlength=n).astype(np.int64)
 
 
 class _Objective:
     """The move engine of the criterion, over the counts being clustered
-    and an optional background table.  It holds the weight ``lam`` and the
-    combined cells' ``tallies``: moves keep the tallies exact and
-    ``set_lambda`` recounts them.  The last ``candidate_deltas`` pass is kept
-    until a move or a new weight, for ``apply_move`` to reuse.
-    ``perfbench/tracing.py`` wraps ``__init__``,
-    ``best_move`` and ``apply_move`` from each class's own ``__dict__``, so
-    each subclass defines its constructor and aliases the other two in its
-    class body: ``best_move = _Objective.best_move``."""
+    and an optional background table, at the weight ``lam`` it is built
+    with.  It holds the combined cells' ``tallies``, which moves keep exact,
+    and the background aggregate ``bg`` only below λ = 1.  The last
+    ``candidate_deltas`` pass is kept until a move, for ``apply_move`` to
+    reuse.  ``perfbench/tracing.py`` wraps ``__init__``, ``best_move`` and
+    ``apply_move`` from each class's own ``__dict__``, so each subclass
+    defines its constructor and aliases the other two in its class body:
+    ``best_move = _Objective.best_move``."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount,
                  back: CountTable | None = None, lam: float = 1.0):
-        self.cm, self.discount = cm, discount
+        self.cm, self.discount, self.lam = cm, discount, float(lam)
         self.a = aggregate_class_counts(counts, cm)
-        self.bg = None if back is None else aggregate_class_counts(back, cm)
-        self.set_lambda(lam)
+        # at full weight the background's counts cannot change a combined one
+        self.bg = None if back is None or self.lam == 1.0 else aggregate_class_counts(back, cm)
+        self.tallies = _tallies(combine_class_counts(self.a, self.bg, self.lam).pairs)
+        self._pass = None
         given = [t for t in (counts, back) if t is not None]
         tables = [t for t in (self.a, self.bg) if t is not None]
-        profiles = [_word_profiles(t) for t in given]
+        # a table not held only names rows, so its profiles need no counts
+        profiles = [_word_profiles(t, i < len(tables)) for i, t in enumerate(given)]
         # One table's counts are both its weights and its combined counts, so
         # its log tables hold N ln(N-1-b) and a move needs no multiply; the
         # combined counts of two tables are weighted by the first's counts.
-        one = back is None
+        one = self.bg is None
         # counts stay below the largest total
         largest = max(int(t.total_tokens) for t in given) + 2
         self._logs = (log_table(discount.b, largest, one), log_table(0.0, largest, one))
-        # per side: the other side's assignment and range, then per table the
-        # profile index, each word's total in it, the cell matrix and the
-        # marginal, with the moving side's clusters as columns
+        # per side: the other side's assignment and range, the profile index
+        # of each table given, then per table held each word's total, the
+        # cell matrix and the marginal, with the moving side's clusters as
+        # columns
         self._sides = {}
         for side, other, n in ((CATEGORY_SIDE, cm.state_of, cm.n_states),
                                (STATE_SIDE, cm.category_of, cm.n_cats)):
             state = side == STATE_SIDE
             index = [p[state] for p in profiles]  # (preds, succs)[state]
+            totals = [_totals(i) for i in index[:len(tables)]]
             cells = [t.pairs.T if state else t.pairs for t in tables]
             margs = [t.state_tot if state else t.cat_tot for t in tables]
-            self._sides[side] = (other, n, index, [_totals(i) for i in index], cells, margs)
-
-    def set_lambda(self, lam: float) -> None:
-        """Set the weight and recount the combined cells' tallies."""
-        self.lam = float(lam)
-        self.tallies = _tallies(combine_class_counts(self.a, self.bg, self.lam).pairs)
-        self._pass = None
+            self._sides[side] = (other, n, index, totals, cells, margs)
 
     def score(self) -> float:
         return clustering_score(self.a, combine_class_counts(self.a, self.bg, self.lam),
@@ -279,7 +288,7 @@ class _Objective:
         if not len(rows):
             self._pass = (word, side, src, rows, [], None)
             return None
-        # per table, the word's counts at the rows and its total
+        # per table held, the word's counts at the rows and its total
         shifts = [(p[rows], t[word]) for p, t in zip(profiles, totals)]
         width = max(k, src + 1)
         # per table, the cells at the rows and the marginal, as (old, new)
@@ -375,7 +384,8 @@ class StandardObjective(_Objective):
 
 
 class AdaptiveObjective(_Objective):
-    """The criterion on adaptation counts combined with background counts."""
+    """The criterion on adaptation counts combined with background counts
+    at the weight ``lam``."""
 
     def __init__(
         self,
@@ -383,7 +393,7 @@ class AdaptiveObjective(_Objective):
         back_counts: CountTable,
         cm: ClusterMap,
         discount: Discount,
-        lam: float = 0.5,
+        lam: float,
     ):
         super().__init__(adapt_counts, cm, discount, back_counts, lam)
 

@@ -7,9 +7,9 @@ in the table being clustered are not visited and keep their initial classes:
 leave-one-out holds the map fixed, so it cannot see that such a word's class
 would be chosen on exactly the events it is then scored on.  The adaptive
 variant chooses the interpolation weight once, on a fixed grid and on the
-start map, and keeps it for every sweep.  Everything is deterministic: fixed
-visit order, first-best tie breaking toward low cluster ids, no randomness
-anywhere.
+start map's aggregates, and builds its engine at that weight for every
+sweep.  Everything is deterministic: fixed visit order, first-best tie
+breaking toward low cluster ids, no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .criterion import (
     AdaptiveObjective,
     ClassCounts,
     StandardObjective,
+    aggregate_class_counts,
     clustering_score,
     combine_class_counts,
 )
@@ -121,9 +122,10 @@ def run_exchange(
     cm = init.copy()
     discount = criterion_discount(train_counts, back_counts, cfg)
     if back_counts is not None:
-        engine = AdaptiveObjective(train_counts, back_counts, cm, discount)
-        lam, score = optimize_lambda(engine.a, engine.bg, cfg.lambda_grid, discount.b)
-        engine.set_lambda(lam)
+        # the start map's aggregates are freed before the engine is built
+        start = (aggregate_class_counts(t, cm) for t in (train_counts, back_counts))
+        lam, score = optimize_lambda(*start, cfg.lambda_grid, discount.b)
+        engine = AdaptiveObjective(train_counts, back_counts, cm, discount, lam)
         log.info("lambda %.2f, start score %.6f", lam, score)
     else:
         engine = StandardObjective(train_counts, cm, discount)

@@ -349,3 +349,55 @@ def reference_candidate_deltas(engine, word, side):
     deltas[bad] = NEG_INF
     deltas[src] = NEG_INF
     return np.arange(k), deltas[:k]
+
+
+# ------------------------------------------ the two-table pass, from the count tables
+#
+# The engine at full weight keeps no background cells, so this reference
+# builds its state from the count tables and the map on every call: both
+# tables' cells are gathered and moved, combined at ``lam`` and weighted by
+# the adaptation counts, as the engine's pass does below full weight.
+
+from clusterlm.criterion import STATE_SIDE, log_table  # noqa: E402
+
+
+def two_table_candidate_deltas(adapt, back, cm, discount, lam, word, side):
+    """The candidate deltas of ``word`` on ``side`` under the adaptive
+    criterion at weight ``lam``, by gathering, moving and combining both
+    tables: (targets, deltas), or None for a word with no counts in either
+    table on that side."""
+    state = side == STATE_SIDE
+    assign, k = (cm.state_of, cm.k_states) if state else (cm.category_of, cm.k_cats)
+    other, n = (cm.category_of, cm.n_cats) if state else (cm.state_of, cm.n_states)
+    src = int(assign[word])
+    cells, margs, profiles = [], [], []
+    for table in (adapt, back):
+        context, w, count = table.cells()
+        pairs = np.zeros((cm.n_states, cm.n_cats), dtype=np.int64)
+        np.add.at(pairs, (cm.state_of[context], cm.category_of[w]), count)
+        cells.append(pairs.T if state else pairs)
+        margs.append(pairs.sum(axis=1) if state else pairs.sum(axis=0))
+        # the clusters of the word's neighbours on the other side
+        at, ids = (context == word, other[w]) if state else (w == word, other[context])
+        profiles.append(np.bincount(ids[at], weights=count[at], minlength=n).astype(np.int64))
+    rows = (profiles[0] + profiles[1]).nonzero()[0]
+    if not len(rows):
+        return None
+    moved = []
+    for mats, at, xs in ((cells, rows, [p[rows] for p in profiles]),
+                         ([m[None] for m in margs], _ROW, [p.sum(keepdims=True) for p in profiles])):
+        per = [_move_counts(m, at, x, src, k) for m, x in zip(mats, xs)]
+        moved.append((per[0], [combine_counts(*counts, lam) for counts in zip(*per)]))
+    (c_w, c), (m_w, m) = moved
+    b = discount.b
+    largest = max(int(adapt.total_tokens), int(back.total_tokens)) + 2
+    c_rem, c_ins = _family_delta(c, src, log_table(b, largest, False), c_w)
+    m_rem, m_ins = _family_delta(m, src, log_table(0.0, largest, False), m_w)
+    combined = combine_counts(cells[0], cells[1], lam)
+    tallies = int((combined == 1).sum()), int((combined > 0).sum())
+    single, bad = _singleton_change(*tallies, *_tally_change(c, src), combined.size, b)
+    deltas = c_rem + c_ins - m_rem - m_ins
+    deltas += single
+    deltas[bad] = NEG_INF
+    deltas[src] = NEG_INF
+    return np.arange(k), deltas[:k]

@@ -474,6 +474,50 @@ def test_one_pass_kernel_gives_the_reference_bits_and_moves(adaptive):
     assert compared > 300 and moves > 20
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.6])
+def test_adaptive_pass_gives_the_two_table_bits(lam):
+    # two exchange sweeps over small corpusgen tables: at full weight the
+    # engine holds no background cells and moves the adaptation table alone,
+    # yet every candidate array is the bits of gathering, moving and
+    # combining both tables; below it the engine still holds both
+    back = domain_corpus("back", seed=11, n_words=1500, topic_size=15)
+    adapt = domain_corpus("target", seed=12, n_words=600, topic_size=15)
+    vocab = build_vocabulary(adapt, back, 200)
+    a, b = count_events(adapt, vocab), count_events(back, vocab)
+    disc = Discount(0.6)
+
+    def state(eng):
+        tables = (eng.a,) if eng.bg is None else (eng.a, eng.bg)
+        return [x for t in tables for x in (t.pairs, t.state_tot, t.cat_tot)], eng.tallies
+
+    eng = AdaptiveObjective(a, b, init_clustering(a, 6, 5, vocab), disc, lam)
+    assert (eng.bg is None) == (lam == 1.0)
+    compared = moves = 0
+    for _ in range(2):
+        for side in (CATEGORY_SIDE, STATE_SIDE):
+            for w in range(len(vocab)):
+                want = oracles.two_table_candidate_deltas(a, b, eng.cm, disc, lam, w, side)
+                got = eng.candidate_deltas(w, side)
+                if want is None:
+                    assert got is None
+                    continue
+                assert np.array_equal(got[0], want[0])
+                assert got[1].dtype == want[1].dtype
+                assert got[1].tobytes() == want[1].tobytes(), f"{side} {w}"
+                compared += 1
+                best = None if eng.frozen(w, side) else eng.best_move(w, side)
+                if best is None:
+                    continue
+                eng.apply_move(w, side, best[0])
+                moves += 1
+                fresh = AdaptiveObjective(a, b, eng.cm.copy(), disc, lam)
+                (arrays, tallies), (fresh_arrays, fresh_tallies) = state(eng), state(fresh)
+                assert len(arrays) == len(fresh_arrays)
+                assert all(np.array_equal(x, y) for x, y in zip(arrays, fresh_arrays))
+                assert tallies == fresh_tallies
+    assert compared > 300 and moves > 20
+
+
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
     counts = CountTable(4, {3: {1: 5, 2: 5, 0: 4}, 0: {1: 1, 2: 1}})
     cm = ClusterMap([0, 0, 0, 0], [0, 1, 2, 0], 1, 3)
@@ -529,7 +573,7 @@ def test_singleton_donor_cluster_delta_matches_recompute():
     assert delta == pytest.approx(eng.score() - before, rel=1e-10, abs=1e-10)
 
 
-def test_adaptive_set_lambda_changes_score_consistently():
+def test_adaptive_engine_scores_at_the_weight_it_is_built_with():
     rng = random.Random(31)
     counts = random_table(rng, 9)
     back = random_table(rng, 9)
@@ -539,21 +583,18 @@ def test_adaptive_set_lambda_changes_score_consistently():
         3,
         3,
     )
-    eng = AdaptiveObjective(counts, back, cm, Discount(0.5), lam=0.3)
-    s_a = eng.score()
-    eng.set_lambda(0.9)
-    assert eng.lam == 0.9
-    want = oracles.adaptation_score(
-        oracles.cells_from_table(counts.rows, cm.state_of, cm.category_of),
-        oracles.cells_from_table(back.rows, cm.state_of, cm.category_of),
-        0.9,
-        3,
-        3,
-        0.5,
-    )
-    assert eng.score() == pytest.approx(want, rel=1e-12)
-    eng.set_lambda(0.3)
-    assert eng.score() == pytest.approx(s_a, rel=1e-14)
+    for lam in (0.3, 0.9):
+        eng = AdaptiveObjective(counts, back, cm, Discount(0.5), lam)
+        assert eng.lam == lam
+        want = oracles.adaptation_score(
+            oracles.cells_from_table(counts.rows, cm.state_of, cm.category_of),
+            oracles.cells_from_table(back.rows, cm.state_of, cm.category_of),
+            lam,
+            3,
+            3,
+            0.5,
+        )
+        assert eng.score() == pytest.approx(want, rel=1e-12)
 
 
 # -------------------------------------------------------------------- tables
