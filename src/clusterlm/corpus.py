@@ -370,60 +370,34 @@ def _frame(parts: list, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     return np.insert(ids, ends - lengths, vocab.bos_id), np.insert(ids, ends, vocab.eos_id)
 
 
-def _merge_runs(keys, counts, used, new_keys, new_counts):
-    """Add the sorted distinct ``new_keys`` and their counts to the sorted
-    table ``keys[:used]``, ``counts[:used]``, in place; the two buffers
-    double when the table outgrows them.  Returns them and the new size."""
-    at = np.searchsorted(keys[:used], new_keys)
-    hit = at < used
-    hit[hit] = keys[at[hit]] == new_keys[hit]
-    counts[at[hit]] += new_counts[hit]
-    new_keys, new_counts, at = new_keys[~hit], new_counts[~hit], at[~hit]
-    if not len(at):
-        return keys, counts, used
-    # each new key goes before the old key it was searched against, so the
-    # old keys from the first such place on move up past the new ones
-    grown, lo = used + len(at), at[0]
-    slot = at + np.arange(len(at))
-    old = np.ones(grown - lo, dtype=bool)
-    old[slot - lo] = False
-    sources = keys, counts
-    if grown > len(keys):
-        capacity = max(2 * len(keys), grown)
-        keys, counts = (np.concatenate([a[:lo], np.empty(capacity - lo, np.int64)])
-                        for a in sources)
-    for buffer, source, added in zip((keys, counts), sources, (new_keys, new_counts)):
-        tail = source[lo:used]
-        # in place the tail moves up over itself, so it is read before it is written
-        buffer[lo:grown][old] = tail.copy() if buffer is source else tail
-        buffer[slot] = added
-    return keys, counts, grown
-
-
 def count_events(corpus: Corpus, vocab: Vocabulary) -> CountTable:
     """Count framed bigram and unigram events for every sentence of a corpus.
 
     The corpus is read in the blocks of ``id_blocks``.  A block's events
-    become keys v·n+w, sorted and counted by runs, and the runs are added to
-    one sorted (key, count) table.  Each event is counted once, in whichever
-    block holds it, so the cells do not depend on where the blocks are cut."""
+    become keys v·n+w, which ``np.unique`` sorts and counts by runs.
+    ``np.searchsorted`` finds where the block's distinct keys go in one
+    sorted (key, count) table: a key the table holds adds its run to its
+    count, and ``np.insert`` puts the others in with their runs.  Each event
+    is counted once, in whichever block holds it, so the cells do not depend
+    on where the blocks are cut."""
     n = len(vocab)
     keys = counts = np.empty(0, dtype=np.int64)
-    used = 0
     for contexts, words in id_blocks(corpus, vocab):
-        block = contexts * n
-        block += words
+        new, runs = np.unique(contexts * n + words, return_counts=True)
         del contexts, words  # freed before the merge, where counting peaks
-        block.sort()
-        first = np.flatnonzero(np.diff(block, prepend=-1))
-        keys, counts, used = _merge_runs(
-            keys, counts, used, block[first], np.diff(first, append=len(block)))
-    (context, word), count = np.divmod(keys[:used], n), counts[:used].copy()
-    del keys, counts  # the buffers, before the table is built
-    table = CountTable.from_cells(n, context, word, count)
+        at = np.searchsorted(keys, new)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == new[hit]
+        counts[at[hit]] += runs[hit]
+        at = at[~hit]
+        keys = np.insert(keys, at, new[~hit])
+        counts = np.insert(counts, at, runs[~hit])
+    context, word = np.divmod(keys, n)
+    del keys  # freed before the table is built
+    table = CountTable.from_cells(n, context, word, counts)
     # Framing gives each sentence one event from the begin marker and one
     # into the end marker, and none into the begin marker.
-    sentences = int(count[context == vocab.bos_id].sum())
+    sentences = int(counts[context == vocab.bos_id].sum())
     if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
         raise ConfigError("a sentence holds a marker, which counting adds itself")
     return table

@@ -129,6 +129,12 @@ class SuiteConfig:
     score_oov: bool = False
 
     def __post_init__(self):
+        if self.vocab_size < 4:
+            raise ConfigError(f"vocab_size must be at least 4, got {self.vocab_size}")
+        if self.clusters < 2:
+            raise ConfigError(f"clusters must be at least 2, got {self.clusters}")
+        if self.cutoff < 0:
+            raise ConfigError(f"cutoff must be nonnegative, got {self.cutoff}")
         if self.discount is not None:
             Discount(self.discount)
         if self.max_iterations < 1:

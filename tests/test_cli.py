@@ -404,38 +404,56 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, flag, value, records",
+    "config, flag, value, records, named",
     [
-        pytest.param("clusters 3\n", None, None, None, id="config-line-without-equals"),
-        pytest.param("cutoff=abc\n", None, None, None, id="config-bad-cutoff"),
-        pytest.param("clusterz=3\n", None, None, None, id="config-unknown-key"),
+        pytest.param("clusters 3\n", None, None, None, "key=value",
+                     id="config-line-without-equals"),
+        pytest.param("cutoff=abc\n", None, None, None, "cutoff", id="config-bad-cutoff"),
+        pytest.param("clusterz=3\n", None, None, None, "clusterz", id="config-unknown-key"),
         pytest.param(
-            "clusters = 3\nclusters = 5\n", None, None, None, id="config-repeated-key"
+            "clusters = 3\nclusters = 5\n", None, None, None, "clusters",
+            id="config-repeated-key",
         ),
         # every command checks every setting, used by its method or not
-        pytest.param("max_iterations=0\n", None, None, None, id="config-zero-iterations"),
+        pytest.param("max_iterations=0\n", None, None, None, "max_iterations",
+                     id="config-zero-iterations"),
         pytest.param(
             "clusters=4\nmax_iterations=1\nlambda_grid=1.5\n", "--method", "back_cl", None,
-            id="config-lambda-out-of-range",
+            "lambda", id="config-lambda-out-of-range",
         ),
-        pytest.param(None, "--discount", "abc", None, id="bad-discount"),
-        pytest.param(None, "--discount", "1.5", None, id="discount-out-of-range"),
-        pytest.param(None, "--cutoff", "x", None, id="bad-cutoff"),
-        pytest.param(None, "--cutoff", "-1", None, id="negative-cutoff"),
-        pytest.param(None, "--config", "missing.cfg", None, id="missing-config"),
-        pytest.param(None, "--vocab", "missing.txt", None, id="missing-vocab"),
-        pytest.param(None, "--counts", "missing.counts", None, id="missing-counts"),
-        pytest.param(None, None, None, "{bad json", id="report-bad-json"),
-        pytest.param(None, None, None, "[1, 2]", id="report-records-not-objects"),
-        pytest.param(None, None, None, '{"records": 5}', id="report-records-not-a-list"),
         pytest.param(
-            None, None, None, '[{"model_id": "x", "perplexity": "abc"}]',
+            "clusters=4\nmax_iterations=1\ncutoff=-1\n", "--method", "back_cl", None,
+            "cutoff", id="config-negative-cutoff-for-back-cl",
+        ),
+        pytest.param("vocab_size=2\n", None, None, None, "vocab_size",
+                     id="config-vocab-size-below-4"),
+        pytest.param("clusters=1\n", None, None, None, "clusters", id="config-one-cluster"),
+        # settings are checked before any input file is read
+        pytest.param("cutoff=-1\n", "--vocab", "missing.txt", None, "cutoff",
+                     id="negative-cutoff-and-missing-vocab"),
+        pytest.param("vocab_size=3\n", "--counts", "missing.counts", None, "vocab_size",
+                     id="vocab-size-below-4-and-missing-counts"),
+        pytest.param("clusters=1\n", "--vocab", "missing.txt", None, "clusters",
+                     id="one-cluster-and-missing-vocab"),
+        pytest.param(None, "--discount", "abc", None, "discount", id="bad-discount"),
+        pytest.param(None, "--discount", "1.5", None, "discount", id="discount-out-of-range"),
+        pytest.param(None, "--cutoff", "x", None, "cutoff", id="bad-cutoff"),
+        pytest.param(None, "--cutoff", "-1", None, "cutoff", id="negative-cutoff"),
+        pytest.param(None, "--config", "missing.cfg", None, "missing.cfg", id="missing-config"),
+        pytest.param(None, "--vocab", "missing.txt", None, "missing.txt", id="missing-vocab"),
+        pytest.param(None, "--counts", "missing.counts", None, "missing.counts",
+                     id="missing-counts"),
+        pytest.param(None, None, None, "{bad json", None, id="report-bad-json"),
+        pytest.param(None, None, None, "[1, 2]", None, id="report-records-not-objects"),
+        pytest.param(None, None, None, '{"records": 5}', None, id="report-records-not-a-list"),
+        pytest.param(
+            None, None, None, '[{"model_id": "x", "perplexity": "abc"}]', None,
             id="report-perplexity-not-a-number",
         ),
     ],
 )
 def test_bad_settings_and_missing_inputs_exit_2(
-    workdir, tmp_path, capsys, config, flag, value, records
+    workdir, tmp_path, capsys, config, flag, value, records, named
 ):
     flags = {
         "--method": "back_bo",
@@ -459,6 +477,8 @@ def test_bad_settings_and_missing_inputs_exit_2(
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert named is None or named in err
+    assert not (tmp_path / "m.lm").exists()
 
 
 def test_a_header_size_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):

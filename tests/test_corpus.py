@@ -157,27 +157,82 @@ def _random_corpus(rng, n_sentences, words):
     return [rng.choices(words, k=rng.randint(0, 12)) for _ in range(n_sentences)]
 
 
-@pytest.mark.parametrize("case", ["oov", "empty_sentences", "long_sentence", "empty_corpus"])
+def _chains(words, sentences):
+    """Sentences that run along ``words`` from the first, each group one word
+    longer than the last: each group's bigrams sort after all before it."""
+    return [list(words[:k]) for k in range(2, len(words) + 1) for _ in range(sentences)]
+
+
+def _inserted(corpus, vocab):
+    """For each block after the first: the keys it adds to the table, and
+    the table's first and last key before it."""
+    n, seen, out = len(vocab), set(), []
+    for contexts, words in id_blocks(corpus, vocab):
+        keys = set((contexts * n + words).tolist())
+        if seen:
+            out.append((sorted(keys - seen), min(seen), max(seen)))
+        seen |= keys
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    "oov", "empty_sentences", "long_sentence", "empty_corpus",
+    "repeats_only", "new_before_first", "new_after_last",
+])
 def test_blocks_count_like_the_dict_loop(case, monkeypatch):
     """Counting in blocks gives the per-token dict loop's cells and unigram
     array, on corpora that span many blocks."""
     monkeypatch.setattr(corpus_module, "ID_BLOCK", 16)
     rng = random.Random(11)
-    vocab = Vocabulary(["a", "b", "c", "d", "e"])
+    vocab = Vocabulary(["a", "b", "c", "d", "e", "f", "g", "h"])
+    head = _random_corpus(random.Random(12), 30, "abc")
     corpus = {
         "oov": _random_corpus(rng, 300, "abcdexy"),
         "empty_sentences": [[]] * 5 + _random_corpus(rng, 200, "abc") + [[], []],
         "long_sentence": _random_corpus(rng, 40, "abcdez") + [rng.choices("abcdz", k=100)]
         + _random_corpus(rng, 40, "abcdez"),
         "empty_corpus": [],
+        # later blocks only repeat bigrams of earlier ones: nothing is inserted
+        "repeats_only": head * 4,
+        # after sentences of words in the vocabulary, the empty sentence's
+        # bigram, then the unknown word's: each group's sort before all
+        # bigrams before it
+        "new_before_first": [s for s in head if s] + [[]] * 8 + [["x"]] * 6 + [["x", "y"]] * 5,
+        "new_after_last": head + _chains("cdefgh", 4),
     }[case]
     if corpus:
         assert len(list(id_blocks(corpus, vocab))) >= 3
+    inserted = _inserted(corpus, vocab)
+    if case == "repeats_only":
+        assert sum(not new for new, _, _ in inserted) >= 3
+    if case == "new_before_first":
+        assert sum(bool(new) and new[-1] < first for new, first, _ in inserted) >= 3
+    if case == "new_after_last":
+        assert sum(bool(new) and new[0] > last for new, _, last in inserted) >= 3
     got, want = count_events(iter(corpus), vocab), oracles.reference_count_events(corpus, vocab)
     for a, b in zip(got.cells(), want.cells()):
         assert np.array_equal(a, b)
     assert np.array_equal(got.unigram, want.unigram)
     assert got.total_tokens == want.total_tokens
+
+
+def test_counting_holds_no_more_than_the_table_and_a_block():
+    """Counting frees each block once its runs are merged: the traced peak
+    stays a small multiple of the finished table's bytes on a corpus whose
+    events are over three times its cells: 1.8 to 2.2 times, where a count
+    that keeps every block's keys till the end peaks at 3.5 times."""
+    rng = random.Random(5)
+    words = [f"w{i}" for i in range(3000)]
+    sentences = [rng.choices(words, k=rng.randint(1, 20)) for _ in range(20000)]
+    vocab = Vocabulary(words)
+    tracemalloc.start()
+    try:
+        table = count_events(sentences * 3, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total_tokens > 3 * len(table.cells()[0])
+    assert peak < 2.5 * sum(a.nbytes for a in table.cells())
 
 
 @pytest.mark.parametrize("marker", ["<s>", "</s>"])

@@ -361,6 +361,9 @@ def test_suite_rejects_bad_requests():
         ("lambda_grid", (), "lambda grid is empty"),
         ("lambda_grid", (0.5, 1.5), "must lie in"),
         ("methods", ("adapt_bo", "mystery"), "unknown methods"),
+        ("vocab_size", 3, "vocab_size must be at least 4"),
+        ("clusters", 1, "clusters must be at least 2"),
+        ("cutoff", -1, "cutoff must be nonnegative"),
     ],
 )
 def test_suite_config_checks_each_setting_when_built(field, value, message):
