@@ -21,10 +21,11 @@ background table.  Its weight λ is fixed when it is built, and it holds the
 combined cells' tallies.  A word's candidates are one pass over its rows:
 its profile is projected onto the other side's clusters once; each table's
 cells at those rows, and its marginal as one 1-D row, are gathered once as
-the counts before and after inserting the word into each cluster; the log
-terms, the tally changes and the singleton change all come from those
-arrays.  ``apply_move`` writes a move from the pass that evaluated it,
-without projecting the word again.
+the counts before and after inserting the word into each cluster.  The log
+terms come from those arrays, the tallies after each move from one packed
+lookup of them (``_TALLY``), and the singleton term from a window of its
+log ratio around the positive tally.  ``apply_move`` writes a move from
+the pass that evaluated it, without projecting the word again.
 
 At λ = 1 the combined counts are the adaptation counts exactly, so the
 engine keeps no background aggregate and gathers, moves and combines the
@@ -49,6 +50,10 @@ NEG_INF = float("-inf")
 # The two sides; each names its marginal family.
 CATEGORY_SIDE = "category"
 STATE_SIDE = "state"
+
+# a count's flags, count-one << 32 | positive, read at min(count, 2)
+_PACKED = 1 << 32
+_TALLY = np.array([0, _PACKED + 1, 1], dtype=np.int64)
 
 
 def combine_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -129,15 +134,18 @@ def _singleton_term(n_one: int, n_pos: int, size: int, b: float) -> float:
 def _move_counts(old, x, src: int):
     """``old``, a gathered copy of counts with the moving side's clusters on
     its last axis, and the same counts after inserting the word's counts
-    ``x`` into each cluster, as (old, new).  The source column holds the
-    insertion into the source once the word has left it: the removal
-    reversed, so no count grows past the largest one held and every lookup
-    stays inside the log tables."""
-    new = old + x[..., None]
-    # .T[src] is the source column of a matrix and the source entry of a row
-    old.T[src] -= x
-    new.T[src] -= x
-    return old, new
+    ``x`` into each cluster, as (old, new).  The word leaves its source first,
+    so no count passes a table's total and every lookup stays in the logs."""
+    old[..., src] -= x
+    return old, old + x[..., None]
+
+
+def _tallies_after(old, new, src: int, base: int):
+    """Per column of the cells (old, new) from ``_move_counts``, the (count-one,
+    positive) tallies after that move, from ``base``: the tallies before it packed."""
+    d = (_TALLY.take(new, mode="clip") - _TALLY.take(old, mode="clip")).sum(axis=0)
+    d += base - d[src]  # the source column holds the removal, reversed
+    return np.divmod(d, _PACKED)
 
 
 def _family_term(w, c, b: float) -> float:
@@ -206,7 +214,11 @@ class _Objective:
     """The move engine of the criterion, over the counts being clustered
     and an optional background table, at the weight ``lam`` it is built
     with.  It holds the combined cells' ``tallies``, which moves keep exact,
-    and the background aggregate ``bg`` only below λ = 1.  The last
+    and the background aggregate ``bg`` only below λ = 1.  A pass gathers at
+    most one row per cluster of the other side, so a move shifts the positive
+    tally by at most ``_reach``; ``_window`` holds the singleton log ratio at
+    those 2·reach + 1 tallies, up to the number of cells, not a float per
+    cell, and is rebuilt only when a move changes the tallies.  The last
     ``candidate_deltas`` pass is kept until a move, for ``apply_move`` to
     reuse.  ``perfbench/tracing.py`` wraps ``__init__``, ``best_move`` and
     ``apply_move`` from each class's own ``__dict__``, so each subclass
@@ -219,8 +231,8 @@ class _Objective:
         self.a = aggregate_class_counts(counts, cm)
         # at full weight the background's counts cannot change a combined one
         self.bg = None if back is None or self.lam == 1.0 else aggregate_class_counts(back, cm)
-        self.tallies = _tallies(combine_class_counts(self.a, self.bg, self.lam).pairs)
-        self._pass = None
+        self._pass, self._reach = None, max(cm.n_states, cm.n_cats)
+        self._set_tallies(_tallies(combine_class_counts(self.a, self.bg, self.lam).pairs))
         given = [t for t in (counts, back) if t is not None]
         tables = [t for t in (self.a, self.bg) if t is not None]
         # a table not held only names rows, so its profiles need no counts
@@ -229,8 +241,8 @@ class _Objective:
         # its log tables hold N ln(N-1-b) and a move needs no multiply; the
         # combined counts of two tables are weighted by the first's counts.
         one = self.bg is None
-        # counts stay below the largest total
-        largest = max(int(t.total_tokens) for t in given) + 2
+        # the counts gathered stay below the largest total of a table held
+        largest = max(int(t.total_tokens) for t in given[:len(tables)]) + 2
         self._logs = (log_table(discount.b, largest, one), log_table(0.0, largest, one))
         # per side: the other side's assignment and range, the profile index
         # of each table given, then per table held each word's total, the
@@ -245,6 +257,17 @@ class _Objective:
             cells = [t.pairs.T if state else t.pairs for t in tables]
             margs = [t.state_tot if state else t.cat_tot for t in tables]
             self._sides[side] = (other, n, index, totals, cells, margs)
+
+    def _set_tallies(self, tallies: tuple[int, int]) -> None:
+        """Hold the tallies and ``_window`` (packed - lo, lo, ratio from lo, term)."""
+        self.tallies = n_one, n_pos = tallies
+        b, size = self.discount.b, self.a.pairs.size
+        lo = max(n_pos - self._reach, 0)
+        pos = np.arange(lo, min(n_pos + self._reach, size) + 1)
+        # both logs take positive arguments, as pos never exceeds the cells
+        ratio = math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300)) - np.log((size + 1.0) - pos)
+        self._window = (n_one * _PACKED + n_pos - lo, lo, ratio,
+                        _singleton_term(n_one, n_pos, size, b))
 
     def score(self) -> float:
         return clustering_score(self.a, combine_class_counts(self.a, self.bg, self.lam),
@@ -309,36 +332,23 @@ class _Objective:
                   + (t_new.sum(axis=0) - t_old.sum(axis=0))
                   - (m_old[src] - m_new[src]) - (m_new - m_old))
         del t_old, t_new  # freed before the tallies allocate theirs
-        # per column, the change of the cells' count-one and positive members,
-        # the removal's included; insertion only raises counts, so a member
-        # turns positive or stays
-        c_old, c_new = counts[:2]
-        d_one = (c_new == 1).sum(axis=0) - (c_old == 1).sum(axis=0)
-        d_pos = ((c_new > 0) > (c_old > 0)).sum(axis=0)
-        d_one -= d_one[src]
-        d_pos -= d_pos[src]
-        self._pass = (word, side, src, rows, shifts, (d_one, d_pos))
-        # the singleton term after each move; both logs take positive
-        # arguments, as pos never exceeds the number of cells
-        b, size = self.discount.b, cells[0].size
-        n_one, n_pos = self.tallies
-        one, pos = n_one + d_one, n_pos + d_pos
-        single = one * (math.log(b) + np.log(np.maximum(pos - 1.0, 1e-300))
-                        - np.log((size + 1.0) - pos))
+        base, lo, ratio, single_now = self._window
+        one, at = _tallies_after(*counts[:2], src, base)  # at: the positive tally - lo
+        self._pass = (word, side, src, rows, shifts, (one, at))
+        single = one * ratio[at]  # the singleton term after each move
         single[one == 0] = 0.0
-        single -= _singleton_term(n_one, n_pos, size, b)
+        single -= single_now
         deltas += single
-        # moves into a degenerate configuration are invalid, not attractive
-        deltas[pos <= 1] = NEG_INF
+        # moves to at most one positive cell are invalid; only lo <= 1 allows one
+        if lo <= 1:
+            deltas[at <= 1 - lo] = NEG_INF
         deltas[src] = NEG_INF
         return np.arange(k), deltas[:k]
 
     def move_delta(self, word: int, side: str, dst: int) -> float:
         self._check_move(word, side, dst)
         res = self.candidate_deltas(word, side)
-        if res is None:
-            return 0.0
-        return float(res[1][dst])
+        return 0.0 if res is None else float(res[1][dst])
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""
@@ -346,7 +356,7 @@ class _Objective:
         if res is None:
             return None
         targets, deltas = res
-        j = int(np.argmax(deltas))
+        j = int(deltas.argmax())
         val = float(deltas[j])
         if val > 0.0 and math.isfinite(val):
             return int(targets[j]), val
@@ -367,9 +377,9 @@ class _Objective:
             marg[src] -= total
             marg[dst] += total
         if shifts:
-            d_one, d_pos = change
-            n_one, n_pos = self.tallies
-            self.tallies = (n_one + int(d_one[dst]), n_pos + int(d_pos[dst]))
+            tallies = (int(change[0][dst]), int(change[1][dst]) + self._window[1])
+            if tallies != self.tallies:
+                self._set_tallies(tallies)
         self.assignment(side)[0][word] = dst
 
 

@@ -137,15 +137,16 @@ def run_exchange(
         w for w in _visit_order(train_counts, back_counts, vocab)
         if events[w] > RARE_EVENTS
     ]
+    # per side, the words it visits: no move pins or frees a word
+    visits = [(side, [w for w in order if not engine.frozen(w, side)])
+              for side in (CATEGORY_SIDE, STATE_SIDE)]
     result = ExchangeResult(cm, score, lam)
     prev = running = score
     for it in range(1, cfg.max_iterations + 1):
         moves = 0
-        for side in (CATEGORY_SIDE, STATE_SIDE):
+        for side, words in visits:
             assign = engine.assignment(side)[0]
-            for w in order:
-                if engine.frozen(w, side):
-                    continue
+            for w in words:
                 best = engine.best_move(w, side)
                 if best is None:
                     continue

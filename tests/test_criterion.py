@@ -2,9 +2,12 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from corpusgen import domain_corpus, random_table, table_from_sentences
@@ -17,7 +20,9 @@ from clusterlm.criterion import (
     AdaptiveObjective,
     ClassCounts,
     StandardObjective,
+    _move_counts,
     _tallies,
+    _tallies_after,
     aggregate_class_counts,
     clustering_score,
     combine_class_counts,
@@ -516,6 +521,101 @@ def test_adaptive_pass_gives_the_two_table_bits(lam):
                 assert all(np.array_equal(x, y) for x, y in zip(arrays, fresh_arrays))
                 assert tallies == fresh_tallies
     assert compared > 300 and moves > 20
+
+
+@st.composite
+def gathered_moves(draw):
+    """A pass's gathered cells as (old, new) and its source column: one
+    table's counts, or two tables' combined at a weight below one.  Some
+    rows are zero in every table, as rows that only the background names
+    are in the adaptation table at full weight."""
+    n_rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    src = draw(st.integers(0, width - 1))
+    zero = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+
+    def table():
+        cells = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=width,
+                                                max_size=width),
+                                       min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+        cells[zero] = 0
+        # the word's counts lie inside its source column
+        x = np.array([draw(st.integers(0, int(c))) for c in cells[:, src]], dtype=np.int64)
+        return _move_counts(cells, x, src)
+
+    lam = draw(st.sampled_from([None, 0.1, 0.5, 0.6, 0.9]))
+    if lam is None:
+        return (*table(), src)
+    (a_old, a_new), (b_old, b_new) = table(), table()
+    return combine_counts(a_old, b_old, lam), combine_counts(a_new, b_new, lam), src
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gathered_moves(), st.integers(0, 20), st.integers(0, 20), st.integers(0, 30))
+def test_packed_tallies_equal_the_boolean_counts(move, more_one, more_pos, reach):
+    # the tallies after each column's move, from one packed lookup per
+    # matrix, are the previous kernel's boolean counts added to the tallies
+    # before the move; the table's tallies count the cells before the move,
+    # whose source column is the new one, and possibly other cells too (a
+    # count-one cell is also a positive one)
+    old, new, src = move
+    assert (new >= old).all()
+    before = old.copy()
+    before[:, src] = new[:, src]
+    n_one, n_pos = _tallies(before)
+    n_one, n_pos = n_one + more_one, n_pos + more_pos + more_one
+    lo = max(n_pos - len(old) - reach, 0)
+    one, at = _tallies_after(old, new, src, n_one * 2**32 + n_pos - lo)
+    d_one, d_pos = oracles._tally_change((old, new), src)
+    assert np.array_equal(one, n_one + d_one)
+    assert np.array_equal(at + lo, n_pos + d_pos)
+    assert (at >= 0).all()
+
+
+@pytest.mark.parametrize("lam", [None, 1.0, 0.6])
+def test_singleton_window_at_its_edges_gives_the_reference_bits(lam):
+    # k=2: three of the four cells are positive at the start, so the window
+    # around the positive tally is cut at the number of cells.  A word alone
+    # in its cluster leaves it, emptying its cells, unless that leaves one
+    # positive cell; any other word takes its best move.  The tally then
+    # falls to the window's lower edge, where candidates turn degenerate,
+    # and each move that changes it rebuilds the window; every candidate
+    # array over two sweeps must be the reference's, with no warning
+    vocab, a = table_from_sentences([list("abcdab"), list("cadb"), list("dcba"), list("bd")])
+    b = count_events([list("abcd"), list("ddaa")], vocab)
+    # <s> alone in state 1, </s> alone in category 0
+    cm = ClusterMap([0, 1, 0, 0, 0, 0, 0], [1, 1, 0, 1, 1, 1, 1], 2, 2)
+    disc = Discount(0.5)
+    if lam is None:
+        eng = StandardObjective(a, cm, disc)
+    else:
+        eng = AdaptiveObjective(a, b, cm, disc, lam)
+    assert eng.tallies[1] == eng.a.pairs.size - 1
+    seen, compared, degenerate = {eng.tallies}, 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(2):
+            for side in (STATE_SIDE, CATEGORY_SIDE):
+                assign = eng.assignment(side)[0]
+                for w in range(len(vocab)):
+                    want = oracles.reference_candidate_deltas(eng, w, side)
+                    got = eng.candidate_deltas(w, side)
+                    if want is None:
+                        assert got is None
+                        continue
+                    assert np.array_equal(got[0], want[0])
+                    assert got[1].tobytes() == want[1].tobytes(), f"{side} {w}"
+                    compared += 1
+                    degenerate += int(np.isneginf(got[1]).sum()) > 1
+                    src = int(assign[w])
+                    if (assign == src).sum() == 1 and np.isfinite(got[1][1 - src]):
+                        eng.apply_move(w, side, 1 - src)
+                    elif (best := eng.best_move(w, side)) is not None:
+                        eng.apply_move(w, side, best[0])
+                    fresh = _tallies(combine_class_counts(eng.a, eng.bg, eng.lam).pairs)
+                    assert eng.tallies == fresh
+                    seen.add(fresh)
+    assert compared >= 18 and degenerate > 0
+    assert len(seen) >= 3 and min(pos for _, pos in seen) == 2
 
 
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
