@@ -21,11 +21,15 @@ background table.  Its weight λ is fixed when it is built, and it holds the
 combined cells' tallies.  A word's candidates are one pass over its rows:
 its profile is projected onto the other side's clusters once; each table's
 cells at those rows, and its marginal as one 1-D row, are gathered once as
-the counts before and after inserting the word into each cluster.  The log
-terms come from those arrays, the tallies after each move from one packed
-lookup of them (``_TALLY``), and the singleton term from a window of its
-log ratio around the positive tally.  ``apply_move`` writes a move from
-the pass that evaluated it, without projecting the word again.
+the counts before and after inserting the word into each cluster.  Each
+gathered count is looked up once, in a complex table of the cell log term
+plus i times the count's packed tally flags, so one column sum gives both
+the log sums and the tally change.  The singleton term comes from a window
+of its log ratio around the positive tally.  ``apply_move`` writes a move
+from the pass that evaluated it, without projecting the word again.  The
+log tables end at the largest count a pass can gather, the largest
+marginal held plus the largest word total; a move that takes a marginal
+past it rebuilds them.
 
 At λ = 1 the combined counts are the adaptation counts exactly, so the
 engine keeps no background aggregate and gathers, moves and combines the
@@ -51,9 +55,8 @@ NEG_INF = float("-inf")
 CATEGORY_SIDE = "category"
 STATE_SIDE = "state"
 
-# a count's flags, count-one << 32 | positive, read at min(count, 2)
+# a count's tally flags, count-one << 32 | positive
 _PACKED = 1 << 32
-_TALLY = np.array([0, _PACKED + 1, 1], dtype=np.int64)
 
 
 def combine_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -109,7 +112,9 @@ def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> Coun
 
 def log_table(b: float, n: int, times_n: bool) -> np.ndarray:
     """``ln(N-1-b)``, or ``N ln(N-1-b)`` with ``times_n``, for each count N up
-    to ``n``; entries below N=2 are zero so masked sums need no branching."""
+    to ``n``; entries below N=2 are zero so masked sums need no branching.
+    Each entry is computed on its own, so a table is the prefix of any
+    longer one and can be rebuilt longer without changing a value."""
     # in place: a build holds at most two count-sized arrays
     table = np.arange(n + 1, dtype=np.float64)
     table -= 1.0
@@ -119,6 +124,17 @@ def log_table(b: float, n: int, times_n: bool) -> np.ndarray:
     table[:2] = 0.0
     if times_n:
         table *= np.arange(n + 1, dtype=np.float64)
+    return table
+
+
+def cell_lookup(b: float, n: int, times_n: bool) -> np.ndarray:
+    """The cells' complex table: ``log_table(b, n, times_n)`` plus i times
+    each count's packed tally flags, ``(N == 1) << 32 | (N > 0)``, which a
+    column sum of up to 2**20 counts keeps exact."""
+    table = np.zeros(n + 1, dtype=np.complex128)
+    table.real = log_table(b, n, times_n)
+    table.imag[1:] = 1.0
+    table.imag[1] += _PACKED
     return table
 
 
@@ -135,17 +151,9 @@ def _move_counts(old, x, src: int):
     """``old``, a gathered copy of counts with the moving side's clusters on
     its last axis, and the same counts after inserting the word's counts
     ``x`` into each cluster, as (old, new).  The word leaves its source first,
-    so no count passes a table's total and every lookup stays in the logs."""
+    so no count passes a marginal plus the word's total, the log tables' reach."""
     old[..., src] -= x
     return old, old + x[..., None]
-
-
-def _tallies_after(old, new, src: int, base: int):
-    """Per column of the cells (old, new) from ``_move_counts``, the (count-one,
-    positive) tallies after that move, from ``base``: the tallies before it packed."""
-    d = (_TALLY.take(new, mode="clip") - _TALLY.take(old, mode="clip")).sum(axis=0)
-    d += base - d[src]  # the source column holds the removal, reversed
-    return np.divmod(d, _PACKED)
 
 
 def _family_term(w, c, b: float) -> float:
@@ -214,9 +222,13 @@ class _Objective:
     """The move engine of the criterion, over the counts being clustered
     and an optional background table, at the weight ``lam`` it is built
     with.  It holds the combined cells' ``tallies``, which moves keep exact,
-    and the background aggregate ``bg`` only below λ = 1.  A pass gathers at
-    most one row per cluster of the other side, so a move shifts the positive
-    tally by at most ``_reach``; ``_window`` holds the singleton log ratio at
+    and the background aggregate ``bg`` only below λ = 1.  ``_logs`` holds
+    the real view of the complex cell table ``_lookup`` and the marginals'
+    table, both ending at ``_top``, the largest marginal held, plus
+    ``_most``, the largest word total, plus 2; ``apply_move`` rebuilds them
+    when a marginal passes ``_top``.  A pass gathers at most one row per
+    cluster of the other side, so a move shifts the positive tally by at
+    most ``_reach``; ``_window`` holds the singleton log ratio at
     those 2·reach + 1 tallies, up to the number of cells, not a float per
     cell, and is rebuilt only when a move changes the tallies.  The last
     ``candidate_deltas`` pass is kept until a move, for ``apply_move`` to
@@ -237,18 +249,11 @@ class _Objective:
         tables = [t for t in (self.a, self.bg) if t is not None]
         # a table not held only names rows, so its profiles need no counts
         profiles = [_word_profiles(t, i < len(tables)) for i, t in enumerate(given)]
-        # One table's counts are both its weights and its combined counts, so
-        # its log tables hold N ln(N-1-b) and a move needs no multiply; the
-        # combined counts of two tables are weighted by the first's counts.
-        one = self.bg is None
-        # the counts gathered stay below the largest total of a table held
-        largest = max(int(t.total_tokens) for t in given[:len(tables)]) + 2
-        self._logs = (log_table(discount.b, largest, one), log_table(0.0, largest, one))
         # per side: the other side's assignment and range, the profile index
         # of each table given, then per table held each word's total, the
         # cell matrix and the marginal, with the moving side's clusters as
-        # columns
-        self._sides = {}
+        # columns; and the side's targets, read-only as every pass returns them
+        self._sides, self._targets = {}, {}
         for side, other, n in ((CATEGORY_SIDE, cm.state_of, cm.n_states),
                                (STATE_SIDE, cm.category_of, cm.n_cats)):
             state = side == STATE_SIDE
@@ -257,6 +262,21 @@ class _Objective:
             cells = [t.pairs.T if state else t.pairs for t in tables]
             margs = [t.state_tot if state else t.cat_tot for t in tables]
             self._sides[side] = (other, n, index, totals, cells, margs)
+            self._targets[side] = np.arange(self.assignment(side)[1])
+            self._targets[side].flags.writeable = False
+        self._most = max(int(t.max(initial=0)) for s in self._sides.values() for t in s[3])
+        self._set_logs()
+
+    def _set_logs(self) -> None:
+        """Build the log tables up to the largest count a pass can gather."""
+        self._top = max(int(m.max(initial=0)) for s in self._sides.values() for m in s[5])
+        largest = self._top + self._most + 2
+        # One table's counts are both its weights and its combined counts, so
+        # its log tables hold N ln(N-1-b) and a move needs no multiply; the
+        # combined counts of two tables are weighted by the first's counts.
+        one = self.bg is None
+        self._lookup = cell_lookup(self.discount.b, largest, one)
+        self._logs = (self._lookup.real, log_table(0.0, largest, one))
 
     def _set_tallies(self, tallies: tuple[int, int]) -> None:
         """Hold the tallies and ``_window`` (packed - lo, lo, ratio from lo, term)."""
@@ -303,8 +323,9 @@ class _Objective:
         """
         self._pass = None  # freed before this pass allocates its own arrays
         other, n, index, totals, cells, margs = self._sides[side]
-        assign, k, _ = self.assignment(side)
-        src = int(assign[word])
+        targets = self._targets[side]
+        k = len(targets)
+        src = int(self.assignment(side)[0][word])
         profiles = [_class_profile(i, word, other, n) for i in index]
         # the rows any table touches; the start value spares one table an add
         rows = sum(profiles[1:], profiles[0]).nonzero()[0]
@@ -318,22 +339,27 @@ class _Objective:
         moved = [(*_move_counts(m[rows, :width], x, src),
                   *_move_counts(marg[:width].copy(), total, src))
                  for m, marg, (x, total) in zip(cells, margs, shifts)]
-        cell_log, marg_log = self._logs
-        logs = (cell_log, cell_log, marg_log, marg_log)
         weights = moved[0]
         counts = weights if self.bg is None else [
             combine_counts(a, b, self.lam) for a, b in zip(*moved)]
         del moved  # the background's own counts are needed only combined
-        t_old, t_new, m_old, m_new = (look[c] if self.bg is None else w * look[c]
-                                      for w, look, c in zip(weights, logs, counts))
-        # the removal sums the source column as one 1-D sum, the insertion
-        # sums each column down the rows
-        deltas = (t_old[:, src].sum() - t_new[:, src].sum()
-                  + (t_new.sum(axis=0) - t_old.sum(axis=0))
+        z_old, z_new = (self._lookup[c] for c in counts[:2])
+        m_old, m_new = (self._logs[1][c] for c in counts[2:])
+        t_old, t_new = z_old.real, z_new.real
+        if self.bg is not None:  # the log terms are weighted, the tally flags not
+            for t, w in zip((t_old, t_new, m_old, m_new), weights):
+                t *= w
+        # per column, the insertion's log sum (real; the float sum's bits but
+        # at one column, the source's -inf slot) and tally change (imag); the
+        # removal sums the source column's log terms as one 1-D sum
+        change = np.add.reduce(z_new, 0) - np.add.reduce(z_old, 0)
+        deltas = (np.add.reduce(t_old[:, src]) - np.add.reduce(t_new[:, src]) + change.real
                   - (m_old[src] - m_new[src]) - (m_new - m_old))
-        del t_old, t_new  # freed before the tallies allocate theirs
+        del z_old, z_new, t_old, t_new  # freed before the singleton term allocates
         base, lo, ratio, single_now = self._window
-        one, at = _tallies_after(*counts[:2], src, base)  # at: the positive tally - lo
+        packed = change.imag.astype(np.int64)
+        packed += base - packed[src]  # the source column holds the removal, reversed
+        one, at = np.divmod(packed, _PACKED)  # at: the positive tally - lo
         self._pass = (word, side, src, rows, shifts, (one, at))
         single = one * ratio[at]  # the singleton term after each move
         single[one == 0] = 0.0
@@ -343,7 +369,7 @@ class _Objective:
         if lo <= 1:
             deltas[at <= 1 - lo] = NEG_INF
         deltas[src] = NEG_INF
-        return np.arange(k), deltas[:k]
+        return targets, deltas[:k]
 
     def move_delta(self, word: int, side: str, dst: int) -> float:
         self._check_move(word, side, dst)
@@ -376,6 +402,8 @@ class _Objective:
             m[rows, dst] += x
             marg[src] -= total
             marg[dst] += total
+            if marg[dst] > self._top:
+                self._set_logs()  # the next pass could gather past the tables
         if shifts:
             tallies = (int(change[0][dst]), int(change[1][dst]) + self._window[1])
             if tallies != self.tallies:

@@ -22,8 +22,8 @@ from clusterlm.criterion import (
     StandardObjective,
     _move_counts,
     _tallies,
-    _tallies_after,
     aggregate_class_counts,
+    cell_lookup,
     clustering_score,
     combine_class_counts,
     combine_counts,
@@ -552,11 +552,12 @@ def gathered_moves(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(gathered_moves(), st.integers(0, 20), st.integers(0, 20), st.integers(0, 30))
 def test_packed_tallies_equal_the_boolean_counts(move, more_one, more_pos, reach):
-    # the tallies after each column's move, from one packed lookup per
-    # matrix, are the previous kernel's boolean counts added to the tallies
-    # before the move; the table's tallies count the cells before the move,
-    # whose source column is the new one, and possibly other cells too (a
-    # count-one cell is also a positive one)
+    # the tallies after each column's move, from the imaginary parts of one
+    # complex lookup per matrix summed down its columns, decoded as the
+    # engine's pass decodes them, are the previous kernel's boolean counts
+    # added to the tallies before the move; the table's tallies count the
+    # cells before the move, whose source column is the new one, and
+    # possibly other cells too (a count-one cell is also a positive one)
     old, new, src = move
     assert (new >= old).all()
     before = old.copy()
@@ -564,11 +565,124 @@ def test_packed_tallies_equal_the_boolean_counts(move, more_one, more_pos, reach
     n_one, n_pos = _tallies(before)
     n_one, n_pos = n_one + more_one, n_pos + more_pos + more_one
     lo = max(n_pos - len(old) - reach, 0)
-    one, at = _tallies_after(old, new, src, n_one * 2**32 + n_pos - lo)
+    look = cell_lookup(0.5, int(new.max()) + 2, True)
+    packed = (np.add.reduce(look[new], 0) - np.add.reduce(look[old], 0)).imag.astype(np.int64)
+    packed += n_one * 2**32 + n_pos - lo - packed[src]
+    one, at = np.divmod(packed, 2**32)
     d_one, d_pos = oracles._tally_change((old, new), src)
     assert np.array_equal(one, n_one + d_one)
     assert np.array_equal(at + lo, n_pos + d_pos)
     assert (at >= 0).all()
+
+
+# the previous kernel's packed tally flags, read at min(count, 2)
+_TALLY = np.array([0, 2**32 + 1, 1], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.integers(1, 310), st.sampled_from([2, 3, 40, 5000]),
+       st.sampled_from([None, 0.1, 0.6]), st.integers(0, 2**32 - 1))
+def test_complex_lookup_sums_are_the_float_kernel_bits(n_rows, width, top, lam, seed):
+    # the numpy behaviour the pass relies on: a gathered block's complex
+    # column sums are, in their real parts, the bits of the float column
+    # sums of the cell log terms (weighted in place below full weight), and
+    # in their imaginary parts the packed tally sums; the source column's
+    # 1-D sum of the real view is the float one.  numpy sums a one-column
+    # block as a 1-D array, pairwise in another order for complex than for
+    # float, so only its column sum is compared: the engine's one-column
+    # pass is a word in the only movable cluster, whose one slot is -inf
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, top + 1, size=(n_rows, width))
+    src = int(rng.integers(width))
+    b, n, times_n = 0.6, top + 2, lam is None
+    logs, look = log_table(b, n, times_n), cell_lookup(b, n, times_n)
+    t, z = logs[counts], look[counts]
+    if lam is not None:
+        w = rng.integers(0, top + 1, size=counts.shape)
+        t = w * t
+        real = z.real
+        real *= w
+    sums = np.add.reduce(z, 0)
+    if width > 1:
+        assert sums.real.tobytes() == t.sum(axis=0).tobytes()
+    assert np.add.reduce(z.real[:, src]).tobytes() == t[:, src].sum().tobytes()
+    assert np.array_equal(sums.imag.astype(np.int64), _TALLY.take(counts, mode="clip").sum(axis=0))
+    assert (sums.imag == np.floor(sums.imag)).all()
+    # a table is the prefix of a longer one, so a rebuild changes no value
+    longer = n + int(rng.integers(1, 70_000))
+    assert log_table(b, longer, times_n)[:n + 1].tobytes() == logs.tobytes()
+    assert cell_lookup(b, longer, times_n)[:n + 1].tobytes() == look.tobytes()
+
+
+def test_one_movable_cluster_gives_the_reference_bits():
+    # one movable state, so a state pass gathers one column; each word has
+    # about 20 successors in their own categories, enough rows for numpy's
+    # complex and float sums of that column to differ for most words; the
+    # column is the source, so the pass's one slot is -inf all the same
+    n = 20
+    counts = CountTable(n, {v: {w: 1 + (v * w) % 7 for w in range(n) if w != v or v % 2}
+                            for v in range(n)})
+    cm = ClusterMap([0] * n, list(range(n)), 1, n)
+    for eng in (StandardObjective(counts, cm, Discount(0.5)),
+                AdaptiveObjective(counts, random_table(random.Random(3), n), cm, Discount(0.5), 0.6)):
+        for w in range(n):
+            want = oracles.reference_candidate_deltas(eng, w, STATE_SIDE)
+            got = eng.candidate_deltas(w, STATE_SIDE)
+            assert got[1].tobytes() == want[1].tobytes() == np.array([NEG_INF]).tobytes()
+
+
+@pytest.mark.parametrize("lam", [None, 1.0, 0.6])
+def test_log_tables_grow_with_the_marginals_and_keep_the_reference_bits(lam):
+    # words are piled into state 0 until its marginal passes the largest
+    # marginal the engine was built with: the log tables are rebuilt longer,
+    # and after each move every candidate array is the reference's bits and
+    # the engine equals a fresh engine on the moved map, their log tables
+    # equal over their common length
+    back = domain_corpus("back", seed=11, n_words=900, topic_size=12)
+    adapt = domain_corpus("target", seed=12, n_words=400, topic_size=12)
+    vocab = build_vocabulary(adapt, back, 60)
+    a, b = count_events(adapt, vocab), count_events(back, vocab)
+    disc = Discount(0.6)
+
+    def engine(cm):
+        if lam is None:
+            return StandardObjective(a, cm, disc)
+        return AdaptiveObjective(a, b, cm, disc, lam)
+
+    def state(eng):
+        tables = (eng.a,) if eng.bg is None else (eng.a, eng.bg)
+        return [x for t in tables for x in (t.pairs, t.state_tot, t.cat_tot)], eng.tallies
+
+    eng = engine(init_clustering(a, 6, 5, vocab))
+    first_top, first_len = eng._top, len(eng._logs[0])
+    lengths, after = {first_len}, 0
+    for w in sorted(range(len(vocab)), key=lambda w: -a.unigram[w]):
+        if after == 4:
+            break
+        if eng.frozen(w, STATE_SIDE) or eng.cm.state_of[w] == 0:
+            continue
+        eng.apply_move(w, STATE_SIDE, 0)
+        after += eng._top > first_top
+        lengths.add(len(eng._logs[0]))
+        assert len(eng._lookup) == len(eng._logs[0]) == len(eng._logs[1])
+        fresh = engine(eng.cm.copy())
+        (arrays, tallies), (fresh_arrays, fresh_tallies) = state(eng), state(fresh)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, fresh_arrays))
+        assert tallies == fresh_tallies
+        for mine, theirs in zip(eng._logs, fresh._logs):
+            m = min(len(mine), len(theirs))
+            assert mine[:m].tobytes() == theirs[:m].tobytes()
+        for either in (STATE_SIDE, CATEGORY_SIDE):
+            for v in range(len(vocab)):
+                want = oracles.reference_candidate_deltas(eng, v, either)
+                got = eng.candidate_deltas(v, either)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got[1].tobytes() == want[1].tobytes(), f"{either} {v}"
+    held = (eng.a,) if eng.bg is None else (eng.a, eng.bg)
+    assert after == 4 and max(t.state_tot[0] for t in held) == eng._top
+    assert min(lengths) == first_len and len(lengths) > 2
 
 
 @pytest.mark.parametrize("lam", [None, 1.0, 0.6])
