@@ -17,19 +17,21 @@ tables and moves alike.  Leave-one-out, for training-set clustering (Kneser
 training counts are both the weights and the combined counts.
 
 One engine, ``_Objective``, evaluates and applies moves with or without a
-background table.  Its weight λ is fixed when it is built, and it holds the
-combined cells' tallies.  A word's candidates are one pass over its rows:
-its profile is projected onto the other side's clusters once; each table's
-cells at those rows, and its marginal as one 1-D row, are gathered once as
-the counts before and after inserting the word into each cluster.  Each
-gathered count is looked up once, in a complex table of the cell log term
-plus i times the count's packed tally flags, so one column sum gives both
-the log sums and the tally change.  The singleton term comes from a window
-of its log ratio around the positive tally.  ``apply_move`` writes a move
-from the pass that evaluated it, without projecting the word again.  The
-log tables end at the largest count a pass can gather, the largest
-marginal held plus the largest word total; a move that takes a marginal
-past it rebuilds them.
+background table, at a weight λ fixed when it is built.  Each class table
+is one array bordered by its marginals, transposed on the state side, so
+the moving side's marginal is its last row.  A word's candidates are one
+pass: its profile is projected onto the other side's clusters once, its
+total at the marginal's row, and each table's block at those rows is
+gathered once as the counts before and after inserting the word into each
+cluster.  Each gathered cell count is looked up once, in a complex table
+of the cell log term plus i times the count's packed tally flags, so one
+column sum gives both the log sums and the tally change.  The singleton
+term comes from a window of its log ratio around the positive tally, less
+the term before the move, taken as -0.0 when zero so that no column needs
+a mask.  ``apply_move`` writes a move from the pass that evaluated it,
+without projecting the word again.  The log tables end at the largest
+count a pass can gather, the largest marginal held plus the largest word
+total; a move that takes a marginal past it rebuilds them.
 
 At λ = 1 the combined counts are the adaptation counts exactly, so the
 engine keeps no background aggregate and gathers, moves and combines the
@@ -72,15 +74,20 @@ def _tallies(c) -> tuple[int, int]:
 
 
 class ClassCounts:
-    """Dense class-level bigram table, states as rows, with its marginals."""
+    """Dense class-level bigram table, states as rows, in ``table`` with the
+    state totals as its last column, the category totals as its last row and
+    the total in the corner; ``pairs``, ``state_tot`` and ``cat_tot`` view it."""
 
-    def __init__(self, pairs: np.ndarray, state_tot: np.ndarray, cat_tot: np.ndarray):
-        self.pairs, self.state_tot, self.cat_tot = pairs, state_tot, cat_tot
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.pairs, self.state_tot, self.cat_tot = table[:-1, :-1], table[:-1, -1], table[-1, :-1]
 
     @classmethod
     def from_matrix(cls, pairs) -> "ClassCounts":
-        pairs = np.array(pairs, dtype=np.int64)
-        return cls(pairs, pairs.sum(axis=1), pairs.sum(axis=0))
+        table = np.pad(np.asarray(pairs, dtype=np.int64), ((0, 1), (0, 1)))
+        table[-1] = table.sum(axis=0)
+        table[:, -1] = table.sum(axis=1)
+        return cls(table)
 
 
 def aggregate_class_counts(counts: CountTable, cm: ClusterMap) -> ClassCounts:
@@ -156,6 +163,15 @@ def _move_counts(old, x, src: int):
     return old, old + x[..., None]
 
 
+def _add_singleton_change(deltas, one, ratio, now: float) -> None:
+    """Add ``one * ratio`` less ``now``, the singleton term after and before
+    each move, to ``deltas``.  A zero ``now`` is taken as -0.0, so the ±0.0
+    product of a zero ``one`` gives +0.0; ``ratio`` is never -0.0."""
+    single = one * ratio
+    single -= now or -0.0
+    deltas += single
+
+
 def _family_term(w, c, b: float) -> float:
     """Σ w ln(c-1-b) over the members with c > 1."""
     mask = c > 1
@@ -180,42 +196,37 @@ def combine_class_counts(adapt: ClassCounts, back: ClassCounts | None, lam: floa
     counts, whatever the weight."""
     if back is None:
         return adapt
-    if adapt.pairs.shape != back.pairs.shape:
+    if adapt.table.shape != back.table.shape:
         raise ConfigError("aggregate tables have mismatched cluster ranges")
-    return ClassCounts(combine_counts(adapt.pairs, back.pairs, lam),
-                       combine_counts(adapt.state_tot, back.state_tot, lam),
-                       combine_counts(adapt.cat_tot, back.cat_tot, lam))
+    return ClassCounts(combine_counts(adapt.table, back.table, lam))
 
 
 def _word_profiles(counts: CountTable, weighted: bool = True):
-    """The contexts before each word and the words after each context, as
-    two cluster-independent (start offsets, ids, counts) indexes: word x's
-    profile in an index is the slice from ``starts[x]`` to ``starts[x + 1]``.
-    An unweighted index holds None for its counts: its profiles count a
-    word's neighbours, not their events, and are nonzero at the same rows."""
+    """The contexts before each word and the words after each context, as two
+    cluster-independent (start offsets, ids, counts, totals) indexes: word
+    x's profile in an index is the slice from ``starts[x]`` to ``starts[x + 1]``.
+    An unweighted index holds None for its counts: its profiles and totals
+    count a word's neighbours, not their events, and are nonzero alike."""
     context, word, count = counts.cells()
 
     def index(key, ids):
         order = np.argsort(key, kind="stable")
-        starts = np.zeros(counts.vocab_size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=counts.vocab_size), out=starts[1:])
-        return starts.tolist(), ids[order], count[order] if weighted else None
+        sizes = np.bincount(key, minlength=counts.vocab_size)
+        starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        totals = np.bincount(key, count, counts.vocab_size).astype(np.int64) if weighted else sizes
+        return starts, ids[order], count[order] if weighted else None, totals
 
     return index(word, context), index(context, word)
 
 
-def _totals(index) -> np.ndarray:
-    """Each word's total count in a ``_word_profiles`` index."""
-    starts, _, cnt = index
-    return np.diff(np.concatenate(([0], np.cumsum(cnt)))[starts])
-
-
 def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
-    """Project the profile of ``word`` in ``index`` onto the n clusters of ``assign``."""
-    starts, ids, cnt = index
+    """``word``'s profile in ``index`` on the n clusters of ``assign``, its total at n."""
+    starts, ids, cnt, totals = index
     at = slice(starts[word], starts[word + 1])
     weights = None if cnt is None else cnt[at]
-    return np.bincount(assign[ids[at]], weights=weights, minlength=n).astype(np.int64)
+    profile = np.bincount(assign[ids[at]], weights=weights, minlength=n + 1).astype(np.int64)
+    profile[n] = totals[word]
+    return profile
 
 
 class _Objective:
@@ -228,14 +239,14 @@ class _Objective:
     ``_most``, the largest word total, plus 2; ``apply_move`` rebuilds them
     when a marginal passes ``_top``.  A pass gathers at most one row per
     cluster of the other side, so a move shifts the positive tally by at
-    most ``_reach``; ``_window`` holds the singleton log ratio at
-    those 2·reach + 1 tallies, up to the number of cells, not a float per
-    cell, and is rebuilt only when a move changes the tallies.  The last
-    ``candidate_deltas`` pass is kept until a move, for ``apply_move`` to
-    reuse.  ``perfbench/tracing.py`` wraps ``__init__``, ``best_move`` and
-    ``apply_move`` from each class's own ``__dict__``, so each subclass
-    defines its constructor and aliases the other two in its class body:
-    ``best_move = _Objective.best_move``."""
+    most ``_reach``; ``_window`` holds the singleton log ratio at those
+    2·reach + 1 tallies, up to the number of cells, not a float per cell,
+    and the term before a move; it is rebuilt only when a move changes the
+    tallies.  The last ``candidate_deltas`` pass is kept until a move, for
+    ``apply_move`` to reuse.  ``perfbench/tracing.py`` wraps ``__init__``,
+    ``best_move`` and ``apply_move`` from each class's own ``__dict__``, so
+    each subclass defines its constructor and aliases the other two in its
+    class body: ``best_move = _Objective.best_move``."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount,
                  back: CountTable | None = None, lam: float = 1.0):
@@ -249,27 +260,24 @@ class _Objective:
         tables = [t for t in (self.a, self.bg) if t is not None]
         # a table not held only names rows, so its profiles need no counts
         profiles = [_word_profiles(t, i < len(tables)) for i, t in enumerate(given)]
-        # per side: the other side's assignment and range, the profile index
-        # of each table given, then per table held each word's total, the
-        # cell matrix and the marginal, with the moving side's clusters as
-        # columns; and the side's targets, read-only as every pass returns them
-        self._sides, self._targets = {}, {}
+        # per side: the other side's assignment and range, the profile index of
+        # each table given, per table held its bordered array with the moving
+        # side's clusters as columns, and the targets every pass returns, read-only
+        self._sides = {}
         for side, other, n in ((CATEGORY_SIDE, cm.state_of, cm.n_states),
                                (STATE_SIDE, cm.category_of, cm.n_cats)):
             state = side == STATE_SIDE
             index = [p[state] for p in profiles]  # (preds, succs)[state]
-            totals = [_totals(i) for i in index[:len(tables)]]
-            cells = [t.pairs.T if state else t.pairs for t in tables]
-            margs = [t.state_tot if state else t.cat_tot for t in tables]
-            self._sides[side] = (other, n, index, totals, cells, margs)
-            self._targets[side] = np.arange(self.assignment(side)[1])
-            self._targets[side].flags.writeable = False
-        self._most = max(int(t.max(initial=0)) for s in self._sides.values() for t in s[3])
+            blocks = [t.table.T if state else t.table for t in tables]
+            targets = np.arange(self.assignment(side)[1])
+            targets.flags.writeable = False
+            self._sides[side] = (other, n, index, blocks, targets)
+        self._most = max(int(i[3].max(initial=0)) for p in profiles[:len(tables)] for i in p)
         self._set_logs()
 
     def _set_logs(self) -> None:
         """Build the log tables up to the largest count a pass can gather."""
-        self._top = max(int(m.max(initial=0)) for s in self._sides.values() for m in s[5])
+        self._top = max(int(t[-1, :-1].max(initial=0)) for s in self._sides.values() for t in s[3])
         largest = self._top + self._most + 2
         # One table's counts are both its weights and its combined counts, so
         # its log tables hold N ln(N-1-b) and a move needs no multiply; the
@@ -322,33 +330,31 @@ class _Objective:
         an ``apply_move`` of the same word and side.
         """
         self._pass = None  # freed before this pass allocates its own arrays
-        other, n, index, totals, cells, margs = self._sides[side]
-        targets = self._targets[side]
+        other, n, index, blocks, targets = self._sides[side]
         k = len(targets)
         src = int(self.assignment(side)[0][word])
         profiles = [_class_profile(i, word, other, n) for i in index]
-        # the rows any table touches; the start value spares one table an add
+        # the rows any table touches, marginal row n last; the start value spares one add
         rows = sum(profiles[1:], profiles[0]).nonzero()[0]
         if not len(rows):
             self._pass = (word, side, src, rows, [], None)
             return None
-        # per table held, the word's counts at the rows and its total
-        shifts = [(p[rows], t[word]) for p, t in zip(profiles, totals)]
+        # per table held, the word's counts at the rows, its total last
+        shifts = [p[rows] for p in profiles[:len(blocks)]]
         width = max(k, src + 1)
         # per table, the cells at the rows and the marginal, as (old, new)
-        moved = [(*_move_counts(m[rows, :width], x, src),
-                  *_move_counts(marg[:width].copy(), total, src))
-                 for m, marg, (x, total) in zip(cells, margs, shifts)]
+        moved = [_move_counts(t[rows, :width], x, src) for t, x in zip(blocks, shifts)]
         weights = moved[0]
         counts = weights if self.bg is None else [
             combine_counts(a, b, self.lam) for a, b in zip(*moved)]
         del moved  # the background's own counts are needed only combined
-        z_old, z_new = (self._lookup[c] for c in counts[:2])
-        m_old, m_new = (self._logs[1][c] for c in counts[2:])
+        z_old, z_new = (self._lookup[c[:-1]] for c in counts)
+        m_old, m_new = (self._logs[1][c[-1]] for c in counts)
         t_old, t_new = z_old.real, z_new.real
         if self.bg is not None:  # the log terms are weighted, the tally flags not
-            for t, w in zip((t_old, t_new, m_old, m_new), weights):
-                t *= w
+            for t, m, w in zip((t_old, t_new), (m_old, m_new), weights):
+                t *= w[:-1]
+                m *= w[-1]
         # per column, the insertion's log sum (real; the float sum's bits but
         # at one column, the source's -inf slot) and tally change (imag); the
         # removal sums the source column's log terms as one 1-D sum
@@ -361,10 +367,7 @@ class _Objective:
         packed += base - packed[src]  # the source column holds the removal, reversed
         one, at = np.divmod(packed, _PACKED)  # at: the positive tally - lo
         self._pass = (word, side, src, rows, shifts, (one, at))
-        single = one * ratio[at]  # the singleton term after each move
-        single[one == 0] = 0.0
-        single -= single_now
-        deltas += single
+        _add_singleton_change(deltas, one, ratio[at], single_now)
         # moves to at most one positive cell are invalid; only lo <= 1 allows one
         if lo <= 1:
             deltas[at <= 1 - lo] = NEG_INF
@@ -396,13 +399,10 @@ class _Objective:
             self.candidate_deltas(word, side)
         _, _, src, rows, shifts, change = self._pass
         self._pass = None
-        cells, margs = self._sides[side][4:]
-        for m, marg, (x, total) in zip(cells, margs, shifts):
-            m[rows, src] -= x
-            m[rows, dst] += x
-            marg[src] -= total
-            marg[dst] += total
-            if marg[dst] > self._top:
+        for t, x in zip(self._sides[side][3], shifts):
+            t[rows, src] -= x
+            t[rows, dst] += x
+            if t[-1, dst] > self._top:
                 self._set_logs()  # the next pass could gather past the tables
         if shifts:
             tallies = (int(change[0][dst]), int(change[1][dst]) + self._window[1])

@@ -270,7 +270,7 @@ def perplexity_by_hand(probs):
 # ------------------------------------------ the previous move kernel, bit for bit
 #
 # Unlike the rest of this module, what follows reads the move engine's own
-# state (its per-side tables, log tables and tallies) and calls the package's
+# state (its per-side cells, log tables and tallies) and calls the package's
 # rounding and profile code: it is the engine's candidate evaluation as it was
 # before it became one pass, split into the helpers it had then, so that tests
 # can require the one pass to give the same bits, not only close values.
@@ -281,13 +281,17 @@ _ROW = np.zeros(1, dtype=np.int64)  # the one row of a marginal family
 
 
 def _reference_side(engine, word, side):
-    other, n, index, totals, cells, margs = engine._sides[side]
-    profiles = [_class_profile(i, word, other, n) for i in index]
+    other, n, index, blocks, _ = engine._sides[side]
+    # the cells alone: the marginals and the word's totals are summed from
+    # them here, not read from the engine's borders or its profiles' totals
+    cells = [t[:n, :-1] for t in blocks]
+    profiles = [_class_profile(i, word, other, n)[:n] for i in index]
     rows = sum(profiles[1:], profiles[0]).nonzero()[0]
     if not len(rows):
         return None
+    margs = [m.sum(axis=0)[None] for m in cells]
     return ((cells, rows, [p[rows] for p in profiles]),
-            ([m[None] for m in margs], _ROW, [t[word:word + 1] for t in totals]))
+            (margs, _ROW, [p.sum(keepdims=True) for p in profiles]))
 
 
 def _move_counts(matrix, rows, add, src, k):

@@ -157,10 +157,14 @@ def test_word_profile_slices_match_a_dict_walk(setup):
             (preds, {v: row[x] for v, row in table.rows.items() if x in row}),
             (succs, table.rows.get(x, {})),
         ):
-            starts, ids, counts = index
+            starts, ids, counts, totals = index
             at = slice(starts[x], starts[x + 1])
             assert dict(zip(ids[at].tolist(), counts[at].tolist())) == want
             assert len(ids[at]) == len(want)
+            assert totals[x] == sum(want.values())
+    # an unweighted index counts each word's neighbours as its total
+    for index, weighted in zip(_word_profiles(table, False), (preds, succs)):
+        assert index[2] is None and np.array_equal(index[3], np.diff(weighted[0]))
 
 
 @CASES

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +20,7 @@ from clusterlm.criterion import (
     AdaptiveObjective,
     ClassCounts,
     StandardObjective,
+    _add_singleton_change,
     _move_counts,
     _tallies,
     aggregate_class_counts,
@@ -730,6 +731,97 @@ def test_singleton_window_at_its_edges_gives_the_reference_bits(lam):
                     seen.add(fresh)
     assert compared >= 18 and degenerate > 0
     assert len(seen) >= 3 and min(pos for _, pos in seen) == 2
+
+
+# the window's log ratios are finite and never -0.0: adding +0.0 clears the sign
+_RATIOS = st.floats(-20.0, 20.0).map(lambda r: r + 0.0)
+_DELTAS = st.sampled_from([0.0, -0.0, math.inf, -math.inf]) | st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_DELTAS, st.integers(0, 3), _RATIOS), min_size=1, max_size=8),
+       st.sampled_from([0.0, NEG_INF]) | st.floats(-30.0, 30.0))
+@example([(-0.0, 0, -1.5)], 0.0)  # a zero term taken as +0.0 would keep this delta -0.0
+def test_singleton_change_needs_no_count_one_mask(columns, now):
+    # the pass adds the singleton term after each move, less the term now,
+    # without zeroing the columns with no count-one cell: the bits of the
+    # masked arithmetic for every delta, count-one tally, ratio and term
+    deltas, one, ratio = (np.array(c) for c in zip(*columns))
+    one = one.astype(np.int64)
+    want, got = deltas.copy(), deltas.copy()
+    with np.errstate(invalid="ignore"):  # -inf + inf is nan on both sides
+        single = one * ratio
+        single[one == 0] = 0.0
+        single -= now
+        want += single
+        _add_singleton_change(got, one, ratio, now)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def bordered_engines(draw):
+    """Two small count tables, a map with one pinned word in an extra state
+    and one in an extra category, a weight (None for the standard engine)
+    and moves as (word, side, step to the target)."""
+    n = draw(st.integers(4, 9))
+    k_s, k_c = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    events = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 6)),
+                      min_size=1, max_size=30)
+
+    def table():
+        rows = {}
+        for v, w, c in draw(events):
+            rows.setdefault(v, {}).setdefault(w, 0)
+            rows[v][w] += c
+        return CountTable(n, rows)
+
+    movable = lambda k, size: draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    cm = ClusterMap([k_s] + movable(k_s, n - 1), movable(k_c, 1) + [k_c] + movable(k_c, n - 2),
+                    k_s + 1, k_c + 1, k_s, k_c, frozen_states={0}, frozen_cats={1})
+    moves = st.tuples(st.integers(2, n - 1), st.sampled_from([CATEGORY_SIDE, STATE_SIDE]),
+                      st.integers(0, 2))
+    return (table(), table(), cm, draw(st.sampled_from([None, 1.0, 0.6])),
+            draw(st.lists(moves, min_size=1, max_size=10)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bordered_engines())
+def test_bordered_tables_keep_their_marginals_through_moves(case):
+    # after each move every held table's border holds the marginals of its
+    # cells and its corner their total; combining two bordered arrays
+    # combines each part as it would be combined alone; and every candidate
+    # array, pinned words included, is the reference's bits
+    a, back, cm, lam, moves = case
+    disc = Discount(0.6)
+    eng = (StandardObjective(a, cm, disc) if lam is None
+           else AdaptiveObjective(a, back, cm, disc, lam))
+    assert (eng.bg is None) == (lam in (None, 1.0))
+    for w, side, step in [(None, None, None)] + moves:
+        if w is not None:
+            assign, k, _ = eng.assignment(side)
+            eng.apply_move(w, side, (int(assign[w]) + 1 + step % (k - 1)) % k)
+        held = [(eng.a, a)] if eng.bg is None else [(eng.a, a), (eng.bg, back)]
+        for t, counts in held:
+            assert np.array_equal(t.state_tot, t.pairs.sum(axis=1))
+            assert np.array_equal(t.cat_tot, t.pairs.sum(axis=0))
+            assert t.table[-1, -1] == t.pairs.sum() == counts.total_tokens
+            assert np.array_equal(t.table, aggregate_class_counts(counts, eng.cm).table)
+        bg = aggregate_class_counts(back, eng.cm) if eng.bg is None else eng.bg
+        for weight in {eng.lam, 0.6}:
+            c = combine_class_counts(eng.a, bg, weight)
+            for part in (lambda t: t.pairs, lambda t: t.state_tot, lambda t: t.cat_tot,
+                         lambda t: t.table[-1:, -1:]):
+                want = combine_counts(part(eng.a), part(bg), weight)
+                assert part(c).tobytes() == want.tobytes()
+        for v in range(cm.vocab_size):
+            for either in (CATEGORY_SIDE, STATE_SIDE):
+                want = oracles.reference_candidate_deltas(eng, v, either)
+                got = eng.candidate_deltas(v, either)
+                if want is None:
+                    assert got is None
+                    continue
+                assert np.array_equal(got[0], want[0])
+                assert got[1].tobytes() == want[1].tobytes(), f"{either} {v}"
 
 
 def test_candidate_deltas_marks_source_and_prefers_lowest_tie():
