@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import suppress
+from functools import partial
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterator
@@ -52,6 +53,17 @@ def row_blocks(*columns: np.ndarray) -> Iterator[Iterator[tuple]]:
     Columns of unequal length raise ``ValueError``; none is cut short."""
     for lo in range(0, len(columns[0]), 1024):
         yield zip(*(c[lo:lo + 1024].tolist() for c in columns), strict=True)
+
+
+def each(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` of each value of ``a`` as a Python float, a few thousand
+    values at a time: numpy's own pow, log and log10 differ from Python's in
+    the last bit of some values, and a model keeps the bits of its file."""
+    values = chain.from_iterable(a[lo:lo + 4096].tolist() for lo in range(0, a.size, 4096))
+    return np.fromiter(map(fn, values), float, a.size)
+
+
+pow10 = partial(pow, 10.0)  # 10.0 ** x, for ``each``
 
 
 def line_blocks(path: str | Path) -> Iterator[list[str]]:

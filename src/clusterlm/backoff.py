@@ -9,28 +9,16 @@ for bit.
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .artifact import Artifact, dense, finite, size, write
+from .artifact import Artifact, dense, each, finite, pow10, size, write
 from .corpus import CountTable, cell_rows
 from .discounting import Discount, discounted_distribution
 from .errors import ConfigError
 
 BACKOFF_MAGIC = "clusterlm-backoff"
-
-
-def _each(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` of each value as a Python float: numpy's pow and log10 differ.
-    A few thousand values at a time are Python floats."""
-    values = chain.from_iterable(a[lo:lo + 4096].tolist() for lo in range(0, a.size, 4096))
-    return np.fromiter(map(fn, values), float, a.size)
-
-
-_pow10 = partial(pow, 10.0)  # 10.0 ** x
 
 
 class BackoffModel:
@@ -79,7 +67,7 @@ class BackoffModel:
         context, word = cells[0][order], cells[1][order]
         # contiguous: a loader's columns are strided views of its record array
         self.lp = np.ascontiguousarray(cells[2][order])
-        self.p = _each(_pow10, self.lp)
+        self.p = each(pow10, self.lp)
         alpha[~listed], beta[~listed] = 1.0 - fill_mass, fill_mass
         self.listed, self.alpha, self.beta = listed, alpha, beta
         # Z(v), F(v): the group's total minus its explicit words' unigram after v, added
@@ -218,7 +206,7 @@ def train_backoff(
     p[at_full] /= 1.0 - reserve[context[at_full]]
     reserve[kept == n] = 0.0
     return BackoffModel(
-        n, b, cutoff, _unigram_lp(counts, discount), (context, word, _each(math.log10, p)),
+        n, b, cutoff, _unigram_lp(counts, discount), (context, word, each(math.log10, p)),
         listed, reserve, np.zeros(n), vocab_md5=vocab_md5,
         unseen=frozenset(np.flatnonzero(counts.unigram == 0).tolist()),
     )
@@ -313,10 +301,10 @@ def fillup(
     keep = (scale[bg_context] > 0.0) & ~np.isin(background._keys, key, assume_unique=True)
     bg_context, lp = bg_context[keep], background.lp[keep]
     scaled = ~(copied & (not fill))[bg_context]
-    lp[scaled] = _each(math.log10, scale[bg_context[scaled]] * background.p[keep][scaled])
+    lp[scaled] = each(math.log10, scale[bg_context[scaled]] * background.p[keep][scaled])
     at = np.searchsorted(background._keys[keep], key)
     cells = (np.insert(bg_context, at, context), np.insert(background.word[keep], at, word),
-             np.insert(lp, at, _each(math.log10, p)))
+             np.insert(lp, at, each(math.log10, p)))
     model = BackoffModel(
         n, b, background.cutoff, uni_lp, cells, filled | background.listed, alpha, beta,
         kind="fillup", vocab_md5=background.vocab_md5,

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import Artifact, dense, finite, id_list, size, write
+from .artifact import Artifact, dense, each, finite, id_list, pow10, size, write
 from .corpus import CountTable, Vocabulary
 from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
@@ -54,7 +54,8 @@ class ClusterMap:
         self.frozen_states = frozenset(frozen_states)
         self.frozen_cats = frozenset(frozen_cats)
         if self.state_of.size and (
-            self.state_of.max() >= n_states or self.category_of.max() >= n_cats
+            min(self.state_of.min(), self.category_of.min()) < 0
+            or self.state_of.max() >= n_states or self.category_of.max() >= n_cats
         ):
             raise ConfigError("cluster id out of range")
         if not (1 <= self.k_states <= n_states and 1 <= self.k_cats <= n_cats):
@@ -79,14 +80,6 @@ class ClusterMap:
             self.k_cats,
             self.frozen_states,
             self.frozen_cats,
-        )
-
-    def same_assignments(self, other: "ClusterMap") -> bool:
-        return (
-            self.n_states == other.n_states
-            and self.n_cats == other.n_cats
-            and bool(np.array_equal(self.state_of, other.state_of))
-            and bool(np.array_equal(self.category_of, other.category_of))
         )
 
 
@@ -222,7 +215,7 @@ class ClassModel:
     if unseen), state weights ``state_alpha`` on the log10 category fallback
     ``cat_lp`` (-inf on empty categories), and log10 p(w|g) ``word_lp``.  It
     derives p(g|s) = 10**pair_lp + state_alpha * 10**cat_lp once, with
-    Python's pow per value, which ``np.power`` does not match in every bit.
+    Python's pow per value (``artifact.each``).
     ``probs(contexts, words)`` gives p(w|v) for each pair of two id arrays;
     ``prob`` is the same lookup, named for one pair of ids.
     """
@@ -252,9 +245,9 @@ class ClassModel:
         self.label = label
         seen, nonempty = pair_lp > -np.inf, cat_lp > -np.inf
         q = np.zeros(cat_lp.shape)
-        q[nonempty] = [10.0 ** x for x in cat_lp[nonempty].tolist()]
+        q[nonempty] = each(pow10, cat_lp[nonempty])
         self.class_p = np.multiply.outer(state_alpha, q)
-        self.class_p[seen] += [10.0 ** x for x in pair_lp[seen].tolist()]
+        self.class_p[seen] += each(pow10, pair_lp[seen])
         self.word_p = np.power(10.0, word_lp)
 
     @property
@@ -351,14 +344,13 @@ def estimate_class_model(
     uniform_cats = np.zeros(n_cats)
     uniform_cats[nonempty] = 1.0 / len(nonempty)
     q = discounted_distribution(cat_tot, b_cats, uniform_cats)
-    # math.log10 per value, which np.log10 does not match in the last bit
-    cat_lp = dense(n_cats, nonempty, [math.log10(x) for x in q[nonempty].tolist()])
+    cat_lp = dense(n_cats, nonempty, each(math.log10, q[nonempty]))
 
     # State cells, and the mass they leave to the fallback: all for no counts.
     total = pairs.sum(axis=1)
     s_ids, g_ids = np.nonzero(pairs)
     cells = (pairs[s_ids, g_ids] - b_pairs.b) / total[s_ids]
-    pair_lp = dense(pairs.shape, (s_ids, g_ids), [math.log10(x) for x in cells.tolist()])
+    pair_lp = dense(pairs.shape, (s_ids, g_ids), each(math.log10, cells))
     state_alpha = np.ones(n_states)
     np.divide(b_pairs.b * np.count_nonzero(pairs, axis=1), total,
               out=state_alpha, where=total > 0)

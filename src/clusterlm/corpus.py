@@ -203,19 +203,6 @@ def build_vocabulary(
     return vocab
 
 
-def _in_order(vocab_size: int, *cells) -> tuple[np.ndarray, ...]:
-    """(context, word, count) as int64 arrays sorted by (context, word); a
-    repeated pair is a ``ValueError``."""
-    context, word, count = (np.asarray(a, dtype=np.int64) for a in cells)
-    key = context * vocab_size + word
-    if not (np.diff(key) > 0).all():
-        order = np.argsort(key, kind="stable")
-        if not np.diff(key[order]).all():
-            raise ValueError("duplicate bigram")
-        context, word, count = context[order], word[order], count[order]
-    return context, word, count
-
-
 def cell_rows(context: np.ndarray, word: np.ndarray, values: np.ndarray) -> dict:
     """``{context: {word: value}}`` of cells sorted by (context, word)."""
     rows: dict = {}
@@ -227,22 +214,25 @@ def cell_rows(context: np.ndarray, word: np.ndarray, values: np.ndarray) -> dict
 class CountTable:
     """Sparse unigram/bigram event counts over a fixed vocabulary.
 
-    A table stores its cells: three read-only int64 arrays (context, word,
-    count), sorted by (context, word), with positive counts only, which
-    ``cells()`` hands out.  Derived from them once: ``unigram[w]``, the
-    column sums, which count predicted positions (every token including the
-    end marker, never the begin marker), and ``total_tokens``.
-    ``rows`` is a ``{context: {word: count}}`` view of the cells, built on
-    each access.
+    A table is built from its cells, (context, word, count) as three arrays
+    in any order, and stores them as three read-only int64 arrays sorted by
+    (context, word), with positive counts only, which ``cells()`` hands out.
+    Derived from them once: ``unigram[w]``, the column sums, which count
+    predicted positions (every token including the end marker, never the
+    begin marker), and ``total_tokens``.
     """
 
-    def __init__(self, vocab_size: int, rows: dict[int, dict[int, int]] | None = None):
-        """The table of a ``{context: {word: count}}`` dict, in any order."""
-        cells = [(v, w, c) for v, row in (rows or {}).items() for w, c in row.items()]
-        columns = np.array(cells, dtype=np.int64).reshape(-1, 3).T.copy()
-        self._store(vocab_size, *_in_order(vocab_size, *columns))
-
-    def _store(self, vocab_size: int, *cells: np.ndarray) -> None:
+    def __init__(self, vocab_size: int, context, word, count):
+        """The table of the given bigrams, the inverse of ``cells``: each
+        (context, word) pair appears at most once (else ``ValueError``), in
+        any order.  Arrays already in order are stored as they are, read-only."""
+        cells = tuple(np.asarray(a, dtype=np.int64) for a in (context, word, count))
+        key = cells[0] * vocab_size + cells[1]
+        if not (np.diff(key) > 0).all():
+            order = np.argsort(key, kind="stable")
+            if not np.diff(key[order]).all():
+                raise ValueError("duplicate bigram")
+            cells = tuple(a[order] for a in cells)
         for a in cells:
             a.flags.writeable = False
         self.vocab_size, self._cells = vocab_size, cells
@@ -250,27 +240,14 @@ class CountTable:
         np.add.at(self.unigram, cells[1], cells[2])
         self.total_tokens = int(self.unigram.sum())
 
-    def bigram(self, v: int, w: int) -> int:
-        context, word, count = self._cells
-        lo, hi = np.searchsorted(context, [v, v + 1]).tolist()
-        at = lo + int(np.searchsorted(word[lo:hi], w))
-        return int(count[at]) if at < hi and word[at] == w else 0
-
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored (context, word, count) arrays, not copies."""
         return self._cells
 
-    @classmethod
-    def from_cells(cls, vocab_size: int, context, word, count) -> "CountTable":
-        """The table of the given bigrams, the inverse of ``cells``: each
-        (context, word) pair appears at most once (else ``ValueError``), in
-        any order.  Arrays already in order are stored as they are, read-only."""
-        table = cls.__new__(cls)
-        table._store(vocab_size, *_in_order(vocab_size, context, word, count))
-        return table
-
     @property
     def rows(self) -> dict[int, dict[int, int]]:
+        """A ``{context: {word: count}}`` view of the cells, built on each
+        access; ``perfbench/tracing.py`` counts a table's cells through it."""
         return cell_rows(*self._cells)
 
     def save(self, path: str | Path, vocab_md5: str) -> None:
@@ -295,7 +272,7 @@ class CountTable:
             context, word, count = art.body((n, n, int))
             if (count <= 0).any():
                 raise ValueError("nonpositive count")
-            table = cls.from_cells(n, context, word, count)
+            table = cls(n, context, word, count)
             if table.total_tokens != declared_total:
                 raise ValueError(
                     f"header total_tokens={declared_total} but counts sum "
@@ -363,9 +340,12 @@ def _frame(parts: list, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """The (contexts, words) of the sentences in ``parts``, which it
     empties: each part holds the token ids of its sentences end to end and
     their lengths.  A sentence's contexts are the begin marker and its
-    tokens, and its words are its tokens and the end marker."""
+    tokens, and its words are its tokens and the end marker, so a sentence
+    that holds a marker is a ``ConfigError``."""
     ids, lengths = (np.concatenate(a) for a in zip(*parts))
     parts.clear()
+    if ((ids == vocab.bos_id) | (ids == vocab.eos_id)).any():
+        raise ConfigError("a sentence holds a marker, which counting adds itself")
     ends = np.cumsum(lengths)
     return np.insert(ids, ends - lengths, vocab.bos_id), np.insert(ids, ends, vocab.eos_id)
 
@@ -394,13 +374,7 @@ def count_events(corpus: Corpus, vocab: Vocabulary) -> CountTable:
         counts = np.insert(counts, at, runs[~hit])
     context, word = np.divmod(keys, n)
     del keys  # freed before the table is built
-    table = CountTable.from_cells(n, context, word, counts)
-    # Framing gives each sentence one event from the begin marker and one
-    # into the end marker, and none into the begin marker.
-    sentences = int(counts[context == vocab.bos_id].sum())
-    if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
-        raise ConfigError("a sentence holds a marker, which counting adds itself")
-    return table
+    return CountTable(n, context, word, counts)
 
 
 def map_counts(counts: CountTable, source: Vocabulary, target: Vocabulary) -> CountTable:
@@ -412,4 +386,4 @@ def map_counts(counts: CountTable, source: Vocabulary, target: Vocabulary) -> Co
     context, word, count = counts.cells()
     keys, at = np.unique(to[context] * n + to[word], return_inverse=True)
     merged = np.bincount(at, weights=count).astype(np.int64)
-    return CountTable.from_cells(n, keys // n, keys % n, merged)
+    return CountTable(n, keys // n, keys % n, merged)

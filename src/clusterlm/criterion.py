@@ -114,7 +114,7 @@ def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> Coun
     b[at[len(va):]] = cb
     c = combine_counts(a, b, lam)
     keep = c > 0
-    return CountTable.from_cells(n, keys[keep] // n, keys[keep] % n, c[keep])
+    return CountTable(n, keys[keep] // n, keys[keep] % n, c[keep])
 
 
 def log_table(b: float, n: int, times_n: bool) -> np.ndarray:
@@ -373,11 +373,6 @@ class _Objective:
             deltas[at <= 1 - lo] = NEG_INF
         deltas[src] = NEG_INF
         return targets, deltas[:k]
-
-    def move_delta(self, word: int, side: str, dst: int) -> float:
-        self._check_move(word, side, dst)
-        res = self.candidate_deltas(word, side)
-        return 0.0 if res is None else float(res[1][dst])
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .artifact import each
 from .backoff import BackoffModel, fillup, train_backoff
 from .classmodel import ClassModel, ClusterMap, estimate_class_model, init_clustering
 from .corpus import (
@@ -56,7 +57,7 @@ def _add_logs(log_sum: float, probs_fn, keys: np.ndarray, n: int) -> float:
         i = int(np.argmin(p > 0.0))
         raise ModelIntegrityError(
             f"model returned p={float(p[i])!r} for id pair {divmod(int(pairs[i]), n)}")
-    logs = np.fromiter(map(math.log, p.tolist()), np.float64, p.size)[at]
+    logs = each(math.log, p)[at]
     logs[0] += log_sum  # then added one by one, not pairwise as np.sum adds
     return float(np.add.accumulate(logs, out=logs)[-1])
 

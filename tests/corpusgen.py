@@ -111,12 +111,11 @@ def random_table(rng, vocab_size, density=0.25, max_count=9):
     Draws bigram events over all ids (including the reserved ones, which is
     fine for criterion-level tests: the scoring code only sees cells).
     """
-    rows = {}
+    cells = {}
     n_events = max(3, int(vocab_size * vocab_size * density * 0.15))
     for _ in range(n_events):
-        v = rng.randrange(vocab_size)
-        w = rng.randrange(vocab_size)
-        row = rows.setdefault(v, {})
-        row[w] = row.get(w, 0) + rng.randint(1, max_count)
-    return CountTable(vocab_size, rows)
+        pair = rng.randrange(vocab_size), rng.randrange(vocab_size)
+        cells[pair] = cells.get(pair, 0) + rng.randint(1, max_count)
+    context, word = zip(*cells)
+    return CountTable(vocab_size, context, word, list(cells.values()))
 

@@ -2,7 +2,9 @@
 
 Everything here is written in the plainest style available -- dicts, loops,
 math.log -- and shares no code with the package internals, so agreement
-between the two is meaningful evidence of correctness.
+between the two is meaningful evidence of correctness.  A few adapters
+come first: the table of a dict, a comparison of two cluster maps, and the
+engine's delta for one move.
 """
 
 import math
@@ -15,6 +17,26 @@ from clusterlm.errors import ConfigError
 NEG_INF = float("-inf")
 
 
+def dict_table(vocab_size, rows=None):
+    """The ``CountTable`` of a ``{context: {word: count}}`` dict, in any order."""
+    cells = [(v, w, c) for v, row in (rows or {}).items() for w, c in row.items()]
+    return CountTable(vocab_size, *np.array(cells, dtype=np.int64).reshape(-1, 3).T)
+
+
+def same_map(a, b):
+    """Whether two cluster maps have the same ranges and assignments."""
+    return ((a.n_states, a.n_cats) == (b.n_states, b.n_cats)
+            and np.array_equal(a.state_of, b.state_of)
+            and np.array_equal(a.category_of, b.category_of))
+
+
+def move_delta(engine, word, side, dst):
+    """The engine's score delta for moving ``word`` to ``dst``, from its pass
+    over every target; 0.0 for a word with no counts on that side."""
+    res = engine.candidate_deltas(word, side)
+    return 0.0 if res is None else float(res[1][dst])
+
+
 def reference_count_events(corpus, vocab):
     """``count_events`` as a per-token loop over a ``{context: {word: count}}``
     dict, each sentence framed as bos, token ids, eos."""
@@ -25,7 +47,7 @@ def reference_count_events(corpus, vocab):
         for v, w in zip(ids, ids[1:]):
             row = rows.setdefault(v, {})
             row[w] = row.get(w, 0) + 1
-    table = CountTable(len(vocab), rows)
+    table = dict_table(len(vocab), rows)
     # Framing predicts one end marker per sentence and never the begin marker.
     if table.unigram[vocab.bos_id] or table.unigram[vocab.eos_id] != sentences:
         raise ConfigError("a sentence holds a marker, which counting adds itself")

@@ -131,7 +131,7 @@ def test_incremental_deltas_match_recomputation(capsys):
                 continue
             src = int(assign[w])
             before = eng.score()
-            delta = eng.move_delta(w, side, dst)
+            delta = oracles.move_delta(eng, w, side, dst)
             eng.apply_move(w, side, dst)
             after = eng.score()
             moves += 1
@@ -139,7 +139,7 @@ def test_incremental_deltas_match_recomputation(capsys):
                 worst = max(
                     worst, abs(delta - (after - before)) / max(1.0, abs(before))
                 )
-                rev = eng.move_delta(w, side, src)
+                rev = oracles.move_delta(eng, w, side, src)
                 if math.isfinite(rev):
                     worst_cancel = max(worst_cancel, abs(delta + rev))
                 checked += 1

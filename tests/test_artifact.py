@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from corpusgen import random_table
 
 from clusterlm import artifact
 from clusterlm.artifact import Artifact, finite, id_list, size, write
 from clusterlm.backoff import BackoffModel, fillup, train_backoff
 from clusterlm.classmodel import ClusterMap, estimate_class_model, init_clustering, save_clusters
-from clusterlm.corpus import CountTable, Vocabulary, count_events
+from clusterlm.corpus import Vocabulary, count_events
 from clusterlm.discounting import Discount
 from clusterlm.errors import FormatError
 
@@ -51,9 +52,9 @@ clusterlm-counts vocab_size=6 total_tokens=7 vocab_md5=cafe
 
 def test_fillup_file_bytes():
     # the background never sees word 5, which the adaptation data does
-    back = train_backoff(CountTable(6, {3: {4: 3}, 4: {3: 1, 2: 2}, 1: {3: 2, 4: 1}}),
+    back = train_backoff(oracles.dict_table(6, {3: {4: 3}, 4: {3: 1, 2: 2}, 1: {3: 2, 4: 1}}),
                          Discount(0.5), cutoff=0)
-    adapt = CountTable(6, {3: {5: 2}, 5: {2: 2}, 1: {5: 1, 3: 1}})
+    adapt = oracles.dict_table(6, {3: {5: 2}, 5: {2: 2}, 1: {5: 1, 3: 1}})
     model = fillup(adapt, back, Discount(0.5))
     assert saved(model.save) == b"""\
 clusterlm-backoff kind=fillup vocab_size=6 b=0.5 cutoff=0 vocab_md5=

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from corpusgen import domain_corpus, random_table
 
-from clusterlm import backoff
+from clusterlm import artifact
 from clusterlm.backoff import BackoffModel, fillup, train_backoff
 from clusterlm.corpus import CountTable, Vocabulary, build_vocabulary, count_events
 from clusterlm.discounting import Discount
@@ -33,11 +33,11 @@ def row_sum(model, v):
 
 def test_training_rejects_empty_counts():
     with pytest.raises(ConfigError):
-        train_backoff(CountTable(5), Discount(0.5))
+        train_backoff(oracles.dict_table(5), Discount(0.5))
 
 
 def test_training_rejects_a_negative_cutoff():
-    counts = CountTable(5, {1: {2: 3}})
+    counts = oracles.dict_table(5, {1: {2: 3}})
     with pytest.raises(ConfigError, match="cutoff"):
         train_backoff(counts, Discount(0.5), cutoff=-1)
 
@@ -69,7 +69,7 @@ def test_matches_direct_computation():
 
 
 def test_cutoff_drops_singletons():
-    counts = CountTable(6, {3: {4: 1, 5: 7}})
+    counts = oracles.dict_table(6, {3: {4: 1, 5: 7}})
     kept = train_backoff(counts, Discount(0.5), cutoff=1)
     assert 4 not in kept.explicit_lp[3]
     assert 5 in kept.explicit_lp[3]
@@ -78,7 +78,7 @@ def test_cutoff_drops_singletons():
 
 
 def test_tiny_discount_approaches_maximum_likelihood():
-    counts = CountTable(8, {3: {4: 6, 5: 3, 6: 1}})
+    counts = oracles.dict_table(8, {3: {4: 6, 5: 3, 6: 1}})
     model = train_backoff(counts, Discount(1e-6), cutoff=0)
     assert model.prob(3, 4) == pytest.approx(0.6, abs=1e-4)
     assert model.prob(3, 5) == pytest.approx(0.3, abs=1e-4)
@@ -86,7 +86,7 @@ def test_tiny_discount_approaches_maximum_likelihood():
 
 
 def test_unseen_context_backs_off_to_unigram():
-    counts = CountTable(6, {3: {4: 5}})
+    counts = oracles.dict_table(6, {3: {4: 5}})
     model = train_backoff(counts, Discount(0.5))
     for w in range(6):
         assert model.prob(5, w) == pytest.approx(model.p_uni[w], rel=1e-12)
@@ -94,7 +94,7 @@ def test_unseen_context_backs_off_to_unigram():
 
 
 def test_full_coverage_context_renormalizes():
-    counts = CountTable(4, {3: dict(enumerate([5, 4, 3, 2]))})
+    counts = oracles.dict_table(4, {3: dict(enumerate([5, 4, 3, 2]))})
     model = train_backoff(counts, Discount(0.5), cutoff=1)
     assert model.alpha[3] == 0.0
     assert row_sum(model, 3) == pytest.approx(1.0, abs=1e-12)
@@ -117,7 +117,7 @@ def test_round_trip_is_byte_stable(tmp_path):
 
 def test_model_with_no_bigrams_loads_without_warnings(tmp_path):
     # every bigram occurs once, so the cutoff drops them all
-    model = train_backoff(CountTable(6, {3: {4: 1, 5: 1}, 4: {5: 1}}), Discount(0.5))
+    model = train_backoff(oracles.dict_table(6, {3: {4: 1, 5: 1}, 4: {5: 1}}), Discount(0.5))
     assert model.context.size == 0
     path = tmp_path / "m.lm"
     model.save(path)
@@ -134,11 +134,11 @@ def test_each_gives_the_bits_of_a_python_loop():
     rng = np.random.default_rng(4)
     lp = rng.uniform(-9.0, 0.0, (10_000, 2))[:, 0]  # a strided column, as a loader gives
     p = rng.uniform(1e-9, 1.0, 10_000)
-    assert backoff._each(backoff._pow10, lp).tobytes() == np.array(
+    assert artifact.each(artifact.pow10, lp).tobytes() == np.array(
         [10.0 ** x for x in lp.tolist()]).tobytes()
-    assert backoff._each(math.log10, p).tobytes() == np.array(
-        [math.log10(x) for x in p.tolist()]).tobytes()
-    assert not np.array_equal(np.power(10.0, lp), backoff._each(backoff._pow10, lp))
+    for fn in (math.log10, math.log):
+        assert artifact.each(fn, p).tobytes() == np.array([fn(x) for x in p.tolist()]).tobytes()
+    assert not np.array_equal(np.power(10.0, lp), artifact.each(artifact.pow10, lp))
 
 
 def test_a_loaded_model_stores_its_bigram_columns_contiguously(tmp_path):
@@ -157,7 +157,7 @@ def test_fillup_of_empty_adaptation_copies_background():
     rng = random.Random(9)
     back_counts = random_table(rng, 10)
     background = train_backoff(back_counts, Discount(0.5))
-    adapted = fillup(CountTable(10), background, Discount(0.5))
+    adapted = fillup(oracles.dict_table(10), background, Discount(0.5))
     assert adapted.kind == "fillup"
     assert np.array_equal(table(adapted), table(background))
 
@@ -188,9 +188,9 @@ def test_fillup_fixpoint_when_adaptation_retrains_background():
 def test_fillup_spreads_reserve_proportionally_to_background():
     # After context v the background strongly prefers w=5 over w=6; the
     # filled model must keep that preference among unobserved words.
-    back_counts = CountTable(8, {3: {5: 9, 6: 1, 7: 1}})
+    back_counts = oracles.dict_table(8, {3: {5: 9, 6: 1, 7: 1}})
     background = train_backoff(back_counts, Discount(0.5), cutoff=0)
-    adapt_counts = CountTable(8, {3: {4: 4}})
+    adapt_counts = oracles.dict_table(8, {3: {4: 4}})
     adapted = fillup(adapt_counts, background, Discount(0.5))
     assert adapted.prob(3, 5) > adapted.prob(3, 6)
     ratio = adapted.prob(3, 5) / adapted.prob(3, 6)
@@ -199,9 +199,9 @@ def test_fillup_spreads_reserve_proportionally_to_background():
 
 
 def test_fillup_renormalizes_when_background_mass_is_exhausted():
-    back_counts = CountTable(4, {3: dict.fromkeys(range(4), 3)})
+    back_counts = oracles.dict_table(4, {3: dict.fromkeys(range(4), 3)})
     background = train_backoff(back_counts, Discount(0.5), cutoff=0)
-    adapt_counts = CountTable(4, {3: dict(enumerate([1, 2, 3, 4]))})
+    adapt_counts = oracles.dict_table(4, {3: dict(enumerate([1, 2, 3, 4]))})
     adapted = fillup(adapt_counts, background, Discount(0.5))
     assert adapted.alpha[3] == 0.0
     assert row_sum(adapted, 3) == pytest.approx(1.0, abs=1e-12)
@@ -212,14 +212,14 @@ def test_fillup_requires_shared_vocabulary():
         count_events([["a"]], Vocabulary(["a"])), Discount(0.5)
     )
     with pytest.raises(ConfigError):
-        fillup(CountTable(9), background, Discount(0.5))
+        fillup(oracles.dict_table(9), background, Discount(0.5))
 
 
 def adaptation_only_setup(cutoff=0):
     # The background never sees 6, 7 or 8; the adaptation data sees all
     # three, and 6 also after context 3.
-    back_counts = CountTable(10, {3: {5: 9, 4: 2}, 5: {4: 3}, 4: {5: 2}})
-    adapt_counts = CountTable(10, {3: {4: 4, 6: 2}, 5: {7: 3, 8: 1}})
+    back_counts = oracles.dict_table(10, {3: {5: 9, 4: 2}, 5: {4: 3}, 4: {5: 2}})
+    adapt_counts = oracles.dict_table(10, {3: {4: 4, 6: 2}, 5: {7: 3, 8: 1}})
     background = train_backoff(back_counts, Discount(0.5), cutoff=cutoff)
     return adapt_counts, background
 
@@ -274,9 +274,9 @@ def test_fillup_splits_the_reserve_between_the_two_word_groups():
 
 
 def test_fillup_adaptation_bigrams_at_or_below_cutoff_join_the_reserve():
-    back_counts = CountTable(8, {2: {5: 9, 4: 3}})
+    back_counts = oracles.dict_table(8, {2: {5: 9, 4: 3}})
     background = train_backoff(back_counts, Discount(0.5), cutoff=1)
-    adapt_counts = CountTable(8, {3: {4: 1, 5: 6}})
+    adapt_counts = oracles.dict_table(8, {3: {4: 1, 5: 6}})
     b = 0.4
     adapted = fillup(adapt_counts, background, Discount(b))
     assert set(adapted.explicit_lp[3]) == {5}
@@ -286,7 +286,7 @@ def test_fillup_adaptation_bigrams_at_or_below_cutoff_join_the_reserve():
 
     # A context whose every adaptation bigram is dropped is filled like one
     # the adaptation data never saw.
-    adapt_counts = CountTable(8, {3: {4: 1, 5: 6}, 6: {4: 1}})
+    adapt_counts = oracles.dict_table(8, {3: {4: 1, 5: 6}, 6: {4: 1}})
     refilled = fillup(adapt_counts, background, Discount(b))
     for w in range(8):
         assert refilled.prob(6, w) == refilled.prob(7, w)

@@ -34,7 +34,7 @@ def tables(draw, n):
         row[w] = row.get(w, 0) + c
     for v in draw(st.lists(ids, max_size=3)):
         rows.setdefault(v, {})
-    return CountTable(n, rows)
+    return oracles.dict_table(n, rows)
 
 
 @st.composite
@@ -126,9 +126,20 @@ def test_one_table_per_set_of_cells(setup):
             path = Path(d) / "t.counts"
             table.save(path, "cafe")
             loaded = CountTable.load(path, Words(table.vocab_size))
-        rebuilt = CountTable.from_cells(table.vocab_size, *table.cells())
-        # cells out of order are sorted
-        reversed_ = CountTable.from_cells(table.vocab_size, *(a[::-1] for a in table.cells()))
+        cells = table.cells()
+        rebuilt = CountTable(table.vocab_size, *cells)
+        # arrays already in order are stored as they are, read-only
+        assert all(a is b for a, b in zip(rebuilt.cells(), cells))
+        # cells out of order, given as lists, are sorted
+        reversed_ = CountTable(table.vocab_size, *(a[::-1].tolist() for a in cells))
+        assert all(np.array_equal(a, b) for a, b in zip(reversed_.cells(), cells))
+        assert not any(a.flags.writeable for a in reversed_.cells())
+        if cells[0].size:
+            with pytest.raises(ValueError, match="duplicate bigram"):
+                CountTable(table.vocab_size, *(np.concatenate([a, a[:1]]) for a in cells))
+        empty = CountTable(table.vocab_size, [], [], [])
+        assert [a.size for a in empty.cells()] == [0, 0, 0] and empty.total_tokens == 0
+        assert np.array_equal(empty.unigram, np.zeros(table.vocab_size))
         want = stored(table)
         assert [v for v, _ in want] == sorted(v for v, _ in want)
         assert all([w for w, _ in row] == sorted(w for w, _ in row) for _, row in want)

@@ -247,6 +247,22 @@ def test_blocks_and_the_dict_loop_both_reject_a_marker(marker, monkeypatch):
             count(corpus, vocab)
 
 
+@pytest.mark.parametrize("marker", ["<s>", "</s>"])
+def test_perplexity_rejects_a_marker_in_sentence_input(marker, monkeypatch):
+    # as counting and a corpus file do: framing adds the markers itself
+    def uniform(contexts, words):
+        return np.full(words.shape, 0.2)
+
+    vocab = Vocabulary(["a", "b"])
+    with pytest.raises(ConfigError, match="marker"):
+        perplexity(uniform, [["a", marker, "b"], ["a"]], vocab)
+    monkeypatch.setattr(corpus_module, "ID_BLOCK", 16)
+    corpus = _random_corpus(random.Random(13), 60, "ab")
+    corpus[41] = ["a", marker, "b"]
+    with pytest.raises(ConfigError, match="marker"):
+        perplexity(uniform, corpus, vocab)
+
+
 # Tokens and separators for corpus files: a token that only contains a
 # marker, one that holds the end marker the file reader puts at each line
 # end, a NUL, and whitespace that ``str.split`` splits on but that ends no
@@ -371,10 +387,11 @@ def test_count_events_bigram_values():
     vocab = Vocabulary(["a", "b"])
     counts = count_events([["a", "b"], ["a", "b"]], vocab)
     a, b = vocab.lookup("a"), vocab.lookup("b")
-    assert counts.bigram(a, b) == 2
-    assert counts.bigram(vocab.bos_id, a) == 2
-    assert counts.bigram(b, vocab.eos_id) == 2
-    assert counts.bigram(b, a) == 0
+    rows = counts.rows
+    assert rows[a][b] == 2
+    assert rows[vocab.bos_id][a] == 2
+    assert rows[b][vocab.eos_id] == 2
+    assert a not in rows[b]
     assert sum(counts.rows[a].values()) == 2
 
 
@@ -413,7 +430,7 @@ def test_count_table_round_trip(tmp_path):
 def test_empty_count_table_round_trips_without_warnings(tmp_path):
     path = tmp_path / "counts.txt"
     vocab = Vocabulary(["a", "b"])
-    CountTable(5).save(path, vocab.checksum())
+    oracles.dict_table(5).save(path, vocab.checksum())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loaded = CountTable.load(path, vocab)
