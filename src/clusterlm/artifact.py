@@ -142,6 +142,19 @@ def dense(shape, ids, values, what: str = "entry") -> np.ndarray:
     return a
 
 
+def row_major(n_cols: int, cells: tuple, what: str) -> tuple:
+    """``cells``, (row ids, column ids, values) arrays, sorted in row-major
+    order; a repeated (row, column) pair raises ``ValueError`` naming
+    ``what``.  Arrays already in order come back as they are."""
+    key = cells[0] * n_cols + cells[1]
+    if (np.diff(key) > 0).all():
+        return cells
+    order = np.argsort(key, kind="stable")
+    if not np.diff(key[order]).all():
+        raise ValueError(f"duplicate {what}")
+    return tuple(a[order] for a in cells)
+
+
 def id_list(text: str) -> frozenset[int]:
     """Comma-separated ids, ``-`` for none."""
     return frozenset() if text == "-" else frozenset(int(p) for p in text.split(","))

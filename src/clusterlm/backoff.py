@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import Artifact, dense, each, finite, pow10, size, write
+from .artifact import Artifact, dense, each, finite, pow10, row_major, size, write
 from .corpus import CountTable, cell_rows
 from .discounting import Discount, discounted_distribution
 from .errors import ConfigError
@@ -53,20 +53,18 @@ class BackoffModel:
                  cells: tuple, listed: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
                  kind: str = "backoff", vocab_md5: str = "",
                  unseen: frozenset[int] = frozenset(), fill_words: frozenset[int] = frozenset()):
-        """``cells`` are (context, word, lp) arrays in any order; the contexts
-        outside ``listed`` get their masses here."""
+        """``cells`` are (context, word, lp) arrays of distinct pairs in any
+        order; the contexts outside ``listed`` get their masses here."""
         self.vocab_size, self.b, self.cutoff = vocab_size, b, cutoff
         self.kind, self.vocab_md5 = kind, vocab_md5
         self.unseen, self.fill_words = frozenset(unseen), frozenset(fill_words)
         self.uni_lp, self.p_uni = uni_lp, np.power(10.0, uni_lp)
         self.is_fill = np.isin(np.arange(vocab_size), sorted(self.fill_words))
         fill_mass = float(self.p_uni[self.is_fill].sum())
-        key = cells[0] * vocab_size + cells[1]
-        order = slice(None) if (np.diff(key) > 0).all() else np.argsort(key, kind="stable")
-        self._keys = key[order]
-        context, word = cells[0][order], cells[1][order]
+        context, word, lp = row_major(vocab_size, cells, "bigram in \\bigrams:")
+        self._keys = context * vocab_size + word
         # contiguous: a loader's columns are strided views of its record array
-        self.lp = np.ascontiguousarray(cells[2][order])
+        self.lp = np.ascontiguousarray(lp)
         self.p = each(pow10, self.lp)
         alpha[~listed], beta[~listed] = 1.0 - fill_mass, fill_mass
         self.listed, self.alpha, self.beta = listed, alpha, beta
@@ -155,8 +153,6 @@ class BackoffModel:
                 vocab_md5=art.field("vocab_md5", default=""),
                 unseen=unseen, fill_words=fill_words,
             )
-            if (np.diff(model._keys) == 0).any():
-                raise ValueError("duplicate bigram in \\bigrams:")
             context = model.context
             if not listed[context].all():
                 raise ValueError("bigrams after a context \\contexts: does not list")

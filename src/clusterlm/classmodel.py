@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import Artifact, dense, each, finite, id_list, pow10, size, write
+from .artifact import Artifact, dense, each, finite, id_list, pow10, row_major, size, write
 from .corpus import CountTable, Vocabulary
 from .discounting import Discount, count_of_counts, discounted_distribution, estimate_discount
 from .errors import ConfigError, FormatError
@@ -211,11 +211,12 @@ def load_clusters(
 class ClassModel:
     """Estimated class bigram model over a fixed clustering.
 
-    It stores the file's numbers: log10 state-bigram cells ``pair_lp`` (-inf
-    if unseen), state weights ``state_alpha`` on the log10 category fallback
-    ``cat_lp`` (-inf on empty categories), and log10 p(w|g) ``word_lp``.  It
-    derives p(g|s) = 10**pair_lp + state_alpha * 10**cat_lp once, with
-    Python's pow per value (``artifact.each``).
+    It stores the file's numbers: the seen state-bigram cells ``pair_cells``
+    as (state ids, category ids, log10 values) in row-major order, state
+    weights ``state_alpha`` on the log10 category fallback ``cat_lp`` (-inf
+    on empty categories), and log10 p(w|g) ``word_lp``.  It derives p(g|s) =
+    10**pair + state_alpha * 10**cat_lp once, with Python's pow per value
+    (``artifact.each``).
     ``probs(contexts, words)`` gives p(w|v) for each pair of two id arrays;
     ``prob`` is the same lookup, named for one pair of ids.
     """
@@ -223,7 +224,7 @@ class ClassModel:
     def __init__(
         self,
         cm: ClusterMap,
-        pair_lp: np.ndarray,
+        pair_cells: tuple[np.ndarray, np.ndarray, np.ndarray],
         state_alpha: np.ndarray,
         cat_lp: np.ndarray,
         word_lp: np.ndarray,
@@ -233,21 +234,15 @@ class ClassModel:
         vocab_md5: str = "",
         label: str = "class",
     ):
-        self.cm = cm
-        self.pair_lp = pair_lp
-        self.state_alpha = state_alpha
-        self.cat_lp = cat_lp
-        self.word_lp = word_lp
-        self.b_pairs = b_pairs
-        self.b_cats = b_cats
-        self.b_words = b_words
-        self.vocab_md5 = vocab_md5
-        self.label = label
-        seen, nonempty = pair_lp > -np.inf, cat_lp > -np.inf
+        self.cm, self.pair_cells, self.state_alpha = cm, pair_cells, state_alpha
+        self.cat_lp, self.word_lp = cat_lp, word_lp
+        self.b_pairs, self.b_cats, self.b_words = b_pairs, b_cats, b_words
+        self.vocab_md5, self.label = vocab_md5, label
+        nonempty, (s_ids, g_ids, values) = cat_lp > -np.inf, pair_cells
         q = np.zeros(cat_lp.shape)
         q[nonempty] = each(pow10, cat_lp[nonempty])
         self.class_p = np.multiply.outer(state_alpha, q)
-        self.class_p[seen] += each(pow10, pair_lp[seen])
+        self.class_p[s_ids, g_ids] += each(pow10, values)
         self.word_p = np.power(10.0, word_lp)
 
     @property
@@ -262,13 +257,12 @@ class ClassModel:
 
     def save(self, path: str | Path) -> None:
         cm = self.cm
-        s_ids, g_ids = np.nonzero(self.pair_lp > -np.inf)
         cats = np.flatnonzero(self.cat_lp > -np.inf)
         write(path, CLASSMODEL_MAGIC,
               {"label": self.label, **_map_fields(cm), "b_pairs": self.b_pairs,
                "b_cats": self.b_cats, "b_words": self.b_words, "vocab_md5": self.vocab_md5},
               [("\\clusters:", (np.arange(cm.vocab_size), cm.state_of, cm.category_of)),
-               ("\\state-bigrams:", (s_ids, g_ids, self.pair_lp[s_ids, g_ids])),
+               ("\\state-bigrams:", self.pair_cells),
                ("\\state-alphas:", (np.arange(self.state_alpha.size), self.state_alpha)),
                ("\\category-unigrams:", (cats, self.cat_lp[cats])),
                ("\\word-unigrams:", (np.arange(self.word_lp.size), self.word_lp))])
@@ -292,9 +286,8 @@ class ClassModel:
                 if s[name][0].size != bound:
                     raise ValueError(f"expected {bound} lines in {name}")
             cm = _read_map(art, n, n_states, n_cats, *s["\\clusters:"])
-            s_ids, g_ids, values = s["\\state-bigrams:"]
-            pair_lp = dense((n_states, n_cats), (s_ids, g_ids), values,
-                            what="cell in \\state-bigrams:")
+            # in row-major order, as a save writes them, so a re-save is the same
+            pairs = row_major(n_cats, s["\\state-bigrams:"], "cell in \\state-bigrams:")
             alphas, cat_lp, word_lp = (
                 dense(bound, *s[name], what=f"id in {name}") for name, bound in (
                     ("\\state-alphas:", n_states), ("\\category-unigrams:", n_cats),
@@ -304,7 +297,7 @@ class ClassModel:
             if not np.array_equal(cat_lp > -np.inf, nonempty):
                 raise ValueError("\\category-unigrams: do not match the nonempty categories")
             return cls(
-                cm, pair_lp, alphas, cat_lp, word_lp,
+                cm, pairs, alphas, cat_lp, word_lp,
                 art.field("b_pairs", finite), art.field("b_cats", finite),
                 art.field("b_words", finite),
                 vocab_md5=art.field("vocab_md5", default=""),
@@ -350,7 +343,6 @@ def estimate_class_model(
     total = pairs.sum(axis=1)
     s_ids, g_ids = np.nonzero(pairs)
     cells = (pairs[s_ids, g_ids] - b_pairs.b) / total[s_ids]
-    pair_lp = dense(pairs.shape, (s_ids, g_ids), each(math.log10, cells))
     state_alpha = np.ones(n_states)
     np.divide(b_pairs.b * np.count_nonzero(pairs, axis=1), total,
               out=state_alpha, where=total > 0)
@@ -362,6 +354,6 @@ def estimate_class_model(
             word_lp[ids] = np.log10(discounted_distribution(word_weight[ids], b_words, uniform))
 
     return ClassModel(
-        cm, pair_lp, state_alpha, cat_lp, word_lp,
+        cm, (s_ids, g_ids, each(math.log10, cells)), state_alpha, cat_lp, word_lp,
         b_pairs.b, b_cats.b, b_words.b, vocab_md5=vocab_md5, label=label,
     )

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .artifact import Artifact, line_blocks, row_blocks, size, write
+from .artifact import Artifact, line_blocks, row_blocks, row_major, size, write
 from .errors import ConfigError, FormatError, VocabMismatchError
 
 UNK_TOKEN = "<unk>"
@@ -223,16 +223,17 @@ class CountTable:
     """
 
     def __init__(self, vocab_size: int, context, word, count):
-        """The table of the given bigrams, the inverse of ``cells``: each
-        (context, word) pair appears at most once (else ``ValueError``), in
-        any order.  Arrays already in order are stored as they are, read-only."""
+        """The table of the given bigrams, the inverse of ``cells``: in any
+        order, each (context, word) pair at most once, with ids in the
+        vocabulary and positive counts (else ``ValueError``).  Arrays already
+        in order are stored as they are, read-only."""
         cells = tuple(np.asarray(a, dtype=np.int64) for a in (context, word, count))
-        key = cells[0] * vocab_size + cells[1]
-        if not (np.diff(key) > 0).all():
-            order = np.argsort(key, kind="stable")
-            if not np.diff(key[order]).all():
-                raise ValueError("duplicate bigram")
-            cells = tuple(a[order] for a in cells)
+        ids = cells[:2]
+        if cells[2].size and not 0 <= min(map(np.min, ids)) <= max(map(np.max, ids)) < vocab_size:
+            raise ValueError("word id outside the vocabulary")
+        if (cells[2] <= 0).any():
+            raise ValueError("nonpositive count")
+        cells = row_major(vocab_size, cells, "bigram")
         for a in cells:
             a.flags.writeable = False
         self.vocab_size, self._cells = vocab_size, cells
@@ -269,10 +270,7 @@ class CountTable:
             if n != len(vocab):
                 raise FormatError(
                     f"{path}: count file is for a {n}-word vocabulary, got {len(vocab)} words")
-            context, word, count = art.body((n, n, int))
-            if (count <= 0).any():
-                raise ValueError("nonpositive count")
-            table = cls(n, context, word, count)
+            table = cls(n, *art.body((n, n, int)))
             if table.total_tokens != declared_total:
                 raise ValueError(
                     f"header total_tokens={declared_total} but counts sum "

@@ -22,8 +22,10 @@ is one array bordered by its marginals, transposed on the state side, so
 the moving side's marginal is its last row.  A word's candidates are one
 pass: its profile is projected onto the other side's clusters once, its
 total at the marginal's row, and each table's block at those rows is
-gathered once as the counts before and after inserting the word into each
-cluster.  Each gathered cell count is looked up once, in a complex table
+gathered once.  The word leaves its source column in place and the block is
+looked up and reduced; then the word's counts enter every column in place
+and it is looked up again, so a pass holds one count block per table and one
+complex block at a time.  Each cell count is looked up in a complex table
 of the cell log term plus i times the count's packed tally flags, so one
 column sum gives both the log sums and the tally change.  The singleton
 term comes from a window of its log ratio around the positive tally, less
@@ -154,15 +156,6 @@ def _singleton_term(n_one: int, n_pos: int, size: int, b: float) -> float:
     return n_one * math.log(b * (n_pos - 1) / (size - n_pos + 1))
 
 
-def _move_counts(old, x, src: int):
-    """``old``, a gathered copy of counts with the moving side's clusters on
-    its last axis, and the same counts after inserting the word's counts
-    ``x`` into each cluster, as (old, new).  The word leaves its source first,
-    so no count passes a marginal plus the word's total, the log tables' reach."""
-    old[..., src] -= x
-    return old, old + x[..., None]
-
-
 def _add_singleton_change(deltas, one, ratio, now: float) -> None:
     """Add ``one * ratio`` less ``now``, the singleton term after and before
     each move, to ``deltas``.  A zero ``now`` is taken as -0.0, so the ±0.0
@@ -205,18 +198,18 @@ def _word_profiles(counts: CountTable, weighted: bool = True):
     """The contexts before each word and the words after each context, as two
     cluster-independent (start offsets, ids, counts, totals) indexes: word
     x's profile in an index is the slice from ``starts[x]`` to ``starts[x + 1]``.
-    An unweighted index holds None for its counts: its profiles and totals
-    count a word's neighbours, not their events, and are nonzero alike."""
+    The successor index holds the table's own cells, which are sorted by
+    context.  An unweighted index holds None for its counts: its profiles and
+    totals count a word's neighbours, not their events, and are nonzero alike."""
     context, word, count = counts.cells()
 
-    def index(key, ids):
-        order = np.argsort(key, kind="stable")
+    def index(key, ids, order):
         sizes = np.bincount(key, minlength=counts.vocab_size)
         starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
         totals = np.bincount(key, count, counts.vocab_size).astype(np.int64) if weighted else sizes
         return starts, ids[order], count[order] if weighted else None, totals
 
-    return index(word, context), index(context, word)
+    return index(word, context, np.argsort(word, kind="stable")), index(context, word, slice(None))
 
 
 def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
@@ -277,6 +270,7 @@ class _Objective:
 
     def _set_logs(self) -> None:
         """Build the log tables up to the largest count a pass can gather."""
+        self._lookup = self._logs = None  # freed first: a rebuild holds one set
         self._top = max(int(t[-1, :-1].max(initial=0)) for s in self._sides.values() for t in s[3])
         largest = self._top + self._most + 2
         # One table's counts are both its weights and its combined counts, so
@@ -342,26 +336,18 @@ class _Objective:
         # per table held, the word's counts at the rows, its total last
         shifts = [p[rows] for p in profiles[:len(blocks)]]
         width = max(k, src + 1)
-        # per table, the cells at the rows and the marginal, as (old, new)
-        moved = [_move_counts(t[rows, :width], x, src) for t, x in zip(blocks, shifts)]
-        weights = moved[0]
-        counts = weights if self.bg is None else [
-            combine_counts(a, b, self.lam) for a, b in zip(*moved)]
-        del moved  # the background's own counts are needed only combined
-        z_old, z_new = (self._lookup[c[:-1]] for c in counts)
-        m_old, m_new = (self._logs[1][c[-1]] for c in counts)
-        t_old, t_new = z_old.real, z_new.real
-        if self.bg is not None:  # the log terms are weighted, the tally flags not
-            for t, m, w in zip((t_old, t_new), (m_old, m_new), weights):
-                t *= w[:-1]
-                m *= w[-1]
-        # per column, the insertion's log sum (real; the float sum's bits but
-        # at one column, the source's -inf slot) and tally change (imag); the
-        # removal sums the source column's log terms as one 1-D sum
-        change = np.add.reduce(z_new, 0) - np.add.reduce(z_old, 0)
-        deltas = (np.add.reduce(t_old[:, src]) - np.add.reduce(t_new[:, src]) + change.real
-                  - (m_old[src] - m_new[src]) - (m_new - m_old))
-        del z_old, z_new, t_old, t_new  # freed before the singleton term allocates
+        # per table held, one block of its cells at the rows and the marginal:
+        # the word leaves its source first, so no count passes a marginal plus
+        # the word's total, the log tables' reach; then it enters each column
+        gathered = [t[rows, :width] for t in blocks]
+        for g, x in zip(gathered, shifts):
+            g[:, src] -= x
+        z_old, t_old, m_old = self._sums(gathered, src)
+        for g, x in zip(gathered, shifts):
+            g += x[:, None]
+        z_new, t_new, m_new = self._sums(gathered, src)
+        change = z_new - z_old
+        deltas = t_old - t_new + change.real - (m_old[src] - m_new[src]) - (m_new - m_old)
         base, lo, ratio, single_now = self._window
         packed = change.imag.astype(np.int64)
         packed += base - packed[src]  # the source column holds the removal, reversed
@@ -373,6 +359,17 @@ class _Objective:
             deltas[at <= 1 - lo] = NEG_INF
         deltas[src] = NEG_INF
         return targets, deltas[:k]
+
+    def _sums(self, gathered, src: int):
+        """The column sums of the gathered cells' complex lookups (the log sums,
+        real, the float sum's bits but at the source's -inf slot, and the tally
+        flags), the source column's log sum and the marginal's log terms."""
+        counts = gathered[0] if self.bg is None else combine_counts(*gathered, self.lam)
+        z, m = self._lookup[counts[:-1]], self._logs[1][counts[-1]]
+        if self.bg is not None:  # the log terms are weighted, the tally flags not
+            np.multiply(z.real, gathered[0][:-1], out=z.real)
+            m *= gathered[0][-1]
+        return np.add.reduce(z, 0), np.add.reduce(z.real[:, src]), m
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""

@@ -158,6 +158,34 @@ def test_class_projections_match_the_oracle(setup):
     assert np.array_equal(aggregate_class_counts(table, cm).pairs, want)
 
 
+@pytest.mark.parametrize("cells", [
+    pytest.param(([0, -1], [1, -1], [0, 5]), id="zero-count-and-negative-ids"),
+    pytest.param(([0], [1], [-4]), id="negative-count"),
+    pytest.param(([0], [3], [1]), id="word-past-the-vocabulary"),
+    pytest.param(([3], [0], [1]), id="context-past-the-vocabulary"),
+    pytest.param(([0, 2], [1, 2], [2, 0]), id="zero-count"),
+])
+def test_a_table_holds_ids_in_its_vocabulary_and_positive_counts(cells):
+    with pytest.raises(ValueError, match="outside the vocabulary|nonpositive count"):
+        CountTable(3, *cells)
+    assert CountTable(3, [], [], []).total_tokens == 0
+    assert CountTable(3, [0, 2], [2, 0], [1, 4]).total_tokens == 5
+
+
+@CASES
+@given(setups())
+def test_the_successor_index_is_the_tables_own_cells(setup):
+    # the cells are sorted by context, so the successor index needs no copy
+    table = setup[0]
+    _, word, count = table.cells()
+    for weighted in (True, False):
+        preds, succs = _word_profiles(table, weighted)
+        assert np.shares_memory(succs[1], word) or not word.size
+        assert not np.shares_memory(preds[1], table.cells()[0])
+        if weighted:
+            assert np.shares_memory(succs[2], count) or not count.size
+
+
 @CASES
 @given(setups())
 def test_word_profile_slices_match_a_dict_walk(setup):

@@ -13,6 +13,7 @@ from corpusgen import random_table, table_from_sentences
 from clusterlm.classmodel import (
     ClassModel,
     ClusterMap,
+    class_bigrams,
     estimate_class_model,
     init_clustering,
     load_clusters,
@@ -295,6 +296,29 @@ def test_model_scores_are_its_file_numbers(tmp_path, build):
                 assert m.prob(v, w) == class_p * word_p[w]
 
 
+def test_a_model_holds_its_state_bigram_cells_as_its_file_lists_them(tmp_path):
+    # the seen cells as row-major (state ids, category ids, log10 values),
+    # not a dense table; cells listed out of order load sorted, so a
+    # re-save is the canonical file
+    vocab, counts = small_setup()
+    cm = init_clustering(counts, 3, 2, vocab)
+    model = estimate_class_model(counts, cm)
+    s_ids, g_ids, values = model.pair_cells
+    assert (np.diff(s_ids * cm.n_cats + g_ids) > 0).all()
+    assert len(values) == np.count_nonzero(class_bigrams(counts, cm)) > 1
+    p1, p2, p3 = tmp_path / "m1.lm", tmp_path / "m2.lm", tmp_path / "m3.lm"
+    model.save(p1)
+    head, rest = p1.read_text().split("\\state-bigrams:\n")
+    cells, tail = rest.split("\\state-alphas:\n")
+    shuffled = cells.splitlines(keepends=True)[::-1]
+    p2.write_text(head + "\\state-bigrams:\n" + "".join(shuffled) + "\\state-alphas:\n" + tail)
+    loaded = ClassModel.load(p2)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.pair_cells, model.pair_cells))
+    assert loaded.class_p.tobytes() == model.class_p.tobytes()
+    loaded.save(p3)
+    assert p3.read_bytes() == p1.read_bytes()
+
+
 def test_estimate_rejects_size_mismatch():
     vocab, counts = small_setup()
     cm = init_clustering(counts, 2, 2, vocab)
@@ -329,6 +353,7 @@ REPORTED = {
     "non-integer-cluster-id": r"clusters\.txt: body: line 8: ",
     "huge-vocab-size": r"m\.lm: expected 1000000000000 lines in \\word-unigrams:",
     "huge-n-states": r"m\.lm: expected 1000000000000 lines in \\state-alphas:",
+    "duplicate-state-bigram": r"m\.lm: duplicate cell in \\state-bigrams:",
 }
 
 

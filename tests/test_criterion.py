@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ from clusterlm.criterion import (
     ClassCounts,
     StandardObjective,
     _add_singleton_change,
-    _move_counts,
     _tallies,
     aggregate_class_counts,
     cell_lookup,
@@ -31,7 +31,7 @@ from clusterlm.criterion import (
     combine_word_counts,
     log_table,
 )
-from clusterlm.corpus import build_vocabulary, count_events
+from clusterlm.corpus import CountTable, build_vocabulary, count_events
 from clusterlm.discounting import Discount
 from clusterlm.errors import ConfigError, InvalidMoveError
 
@@ -525,6 +525,44 @@ def test_adaptive_pass_gives_the_two_table_bits(lam):
     assert compared > 300 and moves > 20
 
 
+def hub_table(k, seed):
+    """A table over k + 1 words whose last word, the hub, follows and
+    precedes each of the others, plus random cells."""
+    rng = np.random.default_rng(seed)
+    context = np.concatenate([np.arange(k), np.full(k, k), rng.integers(0, k + 1, 4 * k)])
+    word = np.concatenate([np.full(k, k), np.arange(k), rng.integers(0, k + 1, 4 * k)])
+    keys, at = np.unique(context * (k + 1) + word, return_inverse=True)
+    count = np.bincount(at, rng.integers(1, 5, at.size)).astype(np.int64)
+    return CountTable(k + 1, keys // (k + 1), keys % (k + 1), count)
+
+
+@pytest.mark.parametrize("lam", [None, 1.0, 0.6])
+def test_one_pass_holds_one_count_block_per_table_and_one_complex_block(lam):
+    # the hub is in cluster 0 of k singletons on each side, so its pass
+    # gathers every row of the other side, the marginal too, at k columns:
+    # one int64 block per table (8 bytes a cell), below full weight their
+    # combined counts (8), and one complex lookup at a time (16); a pass
+    # holding the counts before and after the move, and both lookups at
+    # once, would need about twice that
+    k = 200
+    cm = ClusterMap(list(range(k)) + [0], list(range(k)) + [0], k, k)
+    a, disc = hub_table(k, 1), Discount(0.5)
+    eng = (StandardObjective(a, cm, disc) if lam is None
+           else AdaptiveObjective(a, hub_table(k, 2), cm, disc, lam))
+    per_cell = 24 if eng.bg is None else 40
+    for side in (CATEGORY_SIDE, STATE_SIDE):
+        eng.candidate_deltas(k, side)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            eng.candidate_deltas(k, side)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert len(eng._pass[3]) == k + 1  # every row, the marginal's too
+        assert peak < 1.25 * (k + 1) * k * per_cell + 2**15, (side, peak)
+
+
 @st.composite
 def gathered_moves(draw):
     """A pass's gathered cells as (old, new) and its source column: one
@@ -542,7 +580,11 @@ def gathered_moves(draw):
         cells[zero] = 0
         # the word's counts lie inside its source column
         x = np.array([draw(st.integers(0, int(c))) for c in cells[:, src]], dtype=np.int64)
-        return _move_counts(cells, x, src)
+        # as the pass moves it: out of its source in place, then into each column
+        cells[:, src] -= x
+        old = cells.copy()
+        cells += x[:, None]
+        return old, cells
 
     lam = draw(st.sampled_from([None, 0.1, 0.5, 0.6, 0.9]))
     if lam is None:
