@@ -20,26 +20,26 @@ One engine, ``_Objective``, evaluates and applies moves with or without a
 background table, at a weight λ fixed when it is built.  Each class table
 is one array bordered by its marginals, transposed on the state side, so
 the moving side's marginal is its last row.  A word's candidates are one
-pass: its profile is projected onto the other side's clusters once, its
-total at the marginal's row, and each table's block at those rows is
-gathered once.  The word leaves its source column in place and the block is
-looked up and reduced; then the word's counts enter every column in place
-and it is looked up again, so a pass holds one count block per table and one
+straight-line pass: its profile is projected onto the other side's clusters
+once, its total at the marginal's row, and the adaptation block at those
+rows is gathered once, as is the background block below λ = 1.  The word
+leaves its source column in place and the counts are looked up and reduced;
+then the word's counts enter every column in place and the first lookup is
+freed before the second, so a pass holds one count block per table and one
 complex block at a time.  Each cell count is looked up in a complex table
 of the cell log term plus i times the count's packed tally flags, so one
 column sum gives both the log sums and the tally change.  The singleton
 term comes from a window of its log ratio around the positive tally, less
 the term before the move, taken as -0.0 when zero so that no column needs
-a mask.  ``apply_move`` writes a move from the pass that evaluated it,
-without projecting the word again.  The log tables end at the largest
-count a pass can gather, the largest marginal held plus the largest word
-total; a move that takes a marginal past it rebuilds them.
+a mask.  The log tables end at the largest count a pass can gather, the
+largest marginal held plus the largest word total; a move that takes a
+marginal past it rebuilds them.
 
 At λ = 1 the combined counts are the adaptation counts exactly, so the
-engine keeps no background aggregate and gathers, moves and combines the
-adaptation table alone, as leave-one-out does.  The background then only
-names rows: a pass still sums over the rows either table touches, which
-keeps every delta the bits of the two-table pass.
+engine keeps no background aggregate and gathers, moves and looks up the
+adaptation block alone, as leave-one-out does.  The background's profile
+then only names rows: a pass still sums over the rows either table
+touches, which keeps every delta the bits of the two-table pass.
 """
 
 from __future__ import annotations
@@ -235,11 +235,12 @@ class _Objective:
     most ``_reach``; ``_window`` holds the singleton log ratio at those
     2·reach + 1 tallies, up to the number of cells, not a float per cell,
     and the term before a move; it is rebuilt only when a move changes the
-    tallies.  The last ``candidate_deltas`` pass is kept until a move, for
-    ``apply_move`` to reuse.  ``perfbench/tracing.py`` wraps ``__init__``,
-    ``best_move`` and ``apply_move`` from each class's own ``__dict__``, so
-    each subclass defines its constructor and aliases the other two in its
-    class body: ``best_move = _Objective.best_move``."""
+    tallies.  The last pass, over the adaptation block and below λ = 1 the
+    background block, is kept until a move, for ``apply_move`` to reuse.
+    ``perfbench/tracing.py`` wraps ``__init__``, ``best_move`` and
+    ``apply_move`` from each class's own ``__dict__``, so each subclass
+    defines its constructor and aliases the other two in its class body:
+    ``best_move = _Objective.best_move``."""
 
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount,
                  back: CountTable | None = None, lam: float = 1.0):
@@ -307,15 +308,6 @@ class _Objective:
     def frozen(self, word: int, side: str) -> bool:
         return word in self.assignment(side)[2]
 
-    def _check_move(self, word: int, side: str, dst: int) -> None:
-        assign, k, frozen = self.assignment(side)
-        if word in frozen:
-            raise InvalidMoveError(f"word {word} is pinned on the {side} side")
-        if not 0 <= dst < k:
-            raise InvalidMoveError(f"target cluster {dst} outside 0..{k - 1}")
-        if dst == int(assign[word]):
-            raise InvalidMoveError("target equals current cluster")
-
     def candidate_deltas(self, word: int, side: str):
         """Score deltas for moving ``word`` to each regular cluster.
 
@@ -325,51 +317,58 @@ class _Objective:
         """
         self._pass = None  # freed before this pass allocates its own arrays
         other, n, index, blocks, targets = self._sides[side]
-        k = len(targets)
-        src = int(self.assignment(side)[0][word])
-        profiles = [_class_profile(i, word, other, n) for i in index]
-        # the rows any table touches, marginal row n last; the start value spares one add
-        rows = sum(profiles[1:], profiles[0]).nonzero()[0]
+        k, look, marg = len(targets), self._lookup, self._logs[1]
+        src = int((self.cm.state_of if side == STATE_SIDE else self.cm.category_of)[word])
+        xa = _class_profile(index[0], word, other, n)
+        xb = _class_profile(index[1], word, other, n) if len(index) > 1 else None
+        rows = (xa if xb is None else xa + xb).nonzero()[0]  # either table's, n last
         if not len(rows):
-            self._pass = (word, side, src, rows, [], None)
+            self._pass = (word, side, src, rows, None, None, None, None)
             return None
-        # per table held, the word's counts at the rows, its total last
-        shifts = [p[rows] for p in profiles[:len(blocks)]]
-        width = max(k, src + 1)
-        # per table held, one block of its cells at the rows and the marginal:
+        # the adaptation block, and below λ = 1 the background's, at the rows:
         # the word leaves its source first, so no count passes a marginal plus
-        # the word's total, the log tables' reach; then it enters each column
-        gathered = [t[rows, :width] for t in blocks]
-        for g, x in zip(gathered, shifts):
-            g[:, src] -= x
-        z_old, t_old, m_old = self._sums(gathered, src)
-        for g, x in zip(gathered, shifts):
-            g += x[:, None]
-        z_new, t_new, m_new = self._sums(gathered, src)
-        change = z_new - z_old
-        deltas = t_old - t_new + change.real - (m_old[src] - m_new[src]) - (m_new - m_old)
+        # its total, the log tables' reach; then it enters each column
+        width, xa = max(k, src + 1), xa[rows]
+        ga, gb = blocks[0][rows, :width], None if self.bg is None else blocks[1][rows, :width]
+        ga[:, src] -= xa
+        if gb is not None:
+            xb = xb[rows]
+            gb[:, src] -= xb
+        # the column sums of each cell count's complex lookup, the source
+        # column's log sum and the marginal's log terms; two tables' log terms
+        # are weighted by the adaptation counts, their tally flags not
+        c = ga if gb is None else combine_counts(ga, gb, self.lam)
+        z, m_old = look[c[:-1]], marg[c[-1]]
+        if gb is not None:
+            np.multiply(z.real, ga[:-1], out=z.real)
+            m_old *= ga[-1]
+        z_old, t_old = np.add.reduce(z, 0), np.add.reduce(z.real[:, src])
+        del c, z  # freed first: a pass holds one complex block at a time
+        ga += xa[:, None]
+        if gb is not None:
+            gb += xb[:, None]
+        c = ga if gb is None else combine_counts(ga, gb, self.lam)
+        z, m_new = look[c[:-1]], marg[c[-1]]
+        if gb is not None:
+            np.multiply(z.real, ga[:-1], out=z.real)
+            m_new *= ga[-1]
+        change, t_new = np.add.reduce(z, 0), np.add.reduce(z.real[:, src])
+        # t_old - t_new + change - (m_old[src] - m_new[src]) - (m_new - m_old), in place
+        change -= z_old
+        deltas = change.real + (t_old - t_new)
+        deltas -= m_old[src] - m_new[src]
+        deltas -= np.subtract(m_new, m_old, out=m_new)
         base, lo, ratio, single_now = self._window
         packed = change.imag.astype(np.int64)
         packed += base - packed[src]  # the source column holds the removal, reversed
-        one, at = np.divmod(packed, _PACKED)  # at: the positive tally - lo
-        self._pass = (word, side, src, rows, shifts, (one, at))
+        one, at = packed >> 32, packed & (_PACKED - 1)  # at: the positive tally - lo
+        self._pass = (word, side, src, rows, xa, xb, one, at)
         _add_singleton_change(deltas, one, ratio[at], single_now)
         # moves to at most one positive cell are invalid; only lo <= 1 allows one
         if lo <= 1:
             deltas[at <= 1 - lo] = NEG_INF
         deltas[src] = NEG_INF
         return targets, deltas[:k]
-
-    def _sums(self, gathered, src: int):
-        """The column sums of the gathered cells' complex lookups (the log sums,
-        real, the float sum's bits but at the source's -inf slot, and the tally
-        flags), the source column's log sum and the marginal's log terms."""
-        counts = gathered[0] if self.bg is None else combine_counts(*gathered, self.lam)
-        z, m = self._lookup[counts[:-1]], self._logs[1][counts[-1]]
-        if self.bg is not None:  # the log terms are weighted, the tally flags not
-            np.multiply(z.real, gathered[0][:-1], out=z.real)
-            m *= gathered[0][-1]
-        return np.add.reduce(z, 0), np.add.reduce(z.real[:, src]), m
 
     def best_move(self, word: int, side: str):
         """(target, delta) of the best strictly improving move, else None."""
@@ -386,21 +385,28 @@ class _Objective:
     def apply_move(self, word: int, side: str, dst: int) -> None:
         """Move ``word`` to cluster ``dst``, from the counts the last
         ``candidate_deltas`` pass evaluated when it was of this word and side."""
-        self._check_move(word, side, dst)
+        assign, k, frozen = self.assignment(side)
+        if word in frozen:
+            raise InvalidMoveError(f"word {word} is pinned on the {side} side")
+        if not 0 <= dst < k:
+            raise InvalidMoveError(f"target cluster {dst} outside 0..{k - 1}")
+        if dst == int(assign[word]):
+            raise InvalidMoveError("target equals current cluster")
         if self._pass is None or self._pass[:2] != (word, side):
             self.candidate_deltas(word, side)
-        _, _, src, rows, shifts, change = self._pass
+        _, _, src, rows, xa, xb, one, at = self._pass
         self._pass = None
-        for t, x in zip(self._sides[side][3], shifts):
+        assign[word] = dst
+        if xa is None:  # no counts on this side: no cell or tally moves
+            return
+        for t, x in zip(self._sides[side][3], (xa, xb)):  # xb below λ = 1 only
             t[rows, src] -= x
             t[rows, dst] += x
             if t[-1, dst] > self._top:
                 self._set_logs()  # the next pass could gather past the tables
-        if shifts:
-            tallies = (int(change[0][dst]), int(change[1][dst]) + self._window[1])
-            if tallies != self.tallies:
-                self._set_tallies(tallies)
-        self.assignment(side)[0][word] = dst
+        tallies = (int(one[dst]), int(at[dst]) + self._window[1])
+        if tallies != self.tallies:
+            self._set_tallies(tallies)
 
 
 class StandardObjective(_Objective):

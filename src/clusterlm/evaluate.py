@@ -47,17 +47,19 @@ class EvalReport:
 def _add_logs(log_sum: float, probs_fn, keys: np.ndarray, n: int) -> float:
     """``log_sum`` plus the natural log of p(w|v) for each key v·n+w, added
     one by one in the order of ``keys``.  ``probs_fn`` is called once, on
-    the distinct pairs, sorted, and each distinct p is logged once: a
-    model's ``probs`` is elementwise, so the logs gathered back into the
-    order of ``keys`` are those of each key.  Its arrays are freed when it
-    returns, before the next block is read."""
+    the distinct pairs, sorted, and each distinct value of p is logged
+    once: a model's ``probs`` is elementwise, so the logs gathered back into
+    the order of ``keys`` are those of each key.  Its arrays are freed when
+    it returns, before the next block is read."""
     pairs, at = np.unique(keys, return_inverse=True)
     p = probs_fn(*np.divmod(pairs, n))
     if not (p > 0.0).all():
         i = int(np.argmin(p > 0.0))
         raise ModelIntegrityError(
             f"model returned p={float(p[i])!r} for id pair {divmod(int(pairs[i]), n)}")
-    logs = each(math.log, p)[at]
+    del pairs  # freed before the second sort, which can set the peak
+    values, of = np.unique(p, return_inverse=True)
+    logs = each(math.log, values)[of[at]]
     logs[0] += log_sum  # then added one by one, not pairwise as np.sum adds
     return float(np.add.accumulate(logs, out=logs)[-1])
 

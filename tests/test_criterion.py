@@ -481,7 +481,7 @@ def test_one_pass_kernel_gives_the_reference_bits_and_moves(adaptive):
     assert compared > 300 and moves > 20
 
 
-@pytest.mark.parametrize("lam", [1.0, 0.6])
+@pytest.mark.parametrize("lam", [1.0, 0.6, 0.0, 0.1, 0.9])
 def test_adaptive_pass_gives_the_two_table_bits(lam):
     # two exchange sweeps over small corpusgen tables: at full weight the
     # engine holds no background cells and moves the adaptation table alone,

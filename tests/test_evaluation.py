@@ -12,6 +12,7 @@ import oracles
 from corpusgen import domain_corpus
 
 from clusterlm import artifact, corpus, evaluate
+from clusterlm.classmodel import estimate_class_model, init_clustering
 from clusterlm.corpus import Vocabulary, build_vocabulary, count_events, id_blocks, read_sentences
 from clusterlm.errors import ConfigError, ModelIntegrityError
 from clusterlm.evaluate import (
@@ -154,6 +155,30 @@ def test_blocks_score_like_one_sum_in_corpus_order(monkeypatch, tmp_path):
         rep = perplexity(lambda s, w: table[s, w], given, vocab, score_oov=score_oov)
         assert rep.tokens_scored == scored
         assert rep.perplexity == math.exp(-want / scored)
+
+
+def test_a_class_model_with_repeated_probabilities_scores_logs_in_corpus_order():
+    # A class model gives many pairs one probability (the contexts of a state
+    # share its transitions), so far fewer distinct values than distinct
+    # pairs are logged; the perplexity is still the bits of one math.log per
+    # position, added in corpus order
+    train = domain_corpus("target", seed=21, n_words=3000, topic_size=20)
+    held = domain_corpus("target", seed=22, n_words=2000, topic_size=20)
+    vocab = build_vocabulary(train, [], 60)
+    counts = count_events(train, vocab)
+    model = estimate_class_model(counts, init_clustering(counts, 4, 4, vocab))
+    pairs = [(v, w) for sent in held
+             for ids in [[vocab.bos_id] + [vocab.lookup(t) for t in sent] + [vocab.eos_id]]
+             for v, w in zip(ids, ids[1:]) if w != vocab.unk_id]
+    contexts, words = (np.array(x) for x in zip(*pairs))
+    ps = model.probs(contexts, words)
+    assert len(np.unique(ps)) < len(set(pairs)) / 2
+    want = 0.0
+    for p in ps.tolist():
+        want += math.log(p)
+    rep = perplexity(model.probs, held, vocab)
+    assert rep.tokens_scored == len(pairs)
+    assert rep.perplexity == math.exp(-want / len(pairs))
 
 
 def test_blocks_with_nothing_to_score(monkeypatch, tmp_path):
