@@ -7,6 +7,7 @@ from .backoff import BackoffModel, fillup, train_backoff
 from .classmodel import (
     ClassModel,
     ClusterMap,
+    class_counts,
     estimate_class_model,
     init_clustering,
     load_clusters,
@@ -23,11 +24,8 @@ from .corpus import (
 )
 from .criterion import (
     AdaptiveObjective,
-    ClassCounts,
     StandardObjective,
-    aggregate_class_counts,
     clustering_score,
-    combine_class_counts,
     combine_word_counts,
 )
 from .discounting import Discount, discounted_distribution, estimate_discount

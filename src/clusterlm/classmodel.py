@@ -83,14 +83,18 @@ class ClusterMap:
         )
 
 
-def class_bigrams(counts: CountTable, cm: ClusterMap) -> np.ndarray:
-    """The word bigram counts projected onto (state, category) cells."""
+def class_counts(counts: CountTable, cm: ClusterMap) -> np.ndarray:
+    """The word bigram counts projected onto (state, category) cells, states
+    as rows, bordered by their marginals: the state totals in the last
+    column, the category totals in the last row and the total in the corner."""
     if counts.vocab_size != cm.vocab_size:
         raise ConfigError("counts and cluster map disagree on vocabulary size")
     context, word, count = counts.cells()
-    pairs = np.zeros((cm.n_states, cm.n_cats), dtype=np.int64)
-    np.add.at(pairs, (cm.state_of[context], cm.category_of[word]), count)
-    return pairs
+    table = np.zeros((cm.n_states + 1, cm.n_cats + 1), dtype=np.int64)
+    np.add.at(table, (cm.state_of[context], cm.category_of[word]), count)
+    table[-1] = table.sum(axis=0)
+    table[:, -1] = table.sum(axis=1)
+    return table
 
 
 def init_clustering(
@@ -321,9 +325,9 @@ def estimate_class_model(
     transition cells, the category totals, and the word counts.
     """
     n_states, n_cats = cm.n_states, cm.n_cats
-    pairs = class_bigrams(counts, cm)
+    table = class_counts(counts, cm)
+    pairs, total, cat_tot = table[:-1, :-1], table[:-1, -1], table[-1, :-1]
     word_weight = counts.unigram
-    cat_tot = pairs.sum(axis=0)
     cat_size = np.bincount(cm.category_of, minlength=n_cats)
     nonempty = np.flatnonzero(cat_size)
     if not nonempty.size:
@@ -340,7 +344,6 @@ def estimate_class_model(
     cat_lp = dense(n_cats, nonempty, each(math.log10, q[nonempty]))
 
     # State cells, and the mass they leave to the fallback: all for no counts.
-    total = pairs.sum(axis=1)
     s_ids, g_ids = np.nonzero(pairs)
     cells = (pairs[s_ids, g_ids] - b_pairs.b) / total[s_ids]
     state_alpha = np.ones(n_states)

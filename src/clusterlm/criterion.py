@@ -16,10 +16,14 @@ tables and moves alike.  Leave-one-out, for training-set clustering (Kneser
 & Ney 1993), is the case with no background table, as at λ = 1: the
 training counts are both the weights and the combined counts.
 
+Class counts have one form, the cells bordered by their marginals that
+``classmodel.class_counts`` builds; combined, each marginal is rounded on
+its own, not summed from the rounded cells.
+
 One engine, ``_Objective``, evaluates and applies moves with or without a
-background table, at a weight λ fixed when it is built.  Each class table
-is one array bordered by its marginals, transposed on the state side, so
-the moving side's marginal is its last row.  A word's candidates are one
+background table, at a weight λ in [0, 1] fixed when it is built.  It holds
+each table's class counts, transposed on the state side, so the moving
+side's marginal is its last row.  A word's candidates are one
 straight-line pass: its profile is projected onto the other side's clusters
 once, its total at the marginal's row, and the adaptation block at those
 rows is gathered once, as is the background block below λ = 1.  The word
@@ -36,7 +40,7 @@ largest marginal held plus the largest word total; a move that takes a
 marginal past it rebuilds them.
 
 At λ = 1 the combined counts are the adaptation counts exactly, so the
-engine keeps no background aggregate and gathers, moves and looks up the
+engine keeps no background class counts and gathers, moves and looks up the
 adaptation block alone, as leave-one-out does.  The background's profile
 then only names rows: a pass still sums over the rows either table
 touches, which keeps every delta the bits of the two-table pass.
@@ -48,7 +52,7 @@ import math
 
 import numpy as np
 
-from .classmodel import ClusterMap, class_bigrams
+from .classmodel import ClusterMap, class_counts
 from .corpus import CountTable
 from .discounting import Discount
 from .errors import ConfigError, InvalidMoveError
@@ -73,28 +77,6 @@ def combine_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 def _tallies(c) -> tuple[int, int]:
     """(count-one, positive) members of a family."""
     return int((c == 1).sum()), int((c > 0).sum())
-
-
-class ClassCounts:
-    """Dense class-level bigram table, states as rows, in ``table`` with the
-    state totals as its last column, the category totals as its last row and
-    the total in the corner; ``pairs``, ``state_tot`` and ``cat_tot`` view it."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-        self.pairs, self.state_tot, self.cat_tot = table[:-1, :-1], table[:-1, -1], table[-1, :-1]
-
-    @classmethod
-    def from_matrix(cls, pairs) -> "ClassCounts":
-        table = np.pad(np.asarray(pairs, dtype=np.int64), ((0, 1), (0, 1)))
-        table[-1] = table.sum(axis=0)
-        table[:, -1] = table.sum(axis=1)
-        return cls(table)
-
-
-def aggregate_class_counts(counts: CountTable, cm: ClusterMap) -> ClassCounts:
-    """Project word bigram counts onto (state, category) cells."""
-    return ClassCounts.from_matrix(class_bigrams(counts, cm))
 
 
 def combine_word_counts(adapt: CountTable, back: CountTable, lam: float) -> CountTable:
@@ -171,27 +153,18 @@ def _family_term(w, c, b: float) -> float:
     return float((w[mask] * np.log(c[mask] - 1.0 - b)).sum())
 
 
-def clustering_score(weights: ClassCounts, combined: ClassCounts, b: float) -> float:
-    """The criterion of ``weights`` on ``combined`` counts with discount
-    ``b``: the cells and their singleton term, minus the states and the
-    categories.  Leave-one-out is ``clustering_score(t, t, b)``.  A table
-    with at most one positive combined cell is degenerate and scores -inf."""
-    n_one, n_pos = _tallies(combined.pairs)
-    single = NEG_INF if n_pos <= 1 else _singleton_term(n_one, n_pos, combined.pairs.size, b)
-    return (_family_term(weights.pairs, combined.pairs, b) + single
-            - _family_term(weights.state_tot, combined.state_tot, 0.0)
-            - _family_term(weights.cat_tot, combined.cat_tot, 0.0))
-
-
-def combine_class_counts(adapt: ClassCounts, back: ClassCounts | None, lam: float) -> ClassCounts:
-    """The combined cells and marginals of two aggregate tables, each rounded
-    on its own.  Without a background the adaptation counts are the combined
-    counts, whatever the weight."""
-    if back is None:
-        return adapt
-    if adapt.table.shape != back.table.shape:
-        raise ConfigError("aggregate tables have mismatched cluster ranges")
-    return ClassCounts(combine_counts(adapt.table, back.table, lam))
+def clustering_score(weights: np.ndarray, combined: np.ndarray, b: float) -> float:
+    """The criterion of the ``weights`` class counts on the ``combined`` ones,
+    both bordered as ``class_counts`` builds them, with discount ``b``: the
+    cells and their singleton term, minus the states and the categories.
+    Leave-one-out is ``clustering_score(t, t, b)``.  A table with at most one
+    positive combined cell is degenerate and scores -inf."""
+    cells = combined[:-1, :-1]
+    n_one, n_pos = _tallies(cells)
+    single = NEG_INF if n_pos <= 1 else _singleton_term(n_one, n_pos, cells.size, b)
+    return (_family_term(weights[:-1, :-1], cells, b) + single
+            - _family_term(weights[:-1, -1], combined[:-1, -1], 0.0)
+            - _family_term(weights[-1, :-1], combined[-1, :-1], 0.0))
 
 
 def _word_profiles(counts: CountTable, weighted: bool = True):
@@ -225,8 +198,9 @@ def _class_profile(index, word: int, assign: np.ndarray, n: int) -> np.ndarray:
 class _Objective:
     """The move engine of the criterion, over the counts being clustered
     and an optional background table, at the weight ``lam`` it is built
-    with.  It holds the combined cells' ``tallies``, which moves keep exact,
-    and the background aggregate ``bg`` only below λ = 1.  ``_logs`` holds
+    with.  It holds the class counts ``a`` of the counts being clustered,
+    those of the background ``bg`` only below λ = 1, and the combined
+    cells' ``tallies``, which moves keep exact.  ``_logs`` holds
     the real view of the complex cell table ``_lookup`` and the marginals'
     table, both ending at ``_top``, the largest marginal held, plus
     ``_most``, the largest word total, plus 2; ``apply_move`` rebuilds them
@@ -245,11 +219,13 @@ class _Objective:
     def __init__(self, counts: CountTable, cm: ClusterMap, discount: Discount,
                  back: CountTable | None = None, lam: float = 1.0):
         self.cm, self.discount, self.lam = cm, discount, float(lam)
-        self.a = aggregate_class_counts(counts, cm)
+        if not 0.0 <= self.lam <= 1.0:  # NaN too
+            raise ConfigError(f"weight {lam} outside [0, 1]")
+        self.a = class_counts(counts, cm)
         # at full weight the background's counts cannot change a combined one
-        self.bg = None if back is None or self.lam == 1.0 else aggregate_class_counts(back, cm)
+        self.bg = None if back is None or self.lam == 1.0 else class_counts(back, cm)
         self._pass, self._reach = None, max(cm.n_states, cm.n_cats)
-        self._set_tallies(_tallies(combine_class_counts(self.a, self.bg, self.lam).pairs))
+        self._set_tallies(_tallies(self._combined()[:-1, :-1]))
         given = [t for t in (counts, back) if t is not None]
         tables = [t for t in (self.a, self.bg) if t is not None]
         # a table not held only names rows, so its profiles need no counts
@@ -262,7 +238,7 @@ class _Objective:
                                (STATE_SIDE, cm.category_of, cm.n_cats)):
             state = side == STATE_SIDE
             index = [p[state] for p in profiles]  # (preds, succs)[state]
-            blocks = [t.table.T if state else t.table for t in tables]
+            blocks = [t.T if state else t for t in tables]
             targets = np.arange(self.assignment(side)[1])
             targets.flags.writeable = False
             self._sides[side] = (other, n, index, blocks, targets)
@@ -284,7 +260,7 @@ class _Objective:
     def _set_tallies(self, tallies: tuple[int, int]) -> None:
         """Hold the tallies and ``_window`` (packed - lo, lo, ratio from lo, term)."""
         self.tallies = n_one, n_pos = tallies
-        b, size = self.discount.b, self.a.pairs.size
+        b, size = self.discount.b, self.cm.n_states * self.cm.n_cats
         lo = max(n_pos - self._reach, 0)
         pos = np.arange(lo, min(n_pos + self._reach, size) + 1)
         # both logs take positive arguments, as pos never exceeds the cells
@@ -292,9 +268,12 @@ class _Objective:
         self._window = (n_one * _PACKED + n_pos - lo, lo, ratio,
                         _singleton_term(n_one, n_pos, size, b))
 
+    def _combined(self) -> np.ndarray:
+        """The combined class counts: the adaptation counts alone at λ = 1."""
+        return self.a if self.bg is None else combine_counts(self.a, self.bg, self.lam)
+
     def score(self) -> float:
-        return clustering_score(self.a, combine_class_counts(self.a, self.bg, self.lam),
-                                self.discount.b)
+        return clustering_score(self.a, self._combined(), self.discount.b)
 
     def assignment(self, side: str):
         """(assignment array, movable cluster count, frozen words) of a side."""

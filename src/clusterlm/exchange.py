@@ -7,7 +7,7 @@ in the table being clustered are not visited and keep their initial classes:
 leave-one-out holds the map fixed, so it cannot see that such a word's class
 would be chosen on exactly the events it is then scored on.  The adaptive
 variant chooses the interpolation weight once, on a fixed grid and on the
-start map's aggregates, and builds its engine at that weight for every
+start map's class counts, and builds its engine at that weight for every
 sweep.  Everything is deterministic: fixed visit order, first-best tie
 breaking toward low cluster ids, no randomness anywhere.
 """
@@ -18,20 +18,21 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .classmodel import ClusterMap
+import numpy as np
+
+from .classmodel import ClusterMap, class_counts
 from .corpus import CountTable, Vocabulary
 from .criterion import (
     CATEGORY_SIDE,
     NEG_INF,
     STATE_SIDE,
     AdaptiveObjective,
-    ClassCounts,
     StandardObjective,
-    aggregate_class_counts,
     clustering_score,
-    combine_class_counts,
+    combine_counts,
 )
 from .discounting import Discount, bigram_discount
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .evaluate import SuiteConfig
@@ -66,15 +67,21 @@ class ExchangeResult:
 
 
 def optimize_lambda(
-    adapt: ClassCounts, back: ClassCounts, grid, b: float
+    adapt: np.ndarray, back: np.ndarray, grid, b: float
 ) -> tuple[float, float]:
-    """Grid argmax (weight, score) of the criterion of ``adapt`` combined
-    with ``back`` at discount ``b``; ties, and a grid whose every point is
-    degenerate (score -inf), go to the largest weight."""
+    """Grid argmax (weight, score) of the criterion of the ``adapt`` class
+    counts combined with the ``back`` ones at discount ``b``; ties, and a
+    grid whose every point is degenerate (score -inf), go to the largest
+    weight."""
+    if adapt.shape != back.shape:
+        raise ConfigError("class count tables have mismatched cluster ranges")
+    grid = sorted(grid)
+    if not grid:
+        raise ConfigError("empty weight grid")
     best_lam = None
     best_score = NEG_INF
-    for lam in sorted(grid):
-        s = clustering_score(adapt, combine_class_counts(adapt, back, lam), b)
+    for lam in grid:
+        s = clustering_score(adapt, combine_counts(adapt, back, lam), b)
         if best_lam is None or s >= best_score:
             best_lam, best_score = lam, s
     return float(best_lam), best_score
@@ -122,8 +129,8 @@ def run_exchange(
     cm = init.copy()
     discount = criterion_discount(train_counts, back_counts, cfg)
     if back_counts is not None:
-        # the start map's aggregates are freed before the engine is built
-        start = (aggregate_class_counts(t, cm) for t in (train_counts, back_counts))
+        # the start map's class counts are freed before the engine is built
+        start = (class_counts(t, cm) for t in (train_counts, back_counts))
         lam, score = optimize_lambda(*start, cfg.lambda_grid, discount.b)
         engine = AdaptiveObjective(train_counts, back_counts, cm, discount, lam)
         log.info("lambda %.2f, start score %.6f", lam, score)

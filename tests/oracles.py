@@ -3,8 +3,8 @@
 Everything here is written in the plainest style available -- dicts, loops,
 math.log -- and shares no code with the package internals, so agreement
 between the two is meaningful evidence of correctness.  A few adapters
-come first: the table of a dict, a comparison of two cluster maps, and the
-engine's delta for one move.
+come first: the table of a dict, a comparison of two cluster maps, the
+engine's delta for one move, and the class counts of a matrix of cells.
 """
 
 import math
@@ -35,6 +35,20 @@ def move_delta(engine, word, side, dst):
     over every target; 0.0 for a word with no counts on that side."""
     res = engine.candidate_deltas(word, side)
     return 0.0 if res is None else float(res[1][dst])
+
+
+def bordered(pairs):
+    """The class counts of a (state, category) matrix of cells, laid out as
+    ``classmodel.class_counts`` lays them out: each row's total in an extra
+    last column, each column's total in an extra last row, the total in the
+    corner."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    table = np.zeros((pairs.shape[0] + 1, pairs.shape[1] + 1), dtype=np.int64)
+    table[:-1, :-1] = pairs
+    table[:-1, -1] = pairs.sum(axis=1)
+    table[-1, :-1] = pairs.sum(axis=0)
+    table[-1, -1] = pairs.sum()
+    return table
 
 
 def reference_count_events(corpus, vocab):

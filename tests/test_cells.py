@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import oracles
 
-from clusterlm.classmodel import ClusterMap, class_bigrams
+from clusterlm.classmodel import ClusterMap, class_counts
 from clusterlm.corpus import CountTable
-from clusterlm.criterion import _word_profiles, aggregate_class_counts, combine_word_counts
+from clusterlm.criterion import _word_profiles, combine_word_counts
 
 # at 0.5 every odd sum of the two counts rounds a tie
 LAMBDAS = (0.0, 0.3, 0.5, 0.95, 1.0)
@@ -154,8 +154,7 @@ def test_one_table_per_set_of_cells(setup):
 def test_class_projections_match_the_oracle(setup):
     table, _, cm = setup
     want = matrix(oracles.cells_from_table(table.rows, cm.state_of, cm.category_of), cm)
-    assert np.array_equal(class_bigrams(table, cm), want)
-    assert np.array_equal(aggregate_class_counts(table, cm).pairs, want)
+    assert np.array_equal(class_counts(table, cm), oracles.bordered(want))
 
 
 @pytest.mark.parametrize("cells", [

@@ -13,7 +13,7 @@ from corpusgen import random_table, table_from_sentences
 from clusterlm.classmodel import (
     ClassModel,
     ClusterMap,
-    class_bigrams,
+    class_counts,
     estimate_class_model,
     init_clustering,
     load_clusters,
@@ -305,7 +305,7 @@ def test_a_model_holds_its_state_bigram_cells_as_its_file_lists_them(tmp_path):
     model = estimate_class_model(counts, cm)
     s_ids, g_ids, values = model.pair_cells
     assert (np.diff(s_ids * cm.n_cats + g_ids) > 0).all()
-    assert len(values) == np.count_nonzero(class_bigrams(counts, cm)) > 1
+    assert len(values) == np.count_nonzero(class_counts(counts, cm)[:-1, :-1]) > 1
     p1, p2, p3 = tmp_path / "m1.lm", tmp_path / "m2.lm", tmp_path / "m3.lm"
     model.save(p1)
     head, rest = p1.read_text().split("\\state-bigrams:\n")

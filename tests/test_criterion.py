@@ -13,20 +13,17 @@ from hypothesis import strategies as st
 import oracles
 from corpusgen import domain_corpus, random_table, table_from_sentences
 
-from clusterlm.classmodel import ClusterMap, init_clustering
+from clusterlm.classmodel import ClusterMap, class_counts, init_clustering
 from clusterlm.criterion import (
     CATEGORY_SIDE,
     NEG_INF,
     STATE_SIDE,
     AdaptiveObjective,
-    ClassCounts,
     StandardObjective,
     _add_singleton_change,
     _tallies,
-    aggregate_class_counts,
     cell_lookup,
     clustering_score,
-    combine_class_counts,
     combine_counts,
     combine_word_counts,
     log_table,
@@ -37,7 +34,7 @@ from clusterlm.errors import ConfigError, InvalidMoveError
 
 
 def cells_of(t):
-    return {(s, g): int(c) for (s, g), c in np.ndenumerate(t.pairs) if c}
+    return {(s, g): int(c) for (s, g), c in np.ndenumerate(t[:-1, :-1]) if c}
 
 
 def loo_score(t, b):
@@ -46,7 +43,13 @@ def loo_score(t, b):
 
 
 def adaptive_score(a, bg, lam, b):
-    return clustering_score(a, combine_class_counts(a, bg, lam), b)
+    return clustering_score(a, combine_counts(a, bg, lam), b)
+
+
+def combined_cells(eng):
+    """The engine's combined cells: its adaptation cells alone at λ = 1."""
+    c = eng.a if eng.bg is None else combine_counts(eng.a, eng.bg, eng.lam)
+    return c[:-1, :-1]
 
 
 def random_instance(rng, vocab_size=None, k_s=None, k_c=None):
@@ -77,14 +80,14 @@ def test_round_half_up():
 
 
 def test_training_score_hand_example():
-    t = ClassCounts.from_matrix([[3, 0], [0, 2]])
+    t = oracles.bordered([[3, 0], [0, 2]])
     got = loo_score(t, 0.5)
     want = 3 * math.log(1.5) + 2 * math.log(0.5) - 6 * math.log(2)
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_training_score_singleton_cell_term():
-    t = ClassCounts.from_matrix([[1, 0], [0, 3]])
+    t = oracles.bordered([[1, 0], [0, 3]])
     b = 0.4
     got = loo_score(t, b)
     # one singleton cell, two positive cells, two empty cells
@@ -93,8 +96,8 @@ def test_training_score_singleton_cell_term():
 
 
 def test_training_score_degenerate_is_negative_infinity():
-    assert loo_score(ClassCounts.from_matrix([[5, 0], [0, 0]]), 0.5) == NEG_INF
-    assert loo_score(ClassCounts.from_matrix([[0, 0], [0, 0]]), 0.5) == NEG_INF
+    assert loo_score(oracles.bordered([[5, 0], [0, 0]]), 0.5) == NEG_INF
+    assert loo_score(oracles.bordered([[0, 0], [0, 0]]), 0.5) == NEG_INF
 
 
 def test_training_score_matches_reference_on_random_tables():
@@ -106,7 +109,7 @@ def test_training_score_matches_reference_on_random_tables():
             for _ in range(n_s)
         ]
         b = rng.uniform(0.1, 0.9)
-        t = ClassCounts.from_matrix(pairs)
+        t = oracles.bordered(pairs)
         got = loo_score(t, b)
         want = oracles.training_score(cells_of(t), n_s, n_c, b)
         if math.isinf(want):
@@ -121,8 +124,8 @@ def test_training_score_invariant_under_relabeling():
     perm_s = rng.sample(range(5), 5)
     perm_c = rng.sample(range(4), 4)
     permuted = pairs[np.ix_(perm_s, perm_c)]
-    s1 = loo_score(ClassCounts.from_matrix(pairs), 0.5)
-    s2 = loo_score(ClassCounts.from_matrix(permuted), 0.5)
+    s1 = loo_score(oracles.bordered(pairs), 0.5)
+    s2 = loo_score(oracles.bordered(permuted), 0.5)
     assert s1 == pytest.approx(s2, rel=1e-12)
 
 
@@ -132,32 +135,33 @@ def test_training_score_invariant_under_relabeling():
 def test_aggregate_marginals_consistent():
     rng = random.Random(3)
     counts, cm = random_instance(rng)
-    t = aggregate_class_counts(counts, cm)
-    assert np.array_equal(t.state_tot, t.pairs.sum(axis=1))
-    assert np.array_equal(t.cat_tot, t.pairs.sum(axis=0))
-    assert _tallies(t.pairs)[1] + int((t.pairs == 0).sum()) == t.pairs.size
+    t = class_counts(counts, cm)
+    cells = t[:-1, :-1]
+    assert np.array_equal(t[:-1, -1], cells.sum(axis=1))
+    assert np.array_equal(t[-1, :-1], cells.sum(axis=0))
+    assert _tallies(cells)[1] + int((cells == 0).sum()) == cells.size
     # brute-force double loop
     want = oracles.cells_from_table(counts.rows, cm.state_of, cm.category_of)
     assert cells_of(t) == want
-    assert t.state_tot.sum() == counts.total_tokens
+    assert t[:-1, -1].sum() == counts.total_tokens
 
 
 def test_aggregate_single_cluster_collects_everything():
     counts = oracles.dict_table(5, {1: {2: 4}, 3: {4: 2}})
     cm = ClusterMap([0] * 5, [0] * 5, 1, 1)
-    t = aggregate_class_counts(counts, cm)
-    assert t.pairs[0, 0] == 6
+    t = class_counts(counts, cm)
+    assert t[0, 0] == 6
 
 
 def test_aggregate_identity_clustering_reproduces_table():
     rng = random.Random(4)
     counts = random_table(rng, 7)
     cm = ClusterMap(range(7), range(7), 7, 7)
-    t = aggregate_class_counts(counts, cm)
+    t = class_counts(counts, cm)
     rows = counts.rows
     for v in range(7):
         for w in range(7):
-            assert t.pairs[v, w] == rows.get(v, {}).get(w, 0)
+            assert t[v, w] == rows.get(v, {}).get(w, 0)
 
 
 # ------------------------------------------------------------ combined counts
@@ -165,39 +169,34 @@ def test_aggregate_identity_clustering_reproduces_table():
 
 def test_combine_counts_endpoints_exact():
     rng = random.Random(12)
-    a = ClassCounts.from_matrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
-    b = ClassCounts.from_matrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
-    at_one = combine_class_counts(a, b, 1.0)
-    assert np.array_equal(at_one.pairs, a.pairs)
-    assert np.array_equal(at_one.state_tot, a.state_tot)
-    at_zero = combine_class_counts(a, b, 0.0)
-    assert np.array_equal(at_zero.pairs, b.pairs)
-    assert np.array_equal(at_zero.cat_tot, b.cat_tot)
+    a = oracles.bordered([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
+    b = oracles.bordered([[rng.randint(0, 9) for _ in range(4)] for _ in range(3)])
+    at_one = combine_counts(a, b, 1.0)
+    assert np.array_equal(at_one[:-1, :-1], a[:-1, :-1])
+    assert np.array_equal(at_one[:-1, -1], a[:-1, -1])
+    at_zero = combine_counts(a, b, 0.0)
+    assert np.array_equal(at_zero[:-1, :-1], b[:-1, :-1])
+    assert np.array_equal(at_zero[-1, :-1], b[-1, :-1])
     # without a background the adaptation counts are the combined counts
-    assert combine_class_counts(a, None, 0.3) is a
-
-
-def test_combine_class_counts_rejects_mismatched_cluster_ranges():
-    a = ClassCounts.from_matrix([[1, 2], [3, 4]])
-    b = ClassCounts.from_matrix([[1, 2, 0], [3, 4, 0]])
-    with pytest.raises(ConfigError, match="cluster ranges"):
-        combine_class_counts(a, b, 0.5)
+    counts, cm = random_instance(rng)
+    eng = AdaptiveObjective(counts, random_table(rng, counts.vocab_size), cm, Discount(0.5), 1.0)
+    assert eng.bg is None and eng._combined() is eng.a
 
 
 def test_combine_counts_rounds_ties_up():
-    a = ClassCounts.from_matrix([[2]])
-    b = ClassCounts.from_matrix([[5]])
-    assert combine_class_counts(a, b, 0.5).pairs[0, 0] == 4  # 3.5 rounds away from zero
+    a = oracles.bordered([[2]])
+    b = oracles.bordered([[5]])
+    assert combine_counts(a, b, 0.5)[0, 0] == 4  # 3.5 rounds away from zero
 
 
 def test_combined_marginals_rounded_independently():
     # cells round down to zero but the marginal rounds up from its own sum
-    a = ClassCounts.from_matrix([[1, 1, 1], [0, 0, 0]])
-    b = ClassCounts.from_matrix([[0, 0, 0], [0, 0, 5]])
-    combined = combine_class_counts(a, b, 0.4)
-    assert list(combined.pairs[0]) == [0, 0, 0]  # each 0.4 -> 0
+    a = oracles.bordered([[1, 1, 1], [0, 0, 0]])
+    b = oracles.bordered([[0, 0, 0], [0, 0, 5]])
+    combined = combine_counts(a, b, 0.4)
+    assert list(combined[0, :-1]) == [0, 0, 0]  # each 0.4 -> 0
     # state margin: 0.4 * 3 = 1.2 -> 1, not the sum of rounded cells
-    assert combined.state_tot[0] == 1
+    assert combined[0, -1] == 1
 
 
 def test_combine_word_counts_endpoints_and_rounding():
@@ -236,8 +235,8 @@ def test_adaptive_score_matches_reference_on_random_pairs():
         mk = lambda: [
             [rng.choice([0, 0, 1, 2, 3, 9]) for _ in range(n_c)] for _ in range(n_s)
         ]
-        a = ClassCounts.from_matrix(mk())
-        bg = ClassCounts.from_matrix(mk())
+        a = oracles.bordered(mk())
+        bg = oracles.bordered(mk())
         lam = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
         b = rng.uniform(0.1, 0.9)
         got = adaptive_score(a, bg, lam, b)
@@ -251,8 +250,8 @@ def test_adaptive_score_matches_reference_on_random_pairs():
 
 
 def test_adaptive_score_empty_adaptation_counts():
-    a = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    bg = ClassCounts.from_matrix([[4, 0], [0, 3]])
+    a = oracles.bordered([[0, 0], [0, 0]])
+    bg = oracles.bordered([[4, 0], [0, 3]])
     b = 0.5
     got = adaptive_score(a, bg, 0.0, b)
     want = oracles.adaptation_score({}, cells_of(bg), 0.0, 2, 2, b)
@@ -262,9 +261,9 @@ def test_adaptive_score_empty_adaptation_counts():
 def test_adaptive_score_degenerate_combined_cells_is_negative_infinity():
     # two positive adaptation cells, but only one combined cell rounds above
     # zero (1.2 -> 1, 0.4 -> 0) -> the combined cell family degenerates
-    a = ClassCounts.from_matrix([[3, 1], [0, 0]])
-    bg = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    assert _tallies(combine_class_counts(a, bg, 0.4).pairs) == (1, 1)
+    a = oracles.bordered([[3, 1], [0, 0]])
+    bg = oracles.bordered([[0, 0], [0, 0]])
+    assert _tallies(combine_counts(a, bg, 0.4)[:-1, :-1]) == (1, 1)
     assert adaptive_score(a, bg, 0.4, 0.5) == NEG_INF
     assert oracles.adaptation_score(cells_of(a), {}, 0.4, 2, 2, 0.5) == NEG_INF
     assert math.isfinite(loo_score(a, 0.5))
@@ -273,11 +272,11 @@ def test_adaptive_score_degenerate_combined_cells_is_negative_infinity():
 def test_adaptive_equals_lambda_independent_when_tables_match():
     rng = random.Random(9)
     pairs = [[rng.randint(0, 7) for _ in range(4)] for _ in range(3)]
-    a = ClassCounts.from_matrix(pairs)
-    bg = ClassCounts.from_matrix(pairs)
+    a = oracles.bordered(pairs)
+    bg = oracles.bordered(pairs)
     vals = []
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert np.array_equal(combine_class_counts(a, bg, lam).pairs, a.pairs)
+        assert np.array_equal(combine_counts(a, bg, lam)[:-1, :-1], a[:-1, :-1])
         vals.append(adaptive_score(a, bg, lam, 0.6))
     assert max(vals) - min(vals) < 1e-12
 
@@ -402,10 +401,10 @@ def test_maintained_state_survives_many_moves(adaptive):
         w, side, src, dst = legal_random_move(rng, eng)
         eng.apply_move(w, side, dst)
     for t in (eng.a, eng.bg) if adaptive else (eng.a,):
-        fresh = ClassCounts.from_matrix(t.pairs)
-        assert np.array_equal(fresh.state_tot, t.state_tot)
-        assert np.array_equal(fresh.cat_tot, t.cat_tot)
-    assert _tallies(combine_class_counts(eng.a, eng.bg, eng.lam).pairs) == eng.tallies
+        fresh = oracles.bordered(t[:-1, :-1])
+        assert np.array_equal(fresh[:-1, -1], t[:-1, -1])
+        assert np.array_equal(fresh[-1, :-1], t[-1, :-1])
+    assert _tallies(combined_cells(eng)) == eng.tallies
 
 
 def test_adaptive_engine_at_full_weight_is_leave_one_out():
@@ -454,7 +453,7 @@ def test_one_pass_kernel_gives_the_reference_bits_and_moves(adaptive):
 
     def state(eng):
         tables = (eng.a, eng.bg) if adaptive else (eng.a,)
-        return [x for t in tables for x in (t.pairs, t.state_tot, t.cat_tot)], eng.tallies
+        return [x for t in tables for x in (t[:-1, :-1], t[:-1, -1], t[-1, :-1])], eng.tallies
 
     eng = engine(init_clustering(a, 6, 5, vocab))
     compared = moves = 0
@@ -495,7 +494,7 @@ def test_adaptive_pass_gives_the_two_table_bits(lam):
 
     def state(eng):
         tables = (eng.a,) if eng.bg is None else (eng.a, eng.bg)
-        return [x for t in tables for x in (t.pairs, t.state_tot, t.cat_tot)], eng.tallies
+        return [x for t in tables for x in (t[:-1, :-1], t[:-1, -1], t[-1, :-1])], eng.tallies
 
     eng = AdaptiveObjective(a, b, init_clustering(a, 6, 5, vocab), disc, lam)
     assert (eng.bg is None) == (lam == 1.0)
@@ -695,7 +694,7 @@ def test_log_tables_grow_with_the_marginals_and_keep_the_reference_bits(lam):
 
     def state(eng):
         tables = (eng.a,) if eng.bg is None else (eng.a, eng.bg)
-        return [x for t in tables for x in (t.pairs, t.state_tot, t.cat_tot)], eng.tallies
+        return [x for t in tables for x in (t[:-1, :-1], t[:-1, -1], t[-1, :-1])], eng.tallies
 
     eng = engine(init_clustering(a, 6, 5, vocab))
     first_top, first_len = eng._top, len(eng._logs[0])
@@ -725,7 +724,7 @@ def test_log_tables_grow_with_the_marginals_and_keep_the_reference_bits(lam):
                     continue
                 assert got[1].tobytes() == want[1].tobytes(), f"{either} {v}"
     held = (eng.a,) if eng.bg is None else (eng.a, eng.bg)
-    assert after == 4 and max(t.state_tot[0] for t in held) == eng._top
+    assert after == 4 and max(t[0, -1] for t in held) == eng._top
     assert min(lengths) == first_len and len(lengths) > 2
 
 
@@ -747,7 +746,7 @@ def test_singleton_window_at_its_edges_gives_the_reference_bits(lam):
         eng = StandardObjective(a, cm, disc)
     else:
         eng = AdaptiveObjective(a, b, cm, disc, lam)
-    assert eng.tallies[1] == eng.a.pairs.size - 1
+    assert eng.tallies[1] == eng.a[:-1, :-1].size - 1
     seen, compared, degenerate = {eng.tallies}, 0, 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -769,7 +768,7 @@ def test_singleton_window_at_its_edges_gives_the_reference_bits(lam):
                         eng.apply_move(w, side, 1 - src)
                     elif (best := eng.best_move(w, side)) is not None:
                         eng.apply_move(w, side, best[0])
-                    fresh = _tallies(combine_class_counts(eng.a, eng.bg, eng.lam).pairs)
+                    fresh = _tallies(combined_cells(eng))
                     assert eng.tallies == fresh
                     seen.add(fresh)
     assert compared >= 18 and degenerate > 0
@@ -845,15 +844,15 @@ def test_bordered_tables_keep_their_marginals_through_moves(case):
             eng.apply_move(w, side, (int(assign[w]) + 1 + step % (k - 1)) % k)
         held = [(eng.a, a)] if eng.bg is None else [(eng.a, a), (eng.bg, back)]
         for t, counts in held:
-            assert np.array_equal(t.state_tot, t.pairs.sum(axis=1))
-            assert np.array_equal(t.cat_tot, t.pairs.sum(axis=0))
-            assert t.table[-1, -1] == t.pairs.sum() == counts.total_tokens
-            assert np.array_equal(t.table, aggregate_class_counts(counts, eng.cm).table)
-        bg = aggregate_class_counts(back, eng.cm) if eng.bg is None else eng.bg
+            assert np.array_equal(t[:-1, -1], t[:-1, :-1].sum(axis=1))
+            assert np.array_equal(t[-1, :-1], t[:-1, :-1].sum(axis=0))
+            assert t[-1, -1] == t[:-1, :-1].sum() == counts.total_tokens
+            assert np.array_equal(t, class_counts(counts, eng.cm))
+        bg = class_counts(back, eng.cm) if eng.bg is None else eng.bg
         for weight in {eng.lam, 0.6}:
-            c = combine_class_counts(eng.a, bg, weight)
-            for part in (lambda t: t.pairs, lambda t: t.state_tot, lambda t: t.cat_tot,
-                         lambda t: t.table[-1:, -1:]):
+            c = combine_counts(eng.a, bg, weight)
+            for part in (lambda t: t[:-1, :-1], lambda t: t[:-1, -1], lambda t: t[-1, :-1],
+                         lambda t: t[-1:, -1:]):
                 want = combine_counts(part(eng.a), part(bg), weight)
                 assert part(c).tobytes() == want.tobytes()
         for v in range(cm.vocab_size):
@@ -918,8 +917,19 @@ def test_singleton_donor_cluster_delta_matches_recompute():
     before = eng.score()
     delta = oracles.move_delta(eng, 4, STATE_SIDE, 0)
     eng.apply_move(4, STATE_SIDE, 0)
-    assert eng.a.state_tot[2] == 0
+    assert eng.a[2, -1] == 0
     assert delta == pytest.approx(eng.score() - before, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("lam", [1.5, -0.1, math.nan])
+def test_engine_rejects_a_weight_outside_zero_one(lam):
+    # combined counts below zero would index the log tables from their end
+    back = domain_corpus("back", seed=11, n_words=1500, topic_size=15)
+    adapt = domain_corpus("target", seed=12, n_words=600, topic_size=15)
+    vocab = build_vocabulary(adapt, back, 200)
+    a, b = count_events(adapt, vocab), count_events(back, vocab)
+    with pytest.raises(ConfigError, match=r"outside \[0, 1\]"):
+        AdaptiveObjective(a, b, init_clustering(a, 6, 5, vocab), Discount(0.6), lam)
 
 
 def test_adaptive_engine_scores_at_the_weight_it_is_built_with():

@@ -8,14 +8,9 @@ import pytest
 import oracles
 from corpusgen import block_corpus, domain_corpus, table_from_sentences
 
-from clusterlm.classmodel import init_clustering
+from clusterlm.classmodel import class_counts, init_clustering
 from clusterlm.corpus import Vocabulary, build_vocabulary, count_events
-from clusterlm.criterion import (
-    ClassCounts,
-    aggregate_class_counts,
-    clustering_score,
-    combine_class_counts,
-)
+from clusterlm.criterion import clustering_score, combine_counts
 from clusterlm.discounting import estimate_discount
 from clusterlm.errors import ConfigError
 from clusterlm import exchange
@@ -177,8 +172,8 @@ def test_adaptive_run_is_deterministic():
 def test_optimize_lambda_breaks_ties_toward_larger_weight():
     rng = random.Random(8)
     pairs = [[rng.randint(0, 6) for _ in range(3)] for _ in range(3)]
-    a = ClassCounts.from_matrix(pairs)
-    b = ClassCounts.from_matrix(pairs)
+    a = oracles.bordered(pairs)
+    b = oracles.bordered(pairs)
     for grid in ((0.0, 0.5, 1.0), (1.0, 0.5, 0.0)):
         lam, score = optimize_lambda(a, b, grid, 0.5)
         assert lam == 1.0
@@ -186,11 +181,26 @@ def test_optimize_lambda_breaks_ties_toward_larger_weight():
 
 
 def test_optimize_lambda_all_degenerate():
-    a = ClassCounts.from_matrix([[0, 0], [0, 0]])
-    b = ClassCounts.from_matrix([[0, 0], [0, 0]])
+    a = oracles.bordered([[0, 0], [0, 0]])
+    b = oracles.bordered([[0, 0], [0, 0]])
     lam, score = optimize_lambda(a, b, (0.0, 0.5, 1.0), 0.5)
     assert lam == 1.0
     assert score == -math.inf
+
+
+def test_optimize_lambda_rejects_an_empty_grid():
+    a = oracles.bordered([[1, 2], [3, 4]])
+    for grid in ((), []):
+        with pytest.raises(ConfigError, match="empty weight grid"):
+            optimize_lambda(a, a, grid, 0.5)
+
+
+def test_optimize_lambda_rejects_mismatched_cluster_ranges():
+    a = oracles.bordered([[1, 2], [3, 4]])
+    # one more category; and one state, which plain arrays would broadcast
+    for b in (oracles.bordered([[1, 2, 0], [3, 4, 0]]), oracles.bordered([[4, 6]])):
+        with pytest.raises(ConfigError, match="cluster ranges"):
+            optimize_lambda(a, b, (0.0, 0.5, 1.0), 0.5)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -208,10 +218,12 @@ def test_run_reports_the_score_of_the_map_it_returns(adaptive):
     for stats in result.iterations:
         if stats.moves:
             assert last[stats.iteration] == pytest.approx(stats.score, rel=1e-9)
-    a = aggregate_class_counts(adapt, result.cluster_map)
-    bg = aggregate_class_counts(back, result.cluster_map) if adaptive else None
+    a = class_counts(adapt, result.cluster_map)
+    combined = a
+    if adaptive:
+        combined = combine_counts(a, class_counts(back, result.cluster_map), result.lam)
     b = criterion_discount(adapt, other, cfg).b
-    assert result.score == clustering_score(a, combine_class_counts(a, bg, result.lam), b)
+    assert result.score == clustering_score(a, combined, b)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -234,7 +246,7 @@ def test_lambda_is_chosen_once_on_the_start_map(monkeypatch, adaptive):
         return
     assert len(calls) == 1
     b = criterion_discount(adapt, back, cfg).b
-    start = [aggregate_class_counts(t, cm) for t in (adapt, back)]
+    start = [class_counts(t, cm) for t in (adapt, back)]
     assert result.lam == optimize_lambda(*start, cfg.lambda_grid, b)[0]
 
 

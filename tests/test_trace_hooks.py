@@ -3,6 +3,9 @@
 ``perfbench/tracing.py`` patches the functions and methods named in its
 ``TRACE_POINTS`` by module and name.  A rename or a method moved to a base
 class breaks a traced benchmark run; this test catches it in the test suite.
+Its result callbacks read ``CountTable.rows`` and ``BackoffModel.explicit_lp``,
+so the suite it traces trains the backoff models as well as the class ones,
+and their counters must be positive.
 """
 
 import importlib.util
@@ -32,7 +35,8 @@ def test_every_trace_point_installs_records_and_restores():
     tracer.install()
     try:
         sents = block_corpus(60, seed=3)
-        cfg = SuiteConfig(clusters=2, max_iterations=2, methods=("back_cl", "clust_adapt"))
+        cfg = SuiteConfig(clusters=2, max_iterations=2,
+                          methods=("back_bo", "back_cl", "fillup", "clust_adapt"))
         evaluate.experiment_suite(sents, sents[:30], sents[30:], [60], cfg)
     finally:
         tracer.restore()
@@ -41,6 +45,8 @@ def test_every_trace_point_installs_records_and_restores():
                      "criterion.ada.candidates", "criterion.combine",
                      "classmodel.estimate", "evaluate.perplexity"):
         assert expected in names
+    for counter in ("corpus.bigram_cells", "backoff.explicit_bigrams"):
+        assert tracer.counters[counter] > 0
     restored = [
         tracing._resolve(owner).__dict__[attr] for owner, attr, _, _ in tracing.TRACE_POINTS
     ]
