@@ -45,6 +45,7 @@ from .evaluate import (
     format_report,
     perplexity,
     relative_improvement,
+    suite_records,
     write_records,
 )
 from .exchange import (

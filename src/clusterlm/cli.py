@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 
 from .artifact import read_magic
 from .backoff import BACKOFF_MAGIC, BackoffModel
@@ -16,6 +17,7 @@ from .evaluate import (
     SuiteConfig,
     adapt_class_model,
     fillup_model,
+    format_report,
     perplexity,
     train_backoff_model,
     train_class_model,
@@ -179,7 +181,6 @@ def cmd_eval(args, cfg: SuiteConfig) -> int:
         model.probs, args.heldout, vocab,
         score_oov=args.score_oov,
         model_id=args.model_id or label,
-        vocab_md5=vocab.checksum(),
     )
     line = (
         f"{report.model_id}: PP {report.perplexity:.3f} "
@@ -188,7 +189,7 @@ def cmd_eval(args, cfg: SuiteConfig) -> int:
     print(line)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.__dict__, fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
 
@@ -197,6 +198,7 @@ def cmd_eval(args, cfg: SuiteConfig) -> int:
 REPORT_FIELDS = {
     "model_id": str, "perplexity": (int, float), "oov_rate": (int, float),
     "tokens_scored": (int, float), "size": (int, float, type(None)),
+    "lambda": (int, float),
 }
 
 
@@ -223,14 +225,7 @@ def cmd_report(args, cfg: SuiteConfig) -> int:
     rows = [r for path in args.records for r in read_records(path)]
     if not rows:
         raise ConfigError("no evaluation records given")
-    rows.sort(key=lambda r: (str(r.get("model_id", "")), r.get("size") or 0))
-    lines = [f"{'model':<24} {'PP':>12} {'OOV%':>7} {'tokens':>9}"]
-    for r in rows:
-        lines.append(
-            f"{r.get('model_id', '?'):<24} {r.get('perplexity', float('nan')):>12.3f} "
-            f"{100 * r.get('oov_rate', 0.0):>6.2f}% {r.get('tokens_scored', 0):>9}"
-        )
-    text = "\n".join(lines) + "\n"
+    text = format_report(rows)
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

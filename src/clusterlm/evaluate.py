@@ -71,7 +71,6 @@ def perplexity(
     score_oov: bool = False,
     model_id: str = "",
     adaptation_words: int = 0,
-    vocab_md5: str = "",
 ) -> EvalReport:
     """Sentence-level perplexity under ``probs_fn(contexts, words)``, which
     gives p(w|v) for each pair of two id arrays (a model's ``probs``), of
@@ -109,7 +108,7 @@ def perplexity(
         oov_tokens=oov,
         oov_rate=oov / positions if positions else 0.0,
         adaptation_words=adaptation_words,
-        vocab_md5=vocab_md5,
+        vocab_md5=vocab.checksum(),
     )
 
 
@@ -261,7 +260,6 @@ def experiment_suite(
             score_oov=cfg.score_oov,
             model_id=method if size is None else f"{method}@{size}",
             adaptation_words=extra,
-            vocab_md5=vocab.checksum(),
         )
         if size is None:
             result.baseline[method] = rep
@@ -336,71 +334,6 @@ def experiment_suite(
     return result
 
 
-def _fmt_pp(value: float) -> str:
-    """Three significant figures, plain decimal notation."""
-    if value == 0 or not math.isfinite(value):
-        return str(value)
-    digits = 2 - int(math.floor(math.log10(abs(value))))
-    rounded = round(value, digits)
-    return f"{rounded:.{max(digits, 0)}f}"
-
-
-def format_report(result: SuiteResult) -> str:
-    lines = []
-    if result.baseline:
-        lines.append(
-            "background-vocabulary baselines "
-            "(different vocabulary; perplexities not directly comparable "
-            "to the adapted models):"
-        )
-        lines.append(f"  {'model':<12} {'PP':>10} {'OOV%':>7} {'tokens':>9}")
-        for method in METHODS:
-            rep = result.baseline.get(method)
-            if rep is None:
-                continue
-            lines.append(
-                f"  {method:<12} {_fmt_pp(rep.perplexity):>10} "
-                f"{100 * rep.oov_rate:>6.2f}% {rep.tokens_scored:>9}"
-            )
-        lines.append("")
-    if result.adapted:
-        sizes = sorted(result.adapted)
-        methods = [
-            m for m in METHODS if any(m in result.adapted[s] for s in sizes)
-        ]
-        show_delta = "adapt_cl" in methods and "clust_adapt" in methods
-        head = f"  {'adapt. words':>12}" + "".join(f"{m:>12}" for m in methods)
-        if result.lambdas:
-            head += f"{'lambda':>8}"
-        if show_delta:
-            head += f"{'ca-vs-cl%':>11}"
-        lines.append("adapted models (one row per adaptation slice):")
-        lines.append(head)
-        for s in sizes:
-            reports = result.adapted[s]
-            words = next(iter(reports.values())).adaptation_words
-            row = f"  {words:>12}"
-            for m in methods:
-                rep = reports.get(m)
-                row += f"{_fmt_pp(rep.perplexity):>12}" if rep else f"{'-':>12}"
-            if result.lambdas:
-                lam = result.lambdas.get(s)
-                row += f"{lam:>8.2f}" if lam is not None else f"{'-':>8}"
-            if show_delta:
-                cl = reports.get("adapt_cl")
-                ca = reports.get("clust_adapt")
-                if cl and ca:
-                    gain = relative_improvement(cl.perplexity, ca.perplexity)
-                    row += f"{gain:>+10.2f}%"
-                else:
-                    row += f"{'-':>11}"
-            lines.append(row)
-        lines.append("")
-    for note in result.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines).rstrip() + "\n"
-
-
 def suite_records(result: SuiteResult) -> list[dict]:
     records = []
     for method, rep in sorted(result.baseline.items()):
@@ -426,3 +359,23 @@ def write_records(result: SuiteResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def format_report(records: list[dict]) -> str:
+    """One row per evaluation record, as ``suite_records`` gives them or
+    ``clusterlm eval --out`` writes them: model, perplexity, OOV rate and
+    tokens scored, with a λ column when some record holds one.  Records
+    without a size come first, then sizes in numeric order, each by model."""
+    rows = sorted(records, key=lambda r: (r.get("size") or 0, r.get("model_id", "")))
+    with_lambda = any("lambda" in r for r in rows)
+    head = f"{'model':<24} {'PP':>12} {'OOV%':>7} {'tokens':>9}"
+    lines = [head + f" {'lambda':>8}" if with_lambda else head]
+    for r in rows:
+        line = (
+            f"{r.get('model_id', '?'):<24} {r.get('perplexity', float('nan')):>12.3f} "
+            f"{100 * r.get('oov_rate', 0.0):>6.2f}% {r.get('tokens_scored', 0):>9}"
+        )
+        if with_lambda:
+            line += f" {r['lambda']:>8.3f}" if "lambda" in r else f" {'-':>8}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -19,8 +19,11 @@ from clusterlm.evaluate import (
     SuiteConfig,
     adapt_class_model,
     experiment_suite,
+    format_report,
     perplexity,
+    suite_records,
     train_class_model,
+    write_records,
 )
 
 
@@ -450,6 +453,10 @@ def test_fillup_rejects_a_filled_background(workdir, tmp_path, capsys):
             None, None, None, '[{"model_id": "x", "perplexity": "abc"}]', None,
             id="report-perplexity-not-a-number",
         ),
+        pytest.param(
+            None, None, None, '[{"model_id": "x", "perplexity": 9.5, "lambda": "abc"}]',
+            "lambda", id="report-lambda-not-a-number",
+        ),
     ],
 )
 def test_bad_settings_and_missing_inputs_exit_2(
@@ -540,7 +547,7 @@ def test_train_on_a_corpus_dominated_by_one_bigram(tmp_path):
         assert main([str(a) for a in argv]) == 0, argv
 
 
-def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path):
+def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path, capsys):
     # The fixture built clust_adapt.lm through the CLI with k=4 and four
     # iterations on each exchange; the suite must build the same model.
     back, adapt, heldout = (
@@ -551,7 +558,11 @@ def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path):
     cfg = SuiteConfig(
         vocab_size=250, clusters=4, max_iterations=4, methods=("adapt_cl", "clust_adapt")
     )
-    suite = experiment_suite(back, adapt, heldout, [words], cfg).adapted[words]
+    # two sizes whose string order is not their numeric order
+    sizes = [60, words]
+    assert sorted(sizes, key=str) != sizes
+    result = experiment_suite(back, adapt, heldout, sizes, cfg)
+    suite = result.adapted[words]
 
     assert main([
         "train", "--method", "adapt_cl", "--vocab", str(workdir / "words.txt"),
@@ -567,6 +578,21 @@ def test_cli_and_suite_build_the_same_adapted_models(workdir, tmp_path):
         ]) == 0
         cli_pp = json.loads(out.read_text())["perplexity"]
         assert cli_pp == pytest.approx(suite[method].perplexity, rel=1e-12), method
+
+    # the suite's records file gives the suite's table through the CLI
+    records = tmp_path / "records.json"
+    write_records(result, records)
+    capsys.readouterr()
+    assert main(["report", str(records)]) == 0
+    text = capsys.readouterr().out
+    assert text == format_report(suite_records(result))
+    rows = [line.split() for line in text.splitlines()[1:]]
+    assert [row[0] for row in rows] == [
+        f"{method}@{size}" for size in sizes for method in ("adapt_cl", "clust_adapt")
+    ]
+    assert [row[-1] for row in rows] == [
+        lam for size in sizes for lam in ("-", f"{result.lambdas[size]:.3f}")
+    ]
 
 
 @pytest.mark.parametrize("method, corpus", [("back_cl", "background"), ("adapt_cl", "adaptation")])

@@ -18,7 +18,6 @@ from clusterlm.errors import ConfigError, ModelIntegrityError
 from clusterlm.evaluate import (
     METHODS,
     SuiteConfig,
-    _fmt_pp,
     _take_words,
     cluster_words,
     experiment_suite,
@@ -262,15 +261,6 @@ def test_relative_improvement_reference_values(baseline, treatment, expected):
 # ------------------------------------------------------------- formatting
 
 
-def test_three_significant_figures():
-    assert _fmt_pp(1234.5) == "1230"
-    assert _fmt_pp(123.45) == "123"
-    assert _fmt_pp(12.345) == "12.3"
-    assert _fmt_pp(1.2345) == "1.23"
-    assert _fmt_pp(0.12345) == "0.123"
-    assert _fmt_pp(99.96) == "100.0"
-
-
 def test_take_words_is_a_sentence_aligned_prefix():
     sents = [["a"] * 3, ["b"] * 4, ["c"] * 5]
     assert _take_words(sents, 8) == ([["a"] * 3, ["b"] * 4], 7)
@@ -326,7 +316,7 @@ def test_suite_uses_separate_vocabularies(suite_result):
 def test_suite_is_deterministic(suite_result, tmp_path):
     back, adapt, held = tiny_suite_inputs()
     rerun = experiment_suite(back, adapt, held, [150, 400], tiny_config())
-    assert format_report(rerun) == format_report(suite_result)
+    assert format_report(suite_records(rerun)) == format_report(suite_records(suite_result))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     write_records(suite_result, p1)
     write_records(rerun, p2)
@@ -334,14 +324,18 @@ def test_suite_is_deterministic(suite_result, tmp_path):
 
 
 def test_suite_report_layout(suite_result):
-    text = format_report(suite_result)
-    assert "not directly comparable" in text
-    assert "adapt. words" in text
-    assert "lambda" in text
-    assert "ca-vs-cl%" in text
-    # one adapted row per size plus headers; every method column present
-    for m in METHODS:
-        assert m in text
+    lines = format_report(suite_records(suite_result)).splitlines()
+    assert lines[0].split() == ["model", "PP", "OOV%", "tokens", "lambda"]
+    rows = [line.split() for line in lines[1:]]
+    # baselines first, then one row per method@size, sizes in numeric order
+    adapted = sorted(set(METHODS) - {"back_bo", "back_cl"})
+    assert [row[0] for row in rows] == (
+        ["back_bo", "back_cl"] + [f"{m}@{size}" for size in (150, 400) for m in adapted]
+    )
+    for row in rows:
+        method, _, size = row[0].partition("@")
+        want = f"{suite_result.lambdas[int(size)]:.3f}" if method == "clust_adapt" else "-"
+        assert row[-1] == want, row[0]
 
 
 def test_suite_records_round_trip(suite_result, tmp_path):
